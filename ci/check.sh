@@ -12,6 +12,7 @@
 #   ci/check.sh ubsan        # UBSan with -fno-sanitize-recover=all
 #   ci/check.sh bench-smoke  # just the conversion-plan perf gate
 #   ci/check.sh chaos-smoke  # chaos differential + fault-layer cost gate
+#   ci/check.sh perfbench-smoke  # short traced run of every end-to-end workload
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -20,7 +21,8 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(lint thread-safety clang-tidy default asan tsan ubsan bench-smoke chaos-smoke)
+  STAGES=(lint thread-safety clang-tidy default asan tsan ubsan bench-smoke chaos-smoke
+          perfbench-smoke)
 fi
 
 # The observability e2e suite dumps the observed lock-order graph here; the
@@ -165,8 +167,23 @@ for stage in "${STAGES[@]}"; do
       cmake --build --preset tsan -j "$JOBS" --target hyperq_e2e_test
       ctest --preset tsan -R '^ChaosE2eTest' --output-on-failure
       ;;
+    perfbench-smoke)
+      # End-to-end benchmark smoke (BENCHMARK.json, perfbench/): a short
+      # traced run of every workload, import and stream alike. The harness
+      # checks every operation's result and fails on any dropped span, so
+      # both job kinds keep their correctness checks and a complete trace.
+      echo "=== perfbench-smoke: traced 3 s run of every workload ==="
+      for workload in import_csv stream_binary upsert_merge import_errors; do
+        report="$(python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 3 --trace 1)"
+        echo "$report"
+        tail -n 1 <<<"$report" | python3 -c '
+import json, sys
+dropped = json.load(sys.stdin)["metrics"]["obs.spans_dropped"]["value"]
+sys.exit("perfbench-smoke: %d trace spans dropped" % dropped if dropped else 0)'
+      done
+      ;;
     *)
-      echo "unknown stage: $stage (expected lint|thread-safety|clang-tidy|default|asan|tsan|ubsan|bench-smoke|chaos-smoke)" >&2
+      echo "unknown stage: $stage (expected lint|thread-safety|clang-tidy|default|asan|tsan|ubsan|bench-smoke|chaos-smoke|perfbench-smoke)" >&2
       exit 2
       ;;
   esac

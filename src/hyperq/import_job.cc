@@ -1,218 +1,50 @@
 #include "hyperq/import_job.h"
 
-#include <cctype>
+#include <algorithm>
 #include <chrono>
 
-#include "cloudstore/bulk_loader.h"
-#include "common/fault.h"
-#include "common/logging.h"
-#include "legacy/errors.h"
 #include "sql/parser.h"
 
 namespace hyperq::core {
 
 using common::Result;
-using common::Slice;
 using common::Status;
-
-namespace {
-
-std::string SanitizeId(const std::string& id) {
-  std::string out;
-  for (char c : id) {
-    out += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
-  }
-  return out;
-}
-
-Status RecreateTable(cdw::CdwServer* cdw, const std::string& name, const types::Schema& schema,
-                     std::vector<std::string> primary_key = {}, bool unique = false) {
-  HQ_RETURN_NOT_OK(cdw->catalog()->DropTable(name, /*if_exists=*/true));
-  return cdw->catalog()->CreateTable(name, schema, std::move(primary_key), unique).status();
-}
-
-}  // namespace
 
 Result<std::shared_ptr<ImportJob>> ImportJob::Create(const std::string& job_id,
                                                      const legacy::BeginLoadBody& begin,
                                                      JobContext ctx) {
-  if (ctx.cdw == nullptr || ctx.store == nullptr || ctx.credits == nullptr ||
-      ctx.converter_pool == nullptr || ctx.memory == nullptr) {
+  if (ctx.credits == nullptr || ctx.converter_pool == nullptr || ctx.memory == nullptr) {
     return Status::Invalid("incomplete job context");
   }
-  // The target table must already exist in the CDW.
-  HQ_RETURN_NOT_OK(ctx.cdw->catalog()->GetTable(begin.target_table).status());
-
-  // Config specs are part of the job contract: an unparseable fault_spec or
-  // quality spec fails BeginLoad loudly (ProtocolError) instead of silently
-  // degrading to "no injection" / "no gate".
-  if (!ctx.options.fault_spec.empty()) {
-    uint64_t seed = 0;
-    std::vector<std::pair<int, common::FaultRule>> rules;
-    Status parsed = common::ParseFaultSpec(ctx.options.fault_spec, &seed, &rules);
-    if (!parsed.ok()) {
-      return Status::ProtocolError("invalid fault_spec: " + parsed.message());
-    }
+  HQ_ASSIGN_OR_RETURN(
+      std::unique_ptr<CommitTail> tail,
+      CommitTail::Create(kImportKind, job_id, LoadTarget::From(begin), std::move(ctx)));
+  auto job = std::shared_ptr<ImportJob>(new ImportJob(job_id, std::move(tail)));
+  const size_t writers = std::max<size_t>(1, job->tail_->ctx().options.file_writers);
+  for (size_t i = 0; i < writers; ++i) {
+    job->writer_threads_.emplace_back([raw = job.get(), i] { raw->WriterLoop(i); });
   }
-  const TableQualitySpec* table_quality = nullptr;
-  QualitySpec parsed_quality;
-  if (!ctx.options.quality.spec.empty()) {
-    auto parsed = ParseQualitySpec(ctx.options.quality.spec);
-    if (!parsed.ok()) {
-      return Status::ProtocolError("invalid quality spec: " + parsed.status().message());
-    }
-    parsed_quality = std::move(parsed).ValueOrDie();
-    table_quality = FindTableQuality(parsed_quality, begin.target_table);
-  }
-
-  HQ_ASSIGN_OR_RETURN(types::Schema staging_schema, MakeStagingSchema(begin.layout));
-  HQ_ASSIGN_OR_RETURN(DataConverter converter,
-                      DataConverter::Create(begin.layout, begin.format, begin.delimiter,
-                                            cdw::CsvOptions{}, ctx.options.staging_format,
-                                            table_quality));
-
-  // Per-job error-handling overrides from the client script (.set commands).
-  if (begin.max_errors != 0) ctx.options.max_errors = begin.max_errors;
-  if (begin.max_retries != 0) ctx.options.max_retries = begin.max_retries;
-
-  auto job = std::shared_ptr<ImportJob>(
-      new ImportJob(job_id, begin, std::move(ctx), std::move(converter), staging_schema));
-
-  // CDW-side state: staging table + fresh error tables. A recreated staging
-  // table must not inherit a prior job's COPY-idempotence ledger.
-  HQ_RETURN_NOT_OK(RecreateTable(job->ctx_.cdw, job->staging_table_, staging_schema));
-  job->ctx_.cdw->ForgetCopies(job->staging_table_);
-  HQ_RETURN_NOT_OK(
-      RecreateTable(job->ctx_.cdw, job->begin_.error_table_et, MakeEtErrorSchema()));
-  HQ_RETURN_NOT_OK(RecreateTable(job->ctx_.cdw, job->begin_.error_table_uv,
-                                 MakeUvErrorSchema(begin.layout)));
-  if (!job->qrtn_table_.empty()) {
-    // Quarantine table for the quality gate: recreated per run like the
-    // error tables, and deliberately NOT dropped at ApplyDml — it is the
-    // operator's record of what the gate rejected and why.
-    HQ_ASSIGN_OR_RETURN(types::Schema qrtn_schema, MakeQuarantineSchema(begin.layout));
-    HQ_RETURN_NOT_OK(RecreateTable(job->ctx_.cdw, job->qrtn_table_, qrtn_schema));
-    job->ctx_.cdw->ForgetCopies(job->qrtn_table_);
-  }
-  job->StartWriters();
   return job;
 }
 
-ImportJob::ImportJob(std::string job_id, legacy::BeginLoadBody begin, JobContext ctx,
-                     DataConverter converter, types::Schema staging_schema)
-    : job_id_(std::move(job_id)),
-      begin_(std::move(begin)),
-      ctx_(std::move(ctx)),
-      converter_(std::move(converter)),
-      staging_schema_(std::move(staging_schema)) {
-  staging_table_ = "HQ_STG_" + SanitizeId(job_id_);
-  remote_prefix_ = "staging/" + SanitizeId(job_id_) + "/";
-  const CompiledQuality* quality = converter_.quality();
-  if (quality != nullptr) {
-    qrtn_table_ = "HQ_QRTN_" + SanitizeId(job_id_);
-    qrtn_remote_prefix_ = "quarantine/" + SanitizeId(job_id_) + "/";
-    quality_violations_by_id_.assign(quality->num_constraints(), 0);
-    quality_field_nulls_.assign(quality->num_fields(), 0);
-  }
-  if (begin_.error_table_et.empty()) begin_.error_table_et = begin_.target_table + "_ET";
-  if (begin_.error_table_uv.empty()) begin_.error_table_uv = begin_.target_table + "_UV";
-  if (ctx_.tracer != nullptr) trace_ = ctx_.tracer->StartTrace(job_id_, obs::Phase::kImport);
-  if (ctx_.metrics != nullptr) {
-    obs::MetricsRegistry* r = ctx_.metrics;
-    m_.chunks = r->GetCounter("hyperq_chunks_total");
-    m_.rows_received = r->GetCounter("hyperq_rows_received_total");
-    m_.bytes_received = r->GetCounter("hyperq_bytes_received_total");
-    m_.rows_staged = r->GetCounter("hyperq_rows_staged_total");
-    m_.data_errors = r->GetCounter("hyperq_data_errors_total");
-    m_.files_uploaded = r->GetCounter("hyperq_files_uploaded_total");
-    m_.bytes_uploaded = r->GetCounter("hyperq_bytes_uploaded_total");
-    m_.rows_copied = r->GetCounter("hyperq_rows_copied_total");
-    m_.chunks_abandoned = r->GetCounter("hyperq_chunks_abandoned_total");
-    m_.csv_reallocs = r->GetCounter("hyperq_convert_csv_realloc_total");
-    m_.jobs_started = r->GetCounter("hyperq_import_jobs_started_total");
-    m_.jobs_completed = r->GetCounter("hyperq_import_jobs_completed_total");
-    m_.jobs_failed = r->GetCounter("hyperq_import_jobs_failed_total");
-    m_.convert_seconds = r->GetHistogram("hyperq_convert_seconds");
-    m_.write_seconds = r->GetHistogram("hyperq_file_write_seconds");
-    m_.upload_seconds = r->GetHistogram("hyperq_upload_seconds");
-    m_.apply_seconds = r->GetHistogram("hyperq_dml_apply_seconds");
-    m_.converter_queue = r->GetGauge("hyperq_converter_queue_depth");
-    m_.jobs_active = r->GetGauge("hyperq_import_jobs_active");
-    m_.staging_bytes_per_row = r->GetGauge("hyperq_staging_bytes_per_row");
-    if (quality != nullptr) {
-      m_.rows_quarantined = r->GetCounter("hyperq_quality_rows_quarantined_total");
-      m_.violation_rate_bp = r->GetGauge("hyperq_quality_violation_rate_bp");
-      m_.quality_violations.reserve(quality->num_constraints());
-      for (size_t id = 0; id < quality->num_constraints(); ++id) {
-        const QualityConstraintInfo& info = quality->constraint(id);
-        m_.quality_violations.push_back(
-            r->GetCounter("hyperq_quality_violations_total{constraint=\"" +
-                          std::to_string(id) + ":" +
-                          std::string(QualityKindName(info.kind)) + ":" + info.column + "\"}"));
-      }
-    }
-    m_.jobs_started->Increment();
-    m_.jobs_active->Add(1);
+ImportJob::ImportJob(std::string job_id, std::unique_ptr<CommitTail> tail)
+    : job_id_(std::move(job_id)), tail_(std::move(tail)) {
+  if (tail_->ctx().metrics != nullptr) {
+    converter_queue_ = tail_->ctx().metrics->GetGauge("hyperq_converter_queue_depth");
   }
 }
 
 ImportJob::~ImportJob() {
+  // Converter-pool tasks hold `this`; a job dropped mid-load (node shutdown)
+  // must outlive them. The pool runs every queued task, so this ends.
+  {
+    common::MutexLock lock(&mu_);
+    while (outstanding_conversions_ != 0) conversions_done_.Wait(lock);
+  }
   ordered_chunks_.Close();
   for (auto& t : writer_threads_) {
     if (t.joinable()) t.join();
   }
-  ReleaseActiveGauge();
-}
-
-void ImportJob::ReleaseActiveGauge() {
-  if (m_.jobs_active != nullptr && active_gauge_held_.exchange(false)) {
-    m_.jobs_active->Sub(1);
-  }
-}
-
-void ImportJob::StartWriters() {
-  size_t n = std::max<size_t>(1, ctx_.options.file_writers);
-  FileWriterOptions fw_options;
-  fw_options.directory = ctx_.options.local_staging_dir + "/" + SanitizeId(job_id_);
-  fw_options.file_size_threshold = ctx_.options.file_size_threshold;
-  fw_options.compress = ctx_.options.compress_staging_files;
-  fw_options.file_extension = cdw::StagingFileExtension(ctx_.options.staging_format);
-  fw_options.compress_seconds =
-      ctx_.metrics == nullptr ? nullptr : ctx_.metrics->GetHistogram("hyperq_compress_seconds");
-  fw_options.trace = trace_;
-  fw_options.trace_parent = trace_ == nullptr ? 0 : trace_->root_id();
-  for (size_t i = 0; i < n; ++i) {
-    file_writers_.push_back(
-        std::make_unique<FileWriter>(fw_options, "part_w" + std::to_string(i)));
-  }
-  if (converter_.quality() != nullptr) {
-    // Quarantine stream rides the same writer threads and disk/retry path
-    // but always as CSV (diagnostics, not typed reload data).
-    FileWriterOptions q_options = fw_options;
-    q_options.file_extension = cdw::StagingFileExtension(cdw::StagingFormat::kCsv);
-    for (size_t i = 0; i < n; ++i) {
-      qrtn_writers_.push_back(
-          std::make_unique<FileWriter>(q_options, "qrtn_w" + std::to_string(i)));
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    writer_threads_.emplace_back([this, i] { WriterLoop(i); });
-  }
-}
-
-common::RetryPolicy ImportJob::MakeIoRetry(const char* breaker_endpoint) const {
-  common::RetryOptions options = ctx_.options.io_retry;
-  options.breaker = common::BreakerFor(breaker_endpoint);
-  if (trace_ != nullptr) {
-    std::shared_ptr<obs::Trace> trace = trace_;
-    options.on_backoff = [trace](std::string_view point, int attempt, uint64_t sleep_micros) {
-      auto start = std::chrono::steady_clock::now();
-      trace->RecordSpan(obs::Phase::kRetryBackoff,
-                        "retry:" + std::string(point) + "#" + std::to_string(attempt), 0, start,
-                        start + std::chrono::microseconds(sleep_micros));
-    };
-  }
-  return common::RetryPolicy(std::move(options));
 }
 
 void ImportJob::NoteFatal(const Status& s) {
@@ -225,26 +57,33 @@ Status ImportJob::fatal_status() const {
   return fatal_;
 }
 
+void ImportJob::Fail(const Status& s) {
+  NoteFatal(s);
+  tail_->End(s);
+}
+
 Status ImportJob::SubmitChunk(const legacy::DataChunkBody& chunk) {
   HQ_RETURN_NOT_OK(fatal_status());
+  const JobContext& ctx = tail_->ctx();
+  obs::Trace* trace = tail_->trace().get();
 
   // Back-pressure: block while the node-wide credit pool is exhausted
   // (Figure 4). The ack to the client is sent only after this returns.
   auto wait_start = std::chrono::steady_clock::now();
-  Credit credit = ctx_.credits->Acquire();
-  if (trace_ != nullptr) {
+  Credit credit = ctx.credits->Acquire();
+  if (trace != nullptr) {
     auto wait_end = std::chrono::steady_clock::now();
     // Only genuine throttle events are worth a span (the wait histogram in
     // the CreditManager sees every acquisition).
     if (wait_end - wait_start >= std::chrono::milliseconds(1)) {
-      trace_->RecordSpan(obs::Phase::kCreditWait, "credit_wait", 0, wait_start, wait_end);
+      trace->RecordSpan(obs::Phase::kCreditWait, "credit_wait", 0, wait_start, wait_end);
     }
   }
 
   // Reserve in-flight memory for the raw chunk plus the converted output
   // (estimated at parity). Exhaustion is the simulated OOM of Figure 10.
   uint64_t reserve_bytes = static_cast<uint64_t>(chunk.payload.size()) * 2;
-  Status mem = ctx_.memory->Reserve(reserve_bytes);
+  Status mem = ctx.memory->Reserve(reserve_bytes);
   if (!mem.ok()) {
     NoteFatal(mem);
     return mem;
@@ -270,36 +109,31 @@ Status ImportJob::SubmitChunk(const legacy::DataChunkBody& chunk) {
   auto state = std::make_shared<TaskState>();
   state->chunk.chunk_seq = chunk.chunk_seq;
   state->chunk.row_count = chunk.row_count;
-  if (ctx_.buffers != nullptr) {
+  if (ctx.buffers != nullptr) {
     // Copy the payload into a pooled buffer so the allocation is recycled
     // once the converter is done with the raw bytes.
-    state->chunk.payload = ctx_.buffers->Acquire(chunk.payload.size());
+    state->chunk.payload = ctx.buffers->Acquire(chunk.payload.size());
     state->chunk.payload.insert(state->chunk.payload.end(), chunk.payload.begin(),
                                 chunk.payload.end());
   } else {
     state->chunk.payload = chunk.payload;
   }
   state->credit = std::move(credit);
-  state->reservation = common::MemoryReservation(ctx_.memory, reserve_bytes);
+  state->reservation = common::MemoryReservation(ctx.memory, reserve_bytes);
 
-  if (m_.chunks != nullptr) {
-    m_.chunks->Increment();
-    m_.rows_received->Increment(chunk.row_count);
-    m_.bytes_received->Increment(chunk.payload.size());
-    m_.converter_queue->Set(static_cast<int64_t>(ctx_.converter_pool->queued()));
+  tail_->CountReceived(chunk);
+  if (converter_queue_ != nullptr) {
+    converter_queue_->Set(static_cast<int64_t>(ctx.converter_pool->queued()));
   }
 
-  bool submitted = ctx_.converter_pool->Submit([this, state, order, first_row] {
+  bool submitted = ctx.converter_pool->Submit([this, state, order, first_row] {
     ConversionInput input;
     input.order_index = order;
     input.first_row_number = first_row;
     input.chunk = std::move(state->chunk);
-    obs::ScopedTimer convert_timer(m_.convert_seconds);
-    obs::ScopedSpan convert_span(trace_.get(), obs::Phase::kRowConvert, "convert");
-    auto converted = converter_.Convert(input, ctx_.buffers);
-    convert_timer.StopAndObserve();
-    convert_span.End();
-    if (ctx_.buffers != nullptr) ctx_.buffers->Release(std::move(input.chunk.payload));
+    auto converted = tail_->Convert(input);
+    common::BufferPool* buffers = tail_->ctx().buffers;
+    if (buffers != nullptr) buffers->Release(std::move(input.chunk.payload));
 
     WorkItem item;
     item.credit = std::move(state->credit);
@@ -327,7 +161,12 @@ Status ImportJob::SubmitChunk(const legacy::DataChunkBody& chunk) {
 }
 
 void ImportJob::WriterLoop(size_t writer_index) {
-  FileWriter& writer = *file_writers_[writer_index];
+  // Each writer stages into its own lane and partial batch, lock-free, and
+  // merges the partial into the job's batch once the queue is drained.
+  StagingLane lane;
+  lane.prefix = "part_w" + std::to_string(writer_index);
+  lane.format = tail_->ctx().options.staging_format;
+  SealedBatch staged;
   for (;;) {
     std::optional<WorkItem> item = ordered_chunks_.PopNext();
     if (!item.has_value()) break;
@@ -337,130 +176,13 @@ void ImportJob::WriterLoop(size_t writer_index) {
     }
     // Return the credit to the pool just before the disk write (Figure 4).
     item->credit.Return();
-    std::vector<FinalizedFile> finalized;
-    obs::ScopedTimer write_timer(m_.write_seconds);
-    obs::ScopedSpan write_span(trace_.get(), obs::Phase::kFileWrite, "write");
-    // Transient staging-disk failures (the bulkload.file fault point fires
-    // before any bytes land, so a failed attempt leaves no partial write)
-    // are retried with backoff.
-    common::RetryPolicy retry = MakeIoRetry("staging_disk");
-    Status s = retry.Run("bulkload.file", [&](const common::RetryAttempt&) {
-      return writer.Append(item->converted.csv.AsSlice(), &finalized);
-    });
-    write_timer.StopAndObserve();
-    write_span.End();
-    const size_t staged_bytes = item->converted.csv.size();
-    // The staging bytes are on disk (or abandoned): recycle the buffer either way.
-    if (ctx_.buffers != nullptr) {
-      ctx_.buffers->Release(std::move(item->converted.csv.vector()));
-    }
-    if (!s.ok()) {
-      if (common::IsRetryableStatus(s)) {
-        // Retries exhausted: degrade instead of failing the whole job. The
-        // chunk's rows never reach rows_staged_ and the abandonment lands in
-        // the ET error table with its own code, so surviving chunks still
-        // commit and the client report shows partial success plus an audit
-        // row (ISSUE 5 graceful-degradation contract).
-        RecordError abandoned;
-        abandoned.row_number = item->converted.first_row_number;
-        abandoned.code = legacy::kErrChunkAbandoned;
-        abandoned.message = "chunk abandoned after staging retries: " + s.message();
-        if (m_.chunks_abandoned != nullptr) m_.chunks_abandoned->Increment();
-        common::MutexLock lock(&mu_);
-        ++chunks_abandoned_;
-        data_errors_.push_back(std::move(abandoned));
-      } else {
-        NoteFatal(s);
-      }
-      continue;
-    }
-    if (m_.rows_staged != nullptr) {
-      m_.rows_staged->Increment(item->converted.rows_out);
-      if (!item->converted.errors.empty()) {
-        m_.data_errors->Increment(item->converted.errors.size());
-      }
-      if (item->converted.csv_reallocs != 0) {
-        m_.csv_reallocs->Increment(item->converted.csv_reallocs);
-      }
-    }
-
-    // Quality gate: persist the chunk's quarantine stream through the same
-    // disk/retry path, then merge the chunk's quality counters.
-    const ChunkQuality& cq = item->converted.quality;
-    uint64_t qrtn_rows_written = 0;
-    if (!qrtn_writers_.empty() && cq.rows_quarantined != 0) {
-      std::vector<FinalizedFile> qrtn_finalized;
-      common::RetryPolicy qrtn_retry = MakeIoRetry("staging_disk");
-      Status qs = qrtn_retry.Run("bulkload.file", [&](const common::RetryAttempt&) {
-        return qrtn_writers_[writer_index]->Append(item->converted.qrtn.AsSlice(),
-                                                   &qrtn_finalized);
-      });
-      if (qs.ok()) {
-        qrtn_rows_written = cq.rows_quarantined;
-      } else if (common::IsRetryableStatus(qs)) {
-        // Same degradation as an abandoned staging chunk: the diverted rows
-        // are lost but audited in the ET table; the load itself continues.
-        RecordError abandoned;
-        abandoned.row_number = item->converted.first_row_number;
-        abandoned.code = legacy::kErrChunkAbandoned;
-        abandoned.message = "quarantine rows abandoned after staging retries: " + qs.message();
-        if (m_.chunks_abandoned != nullptr) m_.chunks_abandoned->Increment();
-        common::MutexLock lock(&mu_);
-        data_errors_.push_back(std::move(abandoned));
-      } else {
-        NoteFatal(qs);
-      }
-      if (!qrtn_finalized.empty()) {
-        common::MutexLock lock(&finalize_mu_);
-        for (auto& f : qrtn_finalized) qrtn_finalized_files_.push_back(std::move(f));
-      }
-    }
-    if (m_.rows_quarantined != nullptr && cq.rows_quarantined != 0) {
-      m_.rows_quarantined->Increment(cq.rows_quarantined);
-    }
-    if (!m_.quality_violations.empty()) {
-      for (size_t id = 0; id < cq.violations_by_id.size(); ++id) {
-        if (cq.violations_by_id[id] != 0) {
-          m_.quality_violations[id]->Increment(cq.violations_by_id[id]);
-        }
-      }
-    }
-    {
-      common::MutexLock lock(&mu_);
-      rows_staged_ += item->converted.rows_out;
-      bytes_staged_ += staged_bytes;
-      quality_rows_checked_ += cq.rows_checked;
-      rows_quarantined_ += cq.rows_quarantined;
-      qrtn_rows_staged_ += qrtn_rows_written;
-      for (size_t id = 0; id < cq.violations_by_id.size(); ++id) {
-        quality_violations_by_id_[id] += cq.violations_by_id[id];
-      }
-      for (size_t f = 0; f < cq.field_nulls.size(); ++f) {
-        quality_field_nulls_[f] += cq.field_nulls[f];
-      }
-      for (auto& e : item->converted.errors) data_errors_.push_back(std::move(e));
-    }
-    if (!finalized.empty()) {
-      common::MutexLock lock(&finalize_mu_);
-      for (auto& f : finalized) finalized_files_.push_back(std::move(f));
-    }
+    Status s = tail_->StageChunk(std::move(item->converted), &lane, &staged);
+    if (!s.ok()) NoteFatal(s);
   }
-  std::vector<FinalizedFile> finalized;
-  Status s = writer.Finish(&finalized);
+  Status s = tail_->FinishLane(&lane, &staged);
   if (!s.ok()) NoteFatal(s);
-  if (!finalized.empty()) {
-    common::MutexLock lock(&finalize_mu_);
-    for (auto& f : finalized) finalized_files_.push_back(std::move(f));
-  }
-  if (!qrtn_writers_.empty()) {
-    std::vector<FinalizedFile> qrtn_finalized;
-    Status qs = qrtn_writers_[writer_index]->Finish(&qrtn_finalized);
-    if (!qs.ok()) NoteFatal(qs);
-    if (!qrtn_finalized.empty()) {
-      common::MutexLock lock(&finalize_mu_);
-      for (auto& f : qrtn_finalized) qrtn_finalized_files_.push_back(std::move(f));
-    }
-  }
+  common::MutexLock lock(&mu_);
+  batch_.Merge(std::move(staged));
 }
 
 Status ImportJob::FinishAcquisition(uint64_t client_total_chunks, uint64_t client_total_rows) {
@@ -474,10 +196,16 @@ Status ImportJob::FinishAcquisition(uint64_t client_total_chunks, uint64_t clien
   for (auto& t : writer_threads_) {
     if (t.joinable()) t.join();
   }
-  HQ_RETURN_NOT_OK(fatal_status());
+  Status staged = StageBatch(client_total_chunks, client_total_rows);
+  if (!staged.ok()) Fail(staged);
+  return staged;
+}
 
+Status ImportJob::StageBatch(uint64_t client_total_chunks, uint64_t client_total_rows) {
+  SealedBatch batch;
   {
     common::MutexLock lock(&mu_);
+    HQ_RETURN_NOT_OK(fatal_);
     if (client_total_chunks != 0 && client_total_chunks != chunk_counter_) {
       return Status::ProtocolError("client reported " + std::to_string(client_total_chunks) +
                                    " chunks, received " + std::to_string(chunk_counter_));
@@ -486,150 +214,59 @@ Status ImportJob::FinishAcquisition(uint64_t client_total_chunks, uint64_t clien
       return Status::ProtocolError("client reported " + std::to_string(client_total_rows) +
                                    " rows, received " + std::to_string(row_counter_));
     }
+    // The whole import is one sealed batch over rows [1, N].
+    batch = std::move(batch_);
+    batch.first_row = 1;
+    batch.last_row = row_counter_;
   }
-
-  // Bulk-upload all finalized staging files (plus the quarantine files, under
-  // their own remote prefix) in one batched request.
-  std::vector<std::vector<uint8_t>> payloads;
-  std::vector<std::pair<std::string, Slice>> batch;
-  uint64_t bytes_uploaded = 0;
-  {
-    common::MutexLock lock(&finalize_mu_);
-    payloads.reserve(finalized_files_.size() + qrtn_finalized_files_.size());
-    auto stage_for_upload = [&](const FinalizedFile& f,
-                                const std::string& prefix) -> Status {
-      HQ_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, cloud::ReadFileBytes(f.path));
-      bytes_uploaded += bytes.size();
-      payloads.push_back(std::move(bytes));
-      std::string name = f.path;
-      size_t slash = name.find_last_of('/');
-      if (slash != std::string::npos) name = name.substr(slash + 1);
-      batch.emplace_back(prefix + name, Slice(payloads.back()));
-      return Status::OK();
-    };
-    for (const auto& f : finalized_files_) {
-      HQ_RETURN_NOT_OK(stage_for_upload(f, remote_prefix_));
-    }
-    for (const auto& f : qrtn_finalized_files_) {
-      HQ_RETURN_NOT_OK(stage_for_upload(f, qrtn_remote_prefix_));
-    }
-  }
-  if (!batch.empty()) {
-    obs::ScopedTimer upload_timer(m_.upload_seconds);
-    obs::ScopedSpan upload_span(trace_.get(), obs::Phase::kStorePut, "upload");
-    // Resume-aware retry: PutBatch reports the applied prefix on failure, so
-    // each attempt re-uploads only the objects not yet known durable
-    // (re-putting a lost-ack object is an idempotent overwrite).
-    size_t start = 0;
-    common::RetryPolicy retry = MakeIoRetry("objstore");
-    HQ_RETURN_NOT_OK(retry.Run("objstore.put", [&](const common::RetryAttempt&) {
-      std::vector<std::pair<std::string, Slice>> rest(batch.begin() + static_cast<long>(start),
-                                                      batch.end());
-      size_t applied = 0;
-      Status put = ctx_.store->PutBatch(rest, &applied);
-      if (!put.ok()) start += applied;
-      return put;
-    }));
-  }
-  if (m_.files_uploaded != nullptr) {
-    m_.files_uploaded->Increment(batch.size());
-    m_.bytes_uploaded->Increment(bytes_uploaded);
-  }
-  // Local staging files have served their purpose. (Writers joined above;
-  // the lock still makes the access provably safe.)
-  {
-    common::MutexLock lock(&finalize_mu_);
-    for (const auto& f : finalized_files_) std::remove(f.path.c_str());
-    for (const auto& f : qrtn_finalized_files_) std::remove(f.path.c_str());
-  }
-
-  // In-the-cloud COPY into the staging table. Safe to retry: the CDW keeps a
-  // per-table ledger of ingested staging objects, so a re-COPY after a lost
-  // ack skips already-ingested files and returns the cumulative row count.
-  uint64_t copied;
-  {
-    obs::ScopedSpan copy_span(trace_.get(), obs::Phase::kCdwCopy, "copy");
-    // Format negotiation: the job tells COPY what it staged, so a malformed
-    // object fails loudly instead of being misparsed under auto-sniffing.
-    cdw::CopyOptions copy_options;
-    copy_options.format = ctx_.options.staging_format == cdw::StagingFormat::kBinary
-                              ? cdw::CopyFormat::kBinary
-                              : cdw::CopyFormat::kCsv;
-    common::RetryPolicy retry = MakeIoRetry("cdw");
-    HQ_ASSIGN_OR_RETURN(copied, retry.RunResult<uint64_t>("cdw.copy", [&](
-                                    const common::RetryAttempt&) {
-                          return ctx_.cdw->CopyInto(staging_table_, remote_prefix_,
-                                                    copy_options);
-                        }));
-  }
-  if (m_.rows_copied != nullptr) m_.rows_copied->Increment(copied);
-
-  // Quarantine COPY runs BEFORE the degradation policy is evaluated, so an
-  // aborted-over-threshold job still leaves its full diagnostics queryable.
-  uint64_t qrtn_copied = 0;
-  if (!qrtn_table_.empty()) {
-    obs::ScopedSpan copy_span(trace_.get(), obs::Phase::kCdwCopy, "copy_quarantine");
-    cdw::CopyOptions copy_options;
-    copy_options.format = cdw::CopyFormat::kCsv;
-    common::RetryPolicy retry = MakeIoRetry("cdw");
-    HQ_ASSIGN_OR_RETURN(qrtn_copied, retry.RunResult<uint64_t>("cdw.copy", [&](
-                                         const common::RetryAttempt&) {
-                          return ctx_.cdw->CopyInto(qrtn_table_, qrtn_remote_prefix_,
-                                                    copy_options);
-                        }));
-  }
+  // Writers merged their lanes in exit order; ET rows go in input order.
+  std::stable_sort(batch.errors.begin(), batch.errors.end(),
+                   [](const RecordError& a, const RecordError& b) {
+                     return a.row_number < b.row_number;
+                   });
+  Status staged = tail_->Stage(batch, /*subdir=*/"", /*stage_rows=*/true);
+  // The local staging files have served their purpose either way: an import
+  // never re-runs its tail.
+  batch.RemoveLocalFiles();
+  HQ_RETURN_NOT_OK(staged);
 
   common::MutexLock lock(&mu_);
   stats_.chunks = chunk_counter_;
   stats_.rows_received = row_counter_;
-  stats_.rows_staged = rows_staged_;
+  stats_.rows_staged = batch.rows_staged;
   stats_.bytes_received = bytes_received_;
-  stats_.data_errors = data_errors_.size();
-  stats_.files_uploaded = batch.size();
-  stats_.bytes_uploaded = bytes_uploaded;
-  stats_.rows_copied = copied;
-  stats_.chunks_abandoned = chunks_abandoned_;
-  stats_.bytes_staged = bytes_staged_;
-  stats_.rows_quarantined = rows_quarantined_;
-  if (m_.staging_bytes_per_row != nullptr && rows_staged_ != 0) {
-    m_.staging_bytes_per_row->Set(static_cast<int64_t>(bytes_staged_ / rows_staged_));
+  stats_.data_errors = batch.errors.size();
+  stats_.files_uploaded = batch.files.size() + batch.qrtn_files.size();
+  stats_.bytes_uploaded = 0;
+  for (const auto* files : {&batch.files, &batch.qrtn_files}) {
+    for (const FinalizedFile& f : *files) stats_.bytes_uploaded += f.final_bytes;
   }
+  stats_.rows_copied = batch.rows_staged;  // Stage checked the COPY count
+  stats_.chunks_abandoned = batch.chunks_abandoned;
+  stats_.bytes_staged = batch.bytes_staged;
+  stats_.rows_quarantined = batch.quality.rows_quarantined;
   timings_.acquisition_seconds = acquisition_timer_.ElapsedSeconds();
-  if (copied != rows_staged_) {
-    return Status::Internal("COPY loaded " + std::to_string(copied) + " rows, staged " +
-                            std::to_string(rows_staged_));
+  quality_report_ = tail_->QualityReport(batch.quality);
+  batch_ = std::move(batch);
+
+  const QualityOptions& policy = tail_->ctx().options.quality;
+  if (!quality_report_.enabled || !policy.abort_over_threshold) return Status::OK();
+  // Reason-coded graceful degradation, job flavor: the load aborts (the
+  // quarantine table and report survive) when the job-level watermark or any
+  // nullrate ceiling is breached.
+  if (quality_report_.violation_rate > policy.max_violation_rate) {
+    return Status::ConstraintViolation(
+        "quality violation rate " + std::to_string(quality_report_.violation_rate) +
+        " exceeds max_violation_rate " + std::to_string(policy.max_violation_rate) + " (" +
+        std::to_string(quality_report_.rows_quarantined) + " of " +
+        std::to_string(quality_report_.rows_checked) + " rows quarantined to " +
+        tail_->quarantine_table() + ")");
   }
-  if (qrtn_copied != qrtn_rows_staged_) {
-    return Status::Internal("quarantine COPY loaded " + std::to_string(qrtn_copied) +
-                            " rows, staged " + std::to_string(qrtn_rows_staged_));
-  }
-  if (converter_.quality() != nullptr) {
-    quality_report_ =
-        BuildQualityJobReport(*converter_.quality(), quality_violations_by_id_,
-                              quality_field_nulls_, quality_rows_checked_, rows_quarantined_);
-    if (m_.violation_rate_bp != nullptr) {
-      m_.violation_rate_bp->Set(static_cast<int64_t>(quality_report_.violation_rate * 10000));
-    }
-    if (ctx_.options.quality.abort_over_threshold) {
-      // Reason-coded graceful degradation, job flavor: the load aborts (the
-      // quarantine table and report survive) when the job-level watermark or
-      // any nullrate ceiling is breached.
-      if (quality_report_.violation_rate > ctx_.options.quality.max_violation_rate) {
-        return Status::ConstraintViolation(
-            "quality violation rate " + std::to_string(quality_report_.violation_rate) +
-            " exceeds max_violation_rate " +
-            std::to_string(ctx_.options.quality.max_violation_rate) + " (" +
-            std::to_string(rows_quarantined_) + " of " +
-            std::to_string(quality_rows_checked_) + " rows quarantined to " + qrtn_table_ +
-            ")");
-      }
-      for (const auto& c : quality_report_.constraints) {
-        if (c.breached) {
-          return Status::ConstraintViolation(
-              "quality constraint " + c.column + " " + c.bound + " breached (observed " +
-              std::to_string(c.observed) + "); quarantine table " + qrtn_table_);
-        }
-      }
+  for (const auto& c : quality_report_.constraints) {
+    if (c.breached) {
+      return Status::ConstraintViolation("quality constraint " + c.column + " " + c.bound +
+                                         " breached (observed " + std::to_string(c.observed) +
+                                         "); quarantine table " + tail_->quarantine_table());
     }
   }
   return Status::OK();
@@ -640,51 +277,33 @@ Result<legacy::JobReportBody> ImportJob::ApplyDml(const std::string& label,
   (void)label;
   Status fatal = fatal_status();
   if (!fatal.ok()) {
-    if (m_.jobs_failed != nullptr) m_.jobs_failed->Increment();
-    ReleaseActiveGauge();
-    if (trace_ != nullptr) trace_->Finish();
+    tail_->End(fatal);
     return fatal;
   }
+  Result<legacy::JobReportBody> report = ApplyBatch(sql);
+  if (report.ok()) {
+    tail_->End(Status::OK());
+  } else {
+    Fail(report.status());
+  }
+  return report;
+}
+
+Result<legacy::JobReportBody> ImportJob::ApplyBatch(const std::string& sql) {
   common::Stopwatch app_timer;
-  obs::ScopedTimer apply_timer(m_.apply_seconds);
-  obs::ScopedSpan apply_span(trace_.get(), obs::Phase::kDmlApply, "apply");
-
   HQ_ASSIGN_OR_RETURN(sql::StatementPtr legacy_stmt, sql::ParseStatement(sql));
-
-  // Record acquisition-phase data errors in the ET table first (the legacy
-  // tuple-at-a-time semantics: bad input records are excluded and logged).
-  std::vector<RecordError> data_errors;
-  uint64_t total_rows;
+  SealedBatch batch;
   {
     common::MutexLock lock(&mu_);
-    data_errors = data_errors_;
-    total_rows = row_counter_;
+    batch = std::move(batch_);
   }
-  common::RetryPolicy exec_retry = MakeIoRetry("cdw");
-  for (const auto& e : data_errors) {
-    std::string sql_text =
-        "INSERT INTO " + begin_.error_table_et + " VALUES (" + std::to_string(e.code) + ", " +
-        (e.field.empty() ? std::string("NULL") : SqlQuote(e.field)) + ", " +
-        SqlQuote(e.message + " (input row number: " + std::to_string(e.row_number) + ")") + ")";
-    HQ_RETURN_NOT_OK(exec_retry.Run("cdw.exec", [&](const common::RetryAttempt&) {
-      return ctx_.cdw->ExecuteSql(sql_text).status();
-    }));
-  }
-
-  AdaptiveOptions adaptive;
-  adaptive.max_errors = ctx_.options.max_errors;
-  adaptive.max_retries = ctx_.options.max_retries;
-  adaptive.enforce_uniqueness = ctx_.options.enforce_uniqueness;
-  adaptive.io_retry = ctx_.options.io_retry;
-  AdaptiveDmlApplier applier(ctx_.cdw, legacy_stmt.get(), begin_.layout, staging_table_,
-                             begin_.target_table, begin_.error_table_et, begin_.error_table_uv,
-                             adaptive);
-  HQ_ASSIGN_OR_RETURN(DmlApplyResult dml, applier.Apply(1, total_rows));
+  HQ_ASSIGN_OR_RETURN(DmlApplyResult dml, tail_->Apply(legacy_stmt.get(), &batch));
 
   // Staging table is job-scoped scratch state; the CDW's COPY-idempotence
   // ledger for it goes with it.
-  HQ_RETURN_NOT_OK(ctx_.cdw->catalog()->DropTable(staging_table_, /*if_exists=*/true));
-  ctx_.cdw->ForgetCopies(staging_table_);
+  cdw::CdwServer* cdw = tail_->ctx().cdw;
+  HQ_RETURN_NOT_OK(cdw->catalog()->DropTable(tail_->staging_table(), /*if_exists=*/true));
+  cdw->ForgetCopies(tail_->staging_table());
 
   // Publish the result and application timing under the job lock: sessions
   // may poll JobDmlResult()/JobTimings() while the apply is still running.
@@ -698,15 +317,9 @@ Result<legacy::JobReportBody> ImportJob::ApplyDml(const std::string& label,
   report.rows_inserted = dml.rows_inserted;
   report.rows_updated = dml.rows_updated;
   report.rows_deleted = dml.rows_deleted;
-  report.et_errors = dml.et_errors + data_errors.size();
+  report.et_errors = dml.et_errors + batch.errors.size();
   report.uv_errors = dml.uv_errors;
   report.message = "job " + job_id_ + " complete";
-
-  apply_timer.StopAndObserve();
-  apply_span.End();
-  if (m_.jobs_completed != nullptr) m_.jobs_completed->Increment();
-  ReleaseActiveGauge();
-  if (trace_ != nullptr) trace_->Finish();
   return report;
 }
 

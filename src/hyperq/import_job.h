@@ -1,59 +1,33 @@
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cdw/cdw_server.h"
-#include "cloudstore/object_store.h"
-#include "common/buffer_pool.h"
-#include "common/memory_tracker.h"
-#include "common/retry.h"
 #include "common/sequenced_queue.h"
 #include "common/stopwatch.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
-#include "hyperq/credit_manager.h"
-#include "hyperq/data_converter.h"
-#include "hyperq/error_handler.h"
-#include "hyperq/file_writer.h"
-#include "hyperq/hyperq_config.h"
-#include "legacy/parcel.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "hyperq/commit_tail.h"
 
 /// \file import_job.h
 /// One virtualized import job (Figure 2a of the paper): receives legacy data
 /// chunks from any number of parallel client sessions, converts them in the
-/// background, serializes staging files, uploads them to the cloud store,
-/// COPYs into a CDW staging table, and finally applies the job's DML
-/// transformation with adaptive error handling.
+/// background, and stages them through the commit tail (commit_tail.h) as
+/// ONE sealed batch over rows [1, N].
 ///
 /// Pipeline stages and hand-offs (Sections 4-5):
 ///   session thread: CreditManager.Acquire -> submit -> ack client
-///   converter pool: legacy encoding -> staging CSV (+ data-error capture)
+///   converter pool: legacy encoding -> staging bytes (+ data-error capture)
 ///   sequenced queue: restores chunk order
-///   writer threads: return credit, write/rotate/finalize local files
-///   finish: bulk-upload -> COPY -> (ApplyDml) adaptive application
+///   writer threads: return credit, stage the chunk into the writer's lane,
+///                   merge the lane into the job's batch under mu_ at the end
+///   EndLoad: seal -> upload -> COPY (+ the job-level quality abort)
+///   ApplyDml: ET inserts -> adaptive application -> drop staging table
+/// A failed EndLoad or ApplyDml is sticky: it ends the job, and every later
+/// call returns the same failure.
 
 namespace hyperq::core {
-
-struct JobContext {
-  cdw::CdwServer* cdw = nullptr;
-  cloud::ObjectStore* store = nullptr;
-  CreditManager* credits = nullptr;
-  common::ThreadPool* converter_pool = nullptr;
-  common::MemoryTracker* memory = nullptr;
-  /// Node-wide recycler for chunk payload copies and converted CSV buffers
-  /// (null = allocate fresh per chunk); set by the HyperQServer.
-  common::BufferPool* buffers = nullptr;
-  /// Node-wide observability (null = disabled); set by the HyperQServer.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;
-  HyperQOptions options;
-};
 
 struct PhaseTimings {
   double acquisition_seconds = 0;  ///< data receipt + conversion + upload + COPY
@@ -97,10 +71,11 @@ class ImportJob {
   /// client after this returns.
   common::Status SubmitChunk(const legacy::DataChunkBody& chunk) HQ_EXCLUDES(mu_);
 
-  /// Drains the pipeline, finalizes and uploads staging files, and COPYs
-  /// into the staging table. Idempotent.
+  /// Drains the pipeline, seals the job's one batch, uploads its staging
+  /// files, and COPYs them into the staging table. Idempotent; a failure
+  /// ends the job and is returned by every later call.
   common::Status FinishAcquisition(uint64_t client_total_chunks, uint64_t client_total_rows)
-      HQ_EXCLUDES(mu_, finalize_mu_);
+      HQ_EXCLUDES(mu_);
 
   /// Application phase: transpiles and applies the legacy DML with adaptive
   /// error handling; records data errors; drops the staging table.
@@ -109,7 +84,6 @@ class ImportJob {
       HQ_EXCLUDES(mu_);
 
   const std::string& job_id() const { return job_id_; }
-  const legacy::BeginLoadBody& begin() const { return begin_; }
   PhaseTimings timings() const HQ_EXCLUDES(mu_);
   AcquisitionStats stats() const HQ_EXCLUDES(mu_);
   DmlApplyResult dml_result() const HQ_EXCLUDES(mu_);
@@ -118,13 +92,12 @@ class ImportJob {
   QualityJobReport quality_report() const HQ_EXCLUDES(mu_);
   /// Quarantine table name ("" when the gate is off). The table outlives the
   /// job on purpose: quarantined rows are the operator's diagnostics.
-  const std::string& quarantine_table() const { return qrtn_table_; }
+  const std::string& quarantine_table() const { return tail_->quarantine_table(); }
   /// The job's span tree (null when observability is disabled).
-  std::shared_ptr<obs::Trace> trace() const { return trace_; }
+  std::shared_ptr<obs::Trace> trace() const { return tail_->trace(); }
 
  private:
-  ImportJob(std::string job_id, legacy::BeginLoadBody begin, JobContext ctx,
-            DataConverter converter, types::Schema staging_schema);
+  ImportJob(std::string job_id, std::unique_ptr<CommitTail> tail);
 
   struct WorkItem {
     ConvertedChunk converted;
@@ -133,71 +106,22 @@ class ImportJob {
     common::Status status;  ///< conversion failure (fatal)
   };
 
-  void StartWriters();
-  void WriterLoop(size_t writer_index) HQ_EXCLUDES(mu_, finalize_mu_);
+  void WriterLoop(size_t writer_index) HQ_EXCLUDES(mu_);
   void NoteFatal(const common::Status& s) HQ_EXCLUDES(mu_);
-  /// The job's retry policy for one substrate hop: io_retry options from the
-  /// config, the named endpoint's circuit breaker, and (when tracing) an
-  /// on_backoff hook that records Phase::kRetryBackoff spans.
-  common::RetryPolicy MakeIoRetry(const char* breaker_endpoint) const;
   common::Status fatal_status() const HQ_EXCLUDES(mu_);
-  /// Drops the jobs-active gauge exactly once (job end or destruction).
-  void ReleaseActiveGauge();
+  /// Records a failed EndLoad/ApplyDml as the job's sticky outcome and ends
+  /// the job.
+  void Fail(const common::Status& s) HQ_EXCLUDES(mu_);
+  common::Status StageBatch(uint64_t client_total_chunks, uint64_t client_total_rows)
+      HQ_EXCLUDES(mu_);
+  common::Result<legacy::JobReportBody> ApplyBatch(const std::string& sql) HQ_EXCLUDES(mu_);
 
   std::string job_id_;
-  legacy::BeginLoadBody begin_;
-  JobContext ctx_;
-  DataConverter converter_;
-  types::Schema staging_schema_;
-  std::string staging_table_;
-  std::string remote_prefix_;
-  /// Quarantine path state (all empty / unused when the gate is off).
-  std::string qrtn_table_;
-  std::string qrtn_remote_prefix_;
-
-  /// Per-job span tree; node-wide instrument pointers cached once at
-  /// construction (all null when observability is off — hot paths test one
-  /// pointer and skip).
-  std::shared_ptr<obs::Trace> trace_;
-  struct Instruments {
-    obs::Counter* chunks = nullptr;
-    obs::Counter* rows_received = nullptr;
-    obs::Counter* bytes_received = nullptr;
-    obs::Counter* rows_staged = nullptr;
-    obs::Counter* data_errors = nullptr;
-    obs::Counter* files_uploaded = nullptr;
-    obs::Counter* bytes_uploaded = nullptr;
-    obs::Counter* rows_copied = nullptr;
-    obs::Counter* chunks_abandoned = nullptr;
-    obs::Counter* jobs_started = nullptr;
-    obs::Counter* jobs_completed = nullptr;
-    obs::Counter* jobs_failed = nullptr;
-    obs::Counter* csv_reallocs = nullptr;
-    obs::Histogram* convert_seconds = nullptr;
-    obs::Histogram* write_seconds = nullptr;
-    obs::Histogram* upload_seconds = nullptr;
-    obs::Histogram* apply_seconds = nullptr;
-    obs::Gauge* converter_queue = nullptr;
-    obs::Gauge* jobs_active = nullptr;
-    obs::Gauge* staging_bytes_per_row = nullptr;
-    obs::Counter* rows_quarantined = nullptr;
-    /// Violation-rate of the finished job, in basis points (rate * 10000).
-    obs::Gauge* violation_rate_bp = nullptr;
-    /// One labeled counter per compiled constraint
-    /// (hyperq_quality_violations_total{constraint="..."}), id-indexed.
-    std::vector<obs::Counter*> quality_violations;
-  } m_;
-  std::atomic<bool> active_gauge_held_{true};
+  std::unique_ptr<CommitTail> tail_;
+  obs::Gauge* converter_queue_ = nullptr;
 
   common::SequencedQueue<WorkItem> ordered_chunks_;
   std::vector<std::thread> writer_threads_;
-  std::vector<std::unique_ptr<FileWriter>> file_writers_;
-  /// Per-writer quarantine-file writers (same cardinality as file_writers_
-  /// when the gate is on, else empty). Quarantine files are always CSV.
-  std::vector<std::unique_ptr<FileWriter>> qrtn_writers_;
-  common::Mutex finalize_mu_{common::LockRank::kJob, "import_job_finalize"};
-  std::vector<FinalizedFile> finalized_files_ HQ_GUARDED_BY(finalize_mu_);
-  std::vector<FinalizedFile> qrtn_finalized_files_ HQ_GUARDED_BY(finalize_mu_);
 
   mutable common::Mutex mu_{common::LockRank::kJob, "import_job"};
   common::CondVar conversions_done_;
@@ -205,19 +129,9 @@ class ImportJob {
   uint64_t chunk_counter_ HQ_GUARDED_BY(mu_) = 0;
   uint64_t row_counter_ HQ_GUARDED_BY(mu_) = 0;
   uint64_t bytes_received_ HQ_GUARDED_BY(mu_) = 0;
-  std::vector<RecordError> data_errors_ HQ_GUARDED_BY(mu_);
-  uint64_t rows_staged_ HQ_GUARDED_BY(mu_) = 0;
-  uint64_t bytes_staged_ HQ_GUARDED_BY(mu_) = 0;
-  uint64_t chunks_abandoned_ HQ_GUARDED_BY(mu_) = 0;
-  /// Quality-gate aggregates across all converted chunks (id/field indexed,
-  /// sized in the constructor when the gate is on).
-  uint64_t quality_rows_checked_ HQ_GUARDED_BY(mu_) = 0;
-  uint64_t rows_quarantined_ HQ_GUARDED_BY(mu_) = 0;
-  /// Quarantine rows durably written to staging files (the COPY row-count
-  /// check target; differs from rows_quarantined_ only on abandoned chunks).
-  uint64_t qrtn_rows_staged_ HQ_GUARDED_BY(mu_) = 0;
-  std::vector<uint64_t> quality_violations_by_id_ HQ_GUARDED_BY(mu_);
-  std::vector<uint64_t> quality_field_nulls_ HQ_GUARDED_BY(mu_);
+  /// The job's one batch: writers merge their lanes into it as they exit;
+  /// EndLoad and ApplyDml take it out to work on it with mu_ released.
+  SealedBatch batch_ HQ_GUARDED_BY(mu_);
   QualityJobReport quality_report_ HQ_GUARDED_BY(mu_);
   common::Status fatal_ HQ_GUARDED_BY(mu_);
   bool acquisition_finished_ HQ_GUARDED_BY(mu_) = false;

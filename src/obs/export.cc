@@ -48,14 +48,22 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
   const auto& bounds = Histogram::BucketBounds();
   for (const auto& [name, hist] : snapshot.histograms) {
     out += "# TYPE " + name + " histogram\n";
+    // A labeled instrument (hyperq_lock_wait_seconds{rank="kJob"}) keeps its
+    // labels on every series, after the suffix: base_bucket{rank="kJob",le=..}.
+    const size_t brace = name.find('{');
+    const std::string base = name.substr(0, brace);
+    const std::string labels =
+        brace == std::string::npos ? "" : name.substr(brace + 1, name.size() - brace - 2);
+    const std::string own = labels.empty() ? "" : "{" + labels + "}";
     uint64_t cumulative = 0;
     for (size_t i = 0; i < hist.buckets.size(); ++i) {
       cumulative += hist.buckets[i];
       std::string le = i < bounds.size() ? FormatBound(bounds[i]) : std::string("+Inf");
-      out += name + "_bucket{le=\"" + le + "\"} " + std::to_string(cumulative) + "\n";
+      out += base + "_bucket{" + (labels.empty() ? "" : labels + ",") + "le=\"" + le + "\"} " +
+             std::to_string(cumulative) + "\n";
     }
-    out += name + "_sum " + FormatDouble(hist.sum) + "\n";
-    out += name + "_count " + std::to_string(hist.count) + "\n";
+    out += base + "_sum" + own + " " + FormatDouble(hist.sum) + "\n";
+    out += base + "_count" + own + " " + std::to_string(hist.count) + "\n";
   }
   return out;
 }
@@ -198,8 +206,9 @@ namespace {
 
 /// One `name value` sample line; value kept as text for typed reparse.
 struct SampleLine {
-  std::string name;
-  std::string le;  ///< label value when the line carried {le="..."}
+  std::string metric;  ///< the name before any label set
+  std::string name;    ///< metric plus its labels other than le (the registry name)
+  std::string le;      ///< label value when the line carried le="..."
   std::string value;
 };
 
@@ -211,32 +220,34 @@ Result<SampleLine> ParseSampleLine(std::string_view line) {
     return Status::Invalid("malformed metric line: " + std::string(line));
   }
   if (brace != std::string_view::npos && brace < space) {
-    sample.name = std::string(line.substr(0, brace));
+    sample.metric = std::string(line.substr(0, brace));
     size_t close = line.find('}', brace);
     if (close == std::string_view::npos) {
       return Status::Invalid("unterminated label set: " + std::string(line));
     }
     std::string_view labels = line.substr(brace + 1, close - brace - 1);
+    // The histogram `le` label is always last (see ToPrometheusText).
     constexpr std::string_view kLe = "le=\"";
-    size_t le_pos = labels.find(kLe);
-    if (le_pos != std::string_view::npos) {
+    size_t le_pos = labels.rfind(kLe);
+    if (le_pos != std::string_view::npos && (le_pos == 0 || labels[le_pos - 1] == ',')) {
       size_t end = labels.find('"', le_pos + kLe.size());
       if (end == std::string_view::npos) {
         return Status::Invalid("unterminated le label: " + std::string(line));
       }
       sample.le = std::string(labels.substr(le_pos + kLe.size(), end - le_pos - kLe.size()));
-    } else {
-      // Labels other than the histogram `le` series (e.g. the per-rank
-      // contention gauges) are part of the instrument's registry name;
-      // keep them so the name matches its TYPE header.
-      sample.name = std::string(line.substr(0, close + 1));
+      labels = labels.substr(0, le_pos == 0 ? 0 : le_pos - 1);
     }
+    // Other labels (the per-rank contention gauges, the per-constraint
+    // counters) are part of the instrument's registry name; keep them so the
+    // name matches its TYPE header.
+    sample.name = labels.empty() ? sample.metric : sample.metric + "{" + std::string(labels) + "}";
     space = line.find(' ', close);
     if (space == std::string_view::npos) {
       return Status::Invalid("missing value: " + std::string(line));
     }
   } else {
-    sample.name = std::string(line.substr(0, space));
+    sample.metric = std::string(line.substr(0, space));
+    sample.name = sample.metric;
   }
   sample.value = std::string(line.substr(space + 1));
   return sample;
@@ -287,8 +298,16 @@ Result<MetricsSnapshot> FromPrometheusText(std::string_view text) {
     } else if (current_kind == "gauge" && sample.name == current_name) {
       snap.gauges[sample.name] = std::strtoll(sample.value.c_str(), nullptr, 10);
     } else if (current_kind == "histogram") {
+      // Rebuild the registry name from the series name minus its suffix plus
+      // the series' own labels.
       std::string base;
-      if (ConsumeSuffix(sample.name, "_bucket", &base) && base == current_name) {
+      auto named = [&](std::string_view suffix) {
+        if (!ConsumeSuffix(sample.metric, suffix, &base)) return false;
+        const size_t brace = sample.name.find('{');
+        if (brace != std::string::npos) base += sample.name.substr(brace);
+        return base == current_name;
+      };
+      if (named("_bucket")) {
         uint64_t cumulative = std::strtoull(sample.value.c_str(), nullptr, 10);
         auto& hist = snap.histograms[base];
         if (cumulative < prev_cumulative) {
@@ -296,9 +315,9 @@ Result<MetricsSnapshot> FromPrometheusText(std::string_view text) {
         }
         hist.buckets.push_back(cumulative - prev_cumulative);
         prev_cumulative = cumulative;
-      } else if (ConsumeSuffix(sample.name, "_sum", &base) && base == current_name) {
+      } else if (named("_sum")) {
         snap.histograms[base].sum = std::strtod(sample.value.c_str(), nullptr);
-      } else if (ConsumeSuffix(sample.name, "_count", &base) && base == current_name) {
+      } else if (named("_count")) {
         snap.histograms[base].count = std::strtoull(sample.value.c_str(), nullptr, 10);
       } else {
         return Status::Invalid("unexpected sample in histogram block: " + sample.name);

@@ -39,6 +39,8 @@ const char* PhaseName(Phase phase) {
       return "import";
     case Phase::kExport:
       return "export";
+    case Phase::kStream:
+      return "stream";
     case Phase::kParcelDecode:
       return "decode";
     case Phase::kCreditWait:

@@ -31,6 +31,7 @@ namespace hyperq::obs {
 enum class Phase {
   kImport,
   kExport,
+  kStream,
   kParcelDecode,
   kCreditWait,
   kRowConvert,

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
@@ -8,10 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "hyperq/data_converter.h"
-#include "hyperq/error_handler.h"
-#include "hyperq/file_writer.h"
-#include "hyperq/import_job.h"
+#include "hyperq/commit_tail.h"
 #include "legacy/parcel.h"
 #include "sql/ast.h"
 
@@ -20,9 +16,12 @@
 /// layered on the batch load path following DOD-ETL's micro-batching and
 /// METL's drift-tolerant mapping). A StreamJob is a long-lived import
 /// session: chunks arrive continuously, the client cuts watermark-delimited
-/// micro-batches with CommitBatch, and every commit runs the full tail of
-/// the batch pipeline — finalize staging files, upload, COPY, per-batch DML
-/// application — so the target table trails the stream by one micro-batch.
+/// micro-batches with CommitBatch, and every commit seals the open batch and
+/// runs it through the same commit tail an import ends with (commit_tail.h)
+/// — upload, COPY, ET inserts, per-batch DML application — so the target
+/// table trails the stream by one micro-batch. Stream-only policy around the
+/// tail: per-batch quality rejection, the commit journal, poisoning, the
+/// staging prune and COPY-ledger eviction.
 ///
 /// Exactly-once, at two protocol levels:
 ///   - A *server-side* COPY retry after a lost ack is absorbed by the CDW's
@@ -40,7 +39,8 @@
 ///     bytes to the same keys, COPY dedups through the ledger, ET inserts
 ///     resume past the rows already recorded); a failure in the DML apply
 ///     itself — the one stage whose partial effects cannot be re-run safely —
-///     poisons the stream, making every later call fail loudly.
+///     poisons the stream: the job ends as failed and every later call fails
+///     loudly.
 /// Batch prefixes are zero-padded, so ledger keys sort in commit order and
 /// both eviction paths (per-batch ForgetCopiesWithPrefix here, the size cap
 /// in CdwServerOptions) retire oldest-first.
@@ -90,8 +90,6 @@ class StreamJob {
                                                            const legacy::BeginStreamBody& begin,
                                                            core::JobContext ctx);
 
-  ~StreamJob();
-
   /// Accepts one data chunk into the open micro-batch. Conversion and the
   /// staging-file append run synchronously on the calling session thread:
   /// a micro-batch is small by construction and strict arrival order is
@@ -123,19 +121,16 @@ class StreamJob {
   common::Result<legacy::JobReportBody> Finish(uint64_t total_chunks, uint64_t total_rows);
 
   const std::string& job_id() const { return job_id_; }
-  const legacy::BeginStreamBody& begin() const { return begin_; }
   StreamStats stats() const HQ_EXCLUDES(mu_);
   /// Cumulative data-quality outcome across every batch so far
   /// (enabled=false when the gate is off). Serializes with in-flight calls.
   core::QualityJobReport quality_report() HQ_EXCLUDES(mu_);
   /// Quarantine table name ("" when the gate is off); outlives the stream.
-  const std::string& quarantine_table() const { return qrtn_table_; }
-  std::shared_ptr<obs::Trace> trace() const { return trace_; }
+  const std::string& quarantine_table() const { return tail_->quarantine_table(); }
+  std::shared_ptr<obs::Trace> trace() const { return tail_->trace(); }
 
  private:
-  StreamJob(std::string job_id, legacy::BeginStreamBody begin, core::JobContext ctx,
-            core::DataConverter converter, types::Schema staging_schema,
-            sql::StatementPtr dml);
+  StreamJob(std::string job_id, std::unique_ptr<core::CommitTail> tail, sql::StatementPtr dml);
 
   /// Serializes SubmitChunk/ChangeLayout/CommitBatch/Finish across sessions
   /// without holding mu_ (rank kJob) through CDW (rank kCdw) or store calls
@@ -152,51 +147,33 @@ class StreamJob {
     StreamJob* job_;
   };
 
-  common::RetryPolicy MakeIoRetry(const char* breaker_endpoint) const;
-  /// Moves the open-batch state into sealed_ and finalizes the staging
-  /// files. On failure the caller must poison the stream: the writer's
-  /// finalize path is not re-runnable, so the batch content is forfeit.
+  /// Moves the open batch into sealed_ and finalizes its staging files. On
+  /// failure the caller must poison the stream: the writer's finalize path
+  /// is not re-runnable, so the batch content is forfeit.
   common::Status SealOpenBatch(uint64_t batch_seq);
   /// The commit pipeline body over *sealed_; runs with the busy token held,
   /// mu_ free. Retires sealed_ (and advances the committed watermark / row
   /// high) only after every stage has succeeded.
   common::Result<legacy::BatchCommittedBody> CommitSealed(uint64_t watermark_micros);
-  /// Marks the stream permanently failed; every later call returns this.
+  /// Marks the stream permanently failed and ends the job; every later call
+  /// returns this.
   void Poison(const common::Status& cause);
-  void ReleaseActiveGauge();
 
   std::string job_id_;
-  legacy::BeginStreamBody begin_;
-  core::JobContext ctx_;
-  core::DataConverter converter_;  ///< swapped on drift; busy-serialized
-  types::Schema staging_schema_;
+  std::unique_ptr<core::CommitTail> tail_;  ///< converter swapped on drift
   sql::StatementPtr dml_;
-  std::string staging_table_;
-  std::string remote_prefix_;
-  std::string local_dir_;
-  /// Quality gate (all empty / unused when off). The table block is kept so
-  /// drift-swapped converters recompile the same constraints — ids are
-  /// spec-ordered and thus stable across recompiles, which is what lets the
-  /// id-keyed aggregates below span drift windows.
-  bool quality_on_ = false;
-  core::TableQualitySpec table_quality_;
-  std::string qrtn_table_;
-  std::string qrtn_remote_prefix_;
   /// Effective staging format for NEW staging files. Starts as the node's
   /// configured format; negotiated down to kCsv (permanently, for this
   /// session) when a type-changing drift makes binary staging impossible.
   /// Already-written files keep their format — each staged object is
-  /// single-format and COPY sniffs per object, so a mixed-format batch
-  /// prefix loads correctly and its ledger keys stay format-tagged.
+  /// single-format, so a batch cut across the fallback COPYs with per-object
+  /// sniffing and its ledger keys stay format-tagged.
   cdw::StagingFormat staging_format_ = cdw::StagingFormat::kCsv;
 
-  std::shared_ptr<obs::Trace> trace_;
+  /// Stream-only instruments (the shared ones live in the tail).
   struct Instruments {
-    obs::Counter* chunks = nullptr;
-    obs::Counter* rows_received = nullptr;
     obs::Counter* batches_committed = nullptr;
     obs::Counter* rows_committed = nullptr;
-    obs::Counter* data_errors = nullptr;
     obs::Counter* remap_total = nullptr;
     obs::Counter* fields_dropped = nullptr;
     obs::Counter* fields_nulled = nullptr;
@@ -204,14 +181,8 @@ class StreamJob {
     obs::Counter* format_fallbacks = nullptr;
     obs::Histogram* batch_latency = nullptr;
     obs::Gauge* watermark_lag = nullptr;
-    obs::Gauge* jobs_active = nullptr;
-    obs::Counter* rows_quarantined = nullptr;
     obs::Counter* batches_rejected = nullptr;
-    obs::Gauge* violation_rate_bp = nullptr;
-    /// hyperq_quality_violations_total{constraint="..."}, id-indexed.
-    std::vector<obs::Counter*> quality_violations;
   } m_;
-  std::atomic<bool> active_gauge_held_{true};
 
   mutable common::Mutex mu_{common::LockRank::kJob, "stream_job"};
   common::CondVar busy_cv_;
@@ -223,46 +194,15 @@ class StreamJob {
   uint64_t row_counter_ HQ_GUARDED_BY(mu_) = 0;
   StreamStats stats_ HQ_GUARDED_BY(mu_);
 
-  /// Open micro-batch (busy-serialized; no concurrent readers).
-  std::unique_ptr<core::FileWriter> batch_writer_;
-  std::vector<core::FinalizedFile> batch_files_;
-  std::vector<core::RecordError> batch_errors_;
-  uint64_t batch_chunks_ = 0;
-  uint64_t batch_rows_staged_ = 0;
-  /// Open-batch quarantine stream (busy-serialized; empty when gate off).
-  std::unique_ptr<core::FileWriter> batch_qrtn_writer_;
-  std::vector<core::FinalizedFile> batch_qrtn_files_;
-  /// Open-batch quality aggregates, constraint-id keyed (stable over drift).
-  uint64_t batch_quality_rows_checked_ = 0;
-  uint64_t batch_rows_quarantined_ = 0;
-  uint64_t batch_qrtn_rows_staged_ = 0;
-  std::vector<uint64_t> batch_violations_by_id_;
-  std::vector<uint64_t> batch_nulls_by_id_;
+  /// Open micro-batch and its staging lane (busy-serialized; no concurrent
+  /// readers). The lane is absent until the batch's first chunk.
+  core::SealedBatch open_;
+  std::optional<core::StagingLane> open_lane_;
   /// Global row number of the last row belonging to a committed batch.
   uint64_t committed_row_high_ = 0;
-  std::chrono::steady_clock::time_point batch_open_;
-
   /// A micro-batch sealed for commit. Survives a failed commit attempt so a
-  /// retried CommitBatch re-runs the pipeline on the same rows;
-  /// errors_recorded makes the ET-insert stage resumable across attempts.
-  struct SealedBatch {
-    uint64_t batch_seq = 0;
-    std::vector<core::FinalizedFile> files;
-    std::vector<core::RecordError> errors;
-    size_t errors_recorded = 0;  ///< ET rows durably inserted so far
-    uint64_t rows_staged = 0;
-    uint64_t first_row = 0;
-    uint64_t last_row = 0;
-    std::chrono::steady_clock::time_point open_time;
-    /// Quality-gate state sealed with the batch (empty/zero when off).
-    std::vector<core::FinalizedFile> qrtn_files;
-    uint64_t quality_rows_checked = 0;
-    uint64_t rows_quarantined = 0;
-    uint64_t qrtn_rows_staged = 0;
-    std::vector<uint64_t> violations_by_id;
-    std::vector<uint64_t> nulls_by_id;
-  };
-  std::optional<SealedBatch> sealed_;  ///< pending commit (busy-serialized)
+  /// retried CommitBatch re-runs the tail on the same rows.
+  std::optional<core::SealedBatch> sealed_;  ///< pending commit (busy-serialized)
 
   uint64_t last_watermark_ = 0;
   /// Commit journal: batch_seq -> recorded reply, for client replays. Only
@@ -273,9 +213,7 @@ class StreamJob {
   std::deque<std::string> ledgered_prefixes_;
 
   /// Cumulative quality aggregates across committed batches.
-  uint64_t quality_rows_checked_ HQ_GUARDED_BY(mu_) = 0;
-  std::vector<uint64_t> quality_violations_by_id_ HQ_GUARDED_BY(mu_);
-  std::vector<uint64_t> quality_nulls_by_id_ HQ_GUARDED_BY(mu_);
+  core::QualityTotals quality_committed_ HQ_GUARDED_BY(mu_);
 
   /// Cumulative DML results across batches (for the final JobReport).
   core::DmlApplyResult dml_totals_ HQ_GUARDED_BY(mu_);

@@ -247,6 +247,38 @@ TEST_F(ChaosE2eTest, ExhaustedStagingRetriesDegradeIntoEtRowsNotJobFailure) {
   EXPECT_EQ(CountRows("PROD.CUSTOMER"), 900u);
 }
 
+TEST_F(ChaosE2eTest, AbandonedChunkKeepsItsConversionErrorsInEtTable) {
+  // The same degradation with a bad-arity row inside the abandoned chunk:
+  // its conversion error still describes a real input row, so it lands in
+  // the ET table next to the 9058 marker and the ET rows match the counted
+  // errors. One writer makes the first chunk (rows 1-100) the abandoned one.
+  HyperQOptions options;
+  options.fault_spec = "bulkload.file=error,once=1";
+  options.io_retry.max_attempts = 1;
+  options.file_writers = 1;
+  StartNode(options);
+  std::string data = SampleData(1000);
+  const std::string good_row = "5|Name5|2012-01-01\n";
+  data.replace(data.find(good_row), good_row.size(), "5|Name5\n");
+  WriteInput(data);
+  auto run = MakeClient(/*chunk_rows=*/100).RunScript(BaseScript());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->imports[0].report.rows_inserted, 900u);
+  EXPECT_EQ(run->imports[0].report.et_errors, 2u);
+
+  auto stats = node_->JobStats(run->imports[0].job_id).ValueOrDie();
+  EXPECT_EQ(stats.chunks_abandoned, 1u);
+  EXPECT_EQ(stats.data_errors, 2u);  // conversion error + abandonment marker
+
+  common::FaultInjector::Global().Disarm();
+  auto et = cdw_->ExecuteSql("SELECT ERRORCODE FROM PROD.CUSTOMER_ET ORDER BY ERRORCODE")
+                .ValueOrDie();
+  ASSERT_EQ(et.rows.size(), 2u) << "ET rows diverge from counted errors";
+  EXPECT_NE(et.rows[0][0].int_value(), legacy::kErrChunkAbandoned);
+  EXPECT_EQ(et.rows[1][0].int_value(), legacy::kErrChunkAbandoned);
+  EXPECT_EQ(CountRows("PROD.CUSTOMER"), 900u);
+}
+
 TEST_F(ChaosE2eTest, ExportPathSurvivesTdfReadAndSendFaults) {
   // Differential over the export path: the two export-side fault points
   // (tdf.read on the cursor fetch, export.send on the reply hop) fire

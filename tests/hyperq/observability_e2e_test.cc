@@ -138,6 +138,29 @@ TEST_F(ObservabilityE2eTest, SnapshotCoversWholeLoadPath) {
   EXPECT_EQ(snap.gauges.at("hyperq_memory_in_flight_bytes"), 0);
 }
 
+TEST_F(ObservabilityE2eTest, FailedImportEndsTheJobAsFailed) {
+  // Every row violates the pattern, so the job-level quality abort fails
+  // EndLoad. The job is over: it must leave the active gauge, count as
+  // failed, and close its trace even though the node keeps it around.
+  HyperQOptions options;
+  options.quality.spec = "PROD.CUSTOMER{CUST_NAME:pattern[Bad*]}";
+  options.quality.abort_over_threshold = true;
+  options.quality.max_violation_rate = 0.5;
+  StartNode(options);
+  auto run = RunImport(200);
+  ASSERT_FALSE(run.ok());
+  node_->Stop();
+
+  obs::MetricsSnapshot snap = node_->MetricsSnapshot();
+  EXPECT_EQ(snap.gauges.at("hyperq_import_jobs_active"), 0);
+  EXPECT_EQ(snap.counters.at("hyperq_import_jobs_started_total"), 1u);
+  EXPECT_EQ(snap.counters.at("hyperq_import_jobs_failed_total"), 1u);
+  EXPECT_EQ(snap.counters.at("hyperq_import_jobs_completed_total"), 0u);
+  std::vector<std::string> jobs = tracer_.job_ids();
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_TRUE(tracer_.Find(jobs[0])->spans()[0].finished());
+}
+
 TEST_F(ObservabilityE2eTest, JobTraceFormsCompletePhaseSpanTree) {
   StartNode();
   auto run = RunImport(500);

@@ -61,6 +61,24 @@ TEST(PrometheusExportTest, RoundTripsExactly) {
   EXPECT_EQ(*parsed, snap);
 }
 
+TEST(PrometheusExportTest, LabeledHistogramRoundTrips) {
+  // Labeled instruments (the per-rank lock-wait histograms) carry their
+  // labels on every series, with le last.
+  MetricsRegistry reg;
+  reg.GetHistogram("hyperq_lock_wait_seconds{rank=\"kQueue\"}")->Observe(3e-3);
+  reg.GetCounter("hyperq_lock_contention_total{rank=\"kQueue\"}")->Increment(2);
+  MetricsSnapshot snap = reg.Snapshot();
+  std::string text = ToPrometheusText(snap);
+  EXPECT_NE(text.find("hyperq_lock_wait_seconds_bucket{rank=\"kQueue\",le=\"+Inf\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("hyperq_lock_wait_seconds_count{rank=\"kQueue\"} 1\n"), std::string::npos)
+      << text;
+  auto parsed = FromPrometheusText(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(*parsed, snap);
+}
+
 TEST(PrometheusExportTest, EmptySnapshotRoundTrips) {
   MetricsSnapshot empty;
   auto parsed = FromPrometheusText(ToPrometheusText(empty));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -284,6 +285,27 @@ TEST_F(StreamE2eTest, DriftingStreamLandsByteIdenticalToEquivalentBatch) {
   EXPECT_EQ(snap.counters.at("hyperq_stream_rows_committed_total"), 4u * kRowsPerPhase);
   EXPECT_GT(snap.histograms.at("hyperq_stream_batch_latency_seconds").count, 0u);
   EXPECT_EQ(snap.gauges.at("hyperq_stream_jobs_active"), 0);
+
+  // The commit tail is shared with imports, so a stream reports the same
+  // per-layer metrics and spans under the same names, below a kStream root.
+  for (const char* name :
+       {"hyperq_convert_seconds", "hyperq_file_write_seconds", "hyperq_upload_seconds"}) {
+    ASSERT_TRUE(snap.histograms.count(name)) << name;
+    EXPECT_GT(snap.histograms.at(name).count, 0u) << name;
+  }
+  EXPECT_GT(snap.counters.at("hyperq_files_uploaded_total"), 0u);
+  EXPECT_GT(snap.counters.at("hyperq_bytes_uploaded_total"), 0u);
+  EXPECT_EQ(snap.counters.at("hyperq_rows_copied_total"), 4u * kRowsPerPhase);
+  auto trace = node_->JobTrace("strm_e2e");
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  std::vector<obs::SpanRecord> spans = (*trace)->spans();
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans[0].phase, obs::Phase::kStream);
+  EXPECT_TRUE(spans[0].finished());
+  std::map<obs::Phase, int> phase_counts;
+  for (const auto& span : spans) ++phase_counts[span.phase];
+  EXPECT_GT(phase_counts[obs::Phase::kRowConvert], 0);
+  EXPECT_GT(phase_counts[obs::Phase::kFileWrite], 0);
 }
 
 TEST_F(StreamE2eTest, DriftingStreamSurvivesInjectedFaultsByteIdentically) {

@@ -1,5 +1,7 @@
 #include "stream/stream_job.h"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -73,7 +75,9 @@ class StreamJobTest : public ::testing::Test {
     core::JobContext ctx;
     ctx.cdw = cdw_.get();
     ctx.store = &store_;
-    ctx.options.local_staging_dir = ::testing::TempDir() + "hq_stream_job_test";
+    // Per process: ctest runs the cases of this suite in parallel.
+    ctx.options.local_staging_dir =
+        ::testing::TempDir() + "hq_stream_job_test." + std::to_string(::getpid());
     return ctx;
   }
 
@@ -260,6 +264,33 @@ TEST_F(StreamJobTest, DriftRemapCountsAndLoadsNameMatchedFields) {
   EXPECT_EQ(CountRows("PROD.CUSTOMER"), 3u);
 }
 
+TEST_F(StreamJobTest, CsvFallbackInsideAnOpenBatchCommitsEveryRowOnce) {
+  // A type-changing drift under binary staging falls back to csv while the
+  // batch already holds a binary file: the batch's files stay single-format
+  // each, its COPY decodes them per object, and every row lands once.
+  auto ctx = MakeContext();
+  ctx.options.staging_format = cdw::StagingFormat::kBinary;
+  auto job = StreamJob::Create("j1", MakeBegin(), std::move(ctx)).ValueOrDie();
+  ASSERT_TRUE(job->SubmitChunk(MakeChunk(1, {{"1", "Ada", "2001-01-01"}})).ok());
+
+  Schema widened;  // CUST_NAME VARCHAR(50) -> VARCHAR(60) changes its staging type
+  widened.AddField(Field("CUST_ID", TypeDesc::Varchar(5)));
+  widened.AddField(Field("CUST_NAME", TypeDesc::Varchar(60)));
+  widened.AddField(Field("JOIN_DATE", TypeDesc::Varchar(10)));
+  ASSERT_TRUE(job->ChangeLayout(widened).ok());
+  EXPECT_EQ(job->stats().format_fallbacks, 1u);
+  ASSERT_TRUE(job->SubmitChunk(MakeChunk(2, {{"2", "Bob", "2002-02-02"}})).ok());
+  auto committed = job->CommitBatch(1, 1000);
+  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  EXPECT_EQ(committed->rows_in_batch, 2u);
+
+  // Later batches stage csv only.
+  ASSERT_TRUE(job->SubmitChunk(MakeChunk(3, {{"3", "Cyd", "2003-03-03"}})).ok());
+  ASSERT_TRUE(job->CommitBatch(2, 2000).ok());
+  EXPECT_EQ(CountRows("PROD.CUSTOMER"), 3u);
+  EXPECT_TRUE(job->Finish(3, 3).ok());
+}
+
 TEST_F(StreamJobTest, ChangeLayoutToCurrentIsNoOp) {
   auto job = MakeJob();
   ASSERT_TRUE(job->ChangeLayout(StreamLayout()).ok());
@@ -349,6 +380,30 @@ TEST_F(StreamJobTest, UnrecoverableDmlFailurePoisonsTheStream) {
   EXPECT_FALSE(job->SubmitChunk(MakeChunk(2, {{"2", "Bob", "2002-02-02"}})).ok());
   EXPECT_FALSE(job->Finish(0, 0).ok());
   EXPECT_EQ(job->stats().batches_committed, 0u);
+}
+
+TEST_F(StreamJobTest, PoisonedStreamEndsTheJobAsFailed) {
+  // A poisoned stream is over even though the node keeps it: it must leave
+  // the active gauge, count as failed, and close its kStream trace.
+  obs::MetricsRegistry registry;
+  obs::Tracer tracer;
+  auto ctx = MakeContext();
+  ctx.metrics = &registry;
+  ctx.tracer = &tracer;
+  ctx.options.io_retry.max_attempts = 1;
+  ctx.options.max_retries = 1;
+  auto job = StreamJob::Create("j1", MakeBegin(), std::move(ctx)).ValueOrDie();
+  EXPECT_EQ(registry.GetGauge("hyperq_stream_jobs_active")->value(), 1);
+  ASSERT_TRUE(job->SubmitChunk(MakeChunk(1, {{"1", "Ada", "2001-01-01"}})).ok());
+
+  ASSERT_TRUE(common::FaultInjector::Global().Arm("cdw.exec=error,p=1").ok());
+  ASSERT_FALSE(job->CommitBatch(1, 1000).ok());
+  EXPECT_EQ(registry.GetGauge("hyperq_stream_jobs_active")->value(), 0);
+  EXPECT_EQ(registry.GetCounter("hyperq_stream_jobs_failed_total")->value(), 1u);
+  std::vector<obs::SpanRecord> spans = job->trace()->spans();
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans[0].phase, obs::Phase::kStream);
+  EXPECT_TRUE(spans[0].finished());
 }
 
 TEST_F(StreamJobTest, AbandonedChunkRecordsAllItsErrorsInEtTable) {

@@ -47,6 +47,11 @@ struct ParseCase {
   TypeDesc expected;
 };
 
+// Without a printer, gtest renders the case as raw bytes, which include the
+// address of `text`; under ASLR that makes the discovered test names change
+// from run to run.
+void PrintTo(const ParseCase& c, std::ostream* os) { *os << c.text; }
+
 class ParseTypeNameTest : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(ParseTypeNameTest, Parses) {
