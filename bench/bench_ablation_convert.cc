@@ -56,8 +56,8 @@ std::atomic<uint64_t> g_alloc_count{0};
 }  // namespace
 
 // Allocation observatory: count every global heap allocation so the harness
-// can report allocs/row per plan. (hqlint exempts `operator new`/`operator
-// delete` definitions from new-delete; the production sources never
+// can report allocs/row per plan. (hqcheck's new-delete rule exempts
+// `operator new`/`operator delete` definitions; the production sources never
 // override these.)
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
@@ -91,7 +91,11 @@ types::Schema MixedBinaryLayout() {
       types::TypeDesc::Varchar(24),
   };
   for (int i = 0; i < 32; ++i) {
-    layout.AddField(types::Field("C" + std::to_string(i), kCycle[i % 11]));
+    // Appends, not `"C" + std::to_string(i)`: that chain trips GCC 12's
+    // -Wrestrict once inlined at -O3.
+    std::string name = "C";
+    name += std::to_string(i);
+    layout.AddField(types::Field(name, kCycle[i % 11]));
   }
   return layout;
 }
@@ -99,7 +103,9 @@ types::Schema MixedBinaryLayout() {
 types::Schema VartextLayout() {
   types::Schema layout;
   for (int i = 0; i < 32; ++i) {
-    layout.AddField(types::Field("V" + std::to_string(i), types::TypeDesc::Varchar(24)));
+    std::string name = "V";
+    name += std::to_string(i);
+    layout.AddField(types::Field(name, types::TypeDesc::Varchar(24)));
   }
   return layout;
 }

@@ -5,7 +5,8 @@
 # must pass; the script stops at the first failure.
 #
 #   ci/check.sh              # everything
-#   ci/check.sh lint         # hqlint + hqcheck source analysis
+#   ci/check.sh lint         # hqcheck source analysis + compile checks
+#   ci/check.sh release      # build-only -DCMAKE_BUILD_TYPE=Release under -Werror
 #   ci/check.sh clang-tidy   # curated .clang-tidy over src/ (skips w/o clang)
 #   ci/check.sh default      # just the default preset build + tests
 #   ci/check.sh asan tsan    # just those sanitizer presets
@@ -21,8 +22,8 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(lint thread-safety clang-tidy default asan tsan ubsan bench-smoke chaos-smoke
-          perfbench-smoke)
+  STAGES=(lint release thread-safety clang-tidy default asan tsan ubsan bench-smoke
+          chaos-smoke perfbench-smoke)
 fi
 
 # The observability e2e suite dumps the observed lock-order graph here; the
@@ -69,19 +70,19 @@ check_lock_graph() {
 for stage in "${STAGES[@]}"; do
   case "$stage" in
     lint)
-      echo "=== hqlint + hqcheck over src/, tests/, tools/ and bench/ ==="
+      echo "=== hqcheck over src/, tests/, tools/ and bench/ ==="
       cmake --preset lint
       cmake --build --preset lint -j "$JOBS"
-      ./build-lint/tools/hqlint/hqlint --root "$ROOT" src tests tools bench
-      # Semantic pass: guarded fields, lock ranks vs the manifest, nesting
-      # order, enum-switch coverage. Any unsuppressed finding fails the
-      # stage; the scan output is archived as a CI artifact. The binary-level
-      # hotpath proofs run in the default stage, which owns the hq_core
-      # objects they disassemble.
+      # Source rules: guarded fields, lock ranks vs the manifest, nesting
+      # order, enum-switch coverage, sync/allocation/header hygiene, blocking
+      # calls under a lock, hand-rolled retries and stale allow markers. Any
+      # unsuppressed finding fails the stage; the scan output is archived as
+      # a CI artifact. The binary-level hotpath proofs run in the default
+      # stage, which owns the hq_core objects they disassemble.
       ./build-lint/tools/hqcheck/hqcheck --root "$ROOT" \
-        --manifest tools/hqcheck/lock_ranks.txt src tools bench \
+        --manifest tools/hqcheck/lock_ranks.txt src tests tools bench \
         | tee build-lint/hqcheck_report.txt
-      # Whole-program passes (v3): the interprocedural may-acquire proof and
+      # Whole-program passes: the interprocedural may-acquire proof and
       # the untrusted-input taint proof over every wire decoder. Reports are
       # archived next to hqcheck_report.txt; unused trusted-frontier entries
       # and stale allow markers fail the stage like any other finding.
@@ -91,7 +92,17 @@ for stage in "${STAGES[@]}"; do
       ./build-lint/tools/hqcheck/hqcheck --taint --root "$ROOT" \
         --surfaces tools/hqcheck/taint_surfaces.txt \
         --report build-lint/hqcheck_taint.txt src
+      # The lint ctests add the analyzer's goldens and the nodiscard compile
+      # checks (a dropped Status or Result<T> must not compile).
       ctest --preset lint -j "$JOBS"
+      ;;
+    release)
+      # Build-only: -O3 inlining surfaces warnings the default RelWithDebInfo
+      # build does not (GCC 12 -Wrestrict on std::string concatenation), and
+      # HQ_WERROR keeps them fatal.
+      echo "=== release: -DCMAKE_BUILD_TYPE=Release build of the whole tree ==="
+      cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+      cmake --build build-release -j "$JOBS"
       ;;
     clang-tidy)
       # Generic bug classes (bugprone-*, performance-*, concurrency-*) via
@@ -104,7 +115,7 @@ for stage in "${STAGES[@]}"; do
         mapfile -t TIDY_SOURCES < <(find src -name '*.cc' | sort)
         clang-tidy -p build --quiet "${TIDY_SOURCES[@]}"
       else
-        echo "=== clang-tidy: not installed, skipping (hqlint/hqcheck still gate) ==="
+        echo "=== clang-tidy: not installed, skipping (hqcheck still gates) ==="
       fi
       ;;
     thread-safety)
@@ -183,7 +194,7 @@ sys.exit("perfbench-smoke: %d trace spans dropped" % dropped if dropped else 0)'
       done
       ;;
     *)
-      echo "unknown stage: $stage (expected lint|thread-safety|clang-tidy|default|asan|tsan|ubsan|bench-smoke|chaos-smoke|perfbench-smoke)" >&2
+      echo "unknown stage: $stage (expected lint|release|thread-safety|clang-tidy|default|asan|tsan|ubsan|bench-smoke|chaos-smoke|perfbench-smoke)" >&2
       exit 2
       ;;
   esac

@@ -1,4 +1,3 @@
-// hqlint:hotpath
 #include "cdw/staging_binary.h"
 
 namespace hyperq::cdw {
@@ -93,7 +92,7 @@ Status BinaryBlockReader::Parse(ByteReader* reader) {
   }
   HQ_ASSIGN_OR_RETURN(uint16_t version, reader->ReadU16());
   if (version != kHqb1Version) {
-    return Status::ConversionError("unsupported HQB1 version " + std::to_string(version));  // hqlint:allow(per-row-alloc)
+    return Status::ConversionError("unsupported HQB1 version " + std::to_string(version));
   }
   HQ_RETURN_NOT_OK(reader->ReadU16().status());  // flags (reserved)
   HQ_ASSIGN_OR_RETURN(fingerprint_, reader->ReadU64());
@@ -103,7 +102,7 @@ Status BinaryBlockReader::Parse(ByteReader* reader) {
   // 4096 columns is far beyond any layout the legacy dialect can declare;
   // the cap keeps a corrupt count from driving a huge resize below.
   if (ncols > 4096) {
-    return Status::ConversionError("HQB1 block declares implausible column count " +  // hqlint:allow(per-row-alloc)
+    return Status::ConversionError("HQB1 block declares implausible column count " +
                                    std::to_string(ncols));
   }
   columns_.clear();
@@ -111,7 +110,7 @@ Status BinaryBlockReader::Parse(ByteReader* reader) {
   for (auto& col : columns_) {
     HQ_ASSIGN_OR_RETURN(uint8_t type_id, reader->ReadByte());
     if (type_id > static_cast<uint8_t>(TypeId::kTimestamp)) {
-      return Status::ConversionError("HQB1 column descriptor has unknown type id " +  // hqlint:allow(per-row-alloc)
+      return Status::ConversionError("HQB1 column descriptor has unknown type id " +
                                      std::to_string(type_id));
     }
     col.type = static_cast<TypeId>(type_id);
@@ -127,7 +126,7 @@ Status BinaryBlockReader::Parse(ByteReader* reader) {
       return Status::ConversionError("HQB1 CHAR column descriptor has zero length");
     }
     if (col.type == TypeId::kDecimal && col.scale > 18) {
-      return Status::ConversionError("HQB1 DECIMAL column descriptor has scale " +  // hqlint:allow(per-row-alloc)
+      return Status::ConversionError("HQB1 DECIMAL column descriptor has scale " +
                                      std::to_string(col.scale) + " > 18");
     }
     col.fixed_width = BinaryFixedWidth(col.type, static_cast<int32_t>(col.length));

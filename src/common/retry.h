@@ -19,7 +19,7 @@
 /// classification, per-attempt budget and overall deadline) and
 /// CircuitBreaker (closed → open → half-open, per endpoint). Policy lives
 /// here as configuration — call sites say *what* to retry, not *how* (see
-/// hqlint rule `unbounded-retry`, which flags hand-rolled retry loops).
+/// hqcheck rule `unbounded-retry`, which flags hand-rolled retry loops).
 ///
 /// Layering: src/common cannot depend on src/obs (obs already depends on
 /// common), so instrumentation is pull-based — RetryStats::Global() and the

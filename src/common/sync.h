@@ -17,19 +17,19 @@
 /// On non-Clang compilers the annotations expand to nothing and the wrappers
 /// are near-zero-cost shims over the std primitives.
 ///
-/// Rules (enforced by tools/hqlint):
+/// Rules (enforced by tools/hqcheck):
 ///  - No naked std::mutex / std::lock_guard / std::unique_lock /
-///    std::condition_variable outside this header.
+///    std::condition_variable outside this header (rule `naked-mutex`).
 ///  - Guarded fields carry HQ_GUARDED_BY(mu_); methods that assume the lock
 ///    is held carry HQ_REQUIRES(mu_); public entry points that take the lock
 ///    carry HQ_EXCLUDES(mu_).
 ///  - Condition-variable predicates are written as explicit while-loops in
 ///    the locked scope (not as lambdas handed to wait()) so the analysis can
 ///    see the guarded reads.
-///  - Every Mutex declares a LockRank (hqlint rule `unranked-mutex`), and a
-///    MutexLock lexically nested inside another locked scope must carry a
-///    `// lock-order: kOuter > kInner` marker naming hierarchy-ordered ranks
-///    (hqlint rule `nested-lock-without-order`) or use MutexLock2.
+///  - Every Mutex declares a LockRank (rule `lock-rank`), and a MutexLock
+///    lexically nested inside another locked scope must take a mutex of
+///    strictly lower, resolvable rank or use MutexLock2 (rule
+///    `lock-nesting`).
 ///
 /// See DESIGN.md "Lock hierarchy & deadlock detection" for the rank table
 /// and the rules for choosing a rank for a new mutex.

@@ -1,4 +1,3 @@
-// hqlint:hotpath
 #include "hyperq/conversion_columnar.h"
 
 #include <algorithm>
@@ -350,7 +349,7 @@ Status ConversionPlan::ExecuteColumnarVartext(const ConversionInput& input,
     if (!line.ok()) {
       // A framing error poisons the rest of the chunk (reference semantics).
       if (cq != nullptr) FinishChunkQuality(*cq, qs, &out->quality);
-      return line.status().WithContext("chunk " + std::to_string(input.chunk.chunk_seq));  // hqlint:allow(per-row-alloc)
+      return line.status().WithContext("chunk " + std::to_string(input.chunk.chunk_seq));
     }
     std::string_view text = line.ValueOrDie().ToStringView();
     // Pass 1: arity. Counting first means a short record stages nothing at
@@ -362,8 +361,8 @@ Status ConversionPlan::ExecuteColumnarVartext(const ConversionInput& input,
     if (nfields != expected) {
       out->errors.push_back(
           RecordError{row_number, legacy::kErrFieldCountMismatch, "",
-                      "vartext record has " + std::to_string(nfields) +          // hqlint:allow(per-row-alloc)
-                          " fields, layout expects " + std::to_string(expected)});  // hqlint:allow(per-row-alloc)
+                      "vartext record has " + std::to_string(nfields) +
+                          " fields, layout expects " + std::to_string(expected)});
       ++row_number;
       continue;
     }
@@ -548,7 +547,7 @@ Status ConversionPlan::ExecuteColumnarRemappedVartext(const ConversionInput& inp
     if (!line.ok()) {
       // A framing error poisons the rest of the chunk (reference semantics).
       if (cq != nullptr) FinishChunkQuality(*cq, qs, &out->quality);
-      return line.status().WithContext("chunk " + std::to_string(input.chunk.chunk_seq));  // hqlint:allow(per-row-alloc)
+      return line.status().WithContext("chunk " + std::to_string(input.chunk.chunk_seq));
     }
     std::string_view text = line.ValueOrDie().ToStringView();
     size_t nfields = 0;
@@ -566,8 +565,8 @@ Status ConversionPlan::ExecuteColumnarRemappedVartext(const ConversionInput& inp
     if (nfields != expected) {
       out->errors.push_back(
           RecordError{row_number, legacy::kErrFieldCountMismatch, "",
-                      "vartext record has " + std::to_string(nfields) +          // hqlint:allow(per-row-alloc)
-                          " fields, layout expects " + std::to_string(expected)});  // hqlint:allow(per-row-alloc)
+                      "vartext record has " + std::to_string(nfields) +
+                          " fields, layout expects " + std::to_string(expected)});
       ++row_number;
       continue;
     }

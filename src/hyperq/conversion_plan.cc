@@ -1,4 +1,3 @@
-// hqlint:hotpath
 #include "hyperq/conversion_plan.h"
 
 #include <algorithm>
@@ -382,7 +381,7 @@ Status ConversionPlan::ExecuteVartext(const ConversionInput& input, ConvertedChu
     if (!line.ok()) {
       // A framing error poisons the rest of the chunk (reference semantics).
       if (cq != nullptr) FinishChunkQuality(*cq, qs, &out->quality);
-      return line.status().WithContext("chunk " + std::to_string(input.chunk.chunk_seq));  // hqlint:allow(per-row-alloc)
+      return line.status().WithContext("chunk " + std::to_string(input.chunk.chunk_seq));
     }
     std::string_view text = line.ValueOrDie().ToStringView();
     const char* text_data = text.data();
@@ -418,8 +417,8 @@ Status ConversionPlan::ExecuteVartext(const ConversionInput& input, ConvertedChu
       out->csv.resize(mark);
       out->errors.push_back(
           RecordError{row_number, legacy::kErrFieldCountMismatch, "",
-                      "vartext record has " + std::to_string(nfields) +          // hqlint:allow(per-row-alloc)
-                          " fields, layout expects " + std::to_string(expected)});  // hqlint:allow(per-row-alloc)
+                      "vartext record has " + std::to_string(nfields) +
+                          " fields, layout expects " + std::to_string(expected)});
       ++row_number;
       continue;
     }

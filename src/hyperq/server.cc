@@ -131,7 +131,6 @@ void HyperQServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> sessions;
   {
-    // lock-order: kLifecycle > kServer
     common::MutexLock lock(&sessions_mu_);
     sessions.swap(session_threads_);
     // Force EOF on any session whose client is still connected.

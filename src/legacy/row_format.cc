@@ -290,7 +290,7 @@ VartextRecord RowToVartext(const types::Row& row) {
     } else if (v.is_timestamp()) {
       field.text = types::FormatTimestampIso(v.timestamp_micros());
     } else if (v.is_boolean()) {
-      field.text = v.boolean() ? "T" : "F";
+      field.text.assign(1, v.boolean() ? 'T' : 'F');  // not `= "T"`: GCC 12 -Wrestrict
     } else if (v.is_int()) {
       field.text = std::to_string(v.int_value());
     } else if (v.is_float()) {

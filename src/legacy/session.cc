@@ -7,6 +7,21 @@ namespace hyperq::legacy {
 using common::Result;
 using common::Status;
 
+namespace {
+
+/// "[code] message" for a failed legacy reply, built by appends: the
+/// `"[" + std::to_string(code) + ...` chain trips GCC 12's -Wrestrict once
+/// inlined at -O3.
+Status ReplyError(uint32_t code, const std::string& message) {
+  std::string text = "[";
+  text += std::to_string(code);
+  text += "] ";
+  text += message;
+  return Status(common::StatusCode::kInvalid, std::move(text));
+}
+
+}  // namespace
+
 Status LegacySession::SendParcel(Parcel parcel) {
   return stream_.Send(MakeMessage(session_id_, next_seq_++, std::move(parcel)));
 }
@@ -19,8 +34,7 @@ Result<Message> LegacySession::SendAndReceive(Parcel parcel) {
 Status LegacySession::CheckFailure(const Message& msg) {
   if (!msg.parcels.empty() && msg.parcels[0].kind == ParcelKind::kFailure) {
     HQ_ASSIGN_OR_RETURN(FailureBody failure, FailureBody::Decode(msg.parcels[0]));
-    return Status(common::StatusCode::kInvalid,
-                  "[" + std::to_string(failure.code) + "] " + failure.message);
+    return ReplyError(failure.code, failure.message);
   }
   return Status::OK();
 }
@@ -48,8 +62,7 @@ Result<QueryResult> LegacySession::ExecuteSql(const std::string& sql) {
   result.activity_count = status.activity_count;
   result.message = status.message;
   if (status.code != 0) {
-    return Status(common::StatusCode::kInvalid,
-                  "[" + std::to_string(status.code) + "] " + status.message);
+    return ReplyError(status.code, status.message);
   }
   if (i < reply.parcels.size() && reply.parcels[i].kind == ParcelKind::kDataSetHeader) {
     HQ_ASSIGN_OR_RETURN(DataSetHeaderBody header, DataSetHeaderBody::Decode(reply.parcels[i]));
@@ -100,8 +113,7 @@ Status LegacySession::EndLoad(uint64_t total_chunks, uint64_t total_rows) {
   HQ_ASSIGN_OR_RETURN(StatementStatusBody status,
                       StatementStatusBody::Decode(reply.parcels[0]));
   if (status.code != 0) {
-    return Status(common::StatusCode::kInvalid,
-                  "[" + std::to_string(status.code) + "] " + status.message);
+    return ReplyError(status.code, status.message);
   }
   return Status::OK();
 }
@@ -156,8 +168,7 @@ Status LegacySession::SendStreamLayout(const types::Schema& layout) {
   HQ_ASSIGN_OR_RETURN(StatementStatusBody status,
                       StatementStatusBody::Decode(reply.parcels[0]));
   if (status.code != 0) {
-    return Status(common::StatusCode::kInvalid,
-                  "[" + std::to_string(status.code) + "] " + status.message);
+    return ReplyError(status.code, status.message);
   }
   return Status::OK();
 }

@@ -62,10 +62,18 @@ bool IsString(TypeId id) { return id == TypeId::kChar || id == TypeId::kVarchar;
 std::string TypeDesc::ToString() const {
   std::string out(TypeIdName(id));
   if (id == TypeId::kChar || id == TypeId::kVarchar) {
-    out += "(" + std::to_string(length) + ")";
+    // Separate appends: a `"(" + std::to_string(...)` chain trips GCC 12's
+    // -Wrestrict once inlined at -O3.
+    out += '(';
+    out += std::to_string(length);
+    out += ')';
     if (charset == CharSet::kUnicode) out += " CHARACTER SET UNICODE";
   } else if (id == TypeId::kDecimal) {
-    out += "(" + std::to_string(precision) + "," + std::to_string(scale) + ")";
+    out += '(';
+    out += std::to_string(precision);
+    out += ',';
+    out += std::to_string(scale);
+    out += ')';
   }
   return out;
 }

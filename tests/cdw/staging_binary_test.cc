@@ -46,7 +46,10 @@ std::vector<uint8_t> ValidObject(uint32_t rows = 3) {
   for (uint32_t i = 0; i < rows; ++i) {
     types::Row row;
     row.push_back(Value::Int(static_cast<int64_t>(i) + 1));
-    row.push_back(i % 3 == 1 ? Value::Null() : Value::String("n" + std::to_string(i)));
+    // Appends, not `"n" + std::to_string(i)`: GCC 12 -Wrestrict at -O3.
+    std::string text = "n";
+    text += std::to_string(i);
+    row.push_back(i % 3 == 1 ? Value::Null() : Value::String(text));
     EXPECT_TRUE(codec.EncodeRow(row, &payload).ok());
   }
   auto converter = core::DataConverter::Create(layout, legacy::DataFormat::kBinary, '|', {},

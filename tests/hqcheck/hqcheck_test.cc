@@ -142,12 +142,96 @@ TEST(HqcheckGoldenTest, ManifestParseRejectsUnknownRank) {
   EXPECT_EQ(diags[0].line, 1);
 }
 
+TEST(HqcheckGoldenTest, LockRankUnranked) {
+  EXPECT_EQ(CheckOne("unranked_mutex.cc"),
+            (std::vector<std::string>{
+                "unranked_mutex.cc:6: [lock-rank] Mutex `g_bad` is declared without a "
+                "LockRank; every mutex names its level in the lock hierarchy (see "
+                "common::LockRank)",
+                "unranked_mutex.cc:16: [lock-rank] Mutex `mu_` is declared without a "
+                "LockRank; every mutex names its level in the lock hierarchy (see "
+                "common::LockRank)",
+            }));
+}
+
+// ---------------------------------------------------------------------------
+// Golden: file-level rules, blocking-under-lock and the stale-allow audit
+// ---------------------------------------------------------------------------
+
+TEST(HqcheckGoldenTest, NakedMutex) {
+  const std::string kUse = "[naked-mutex] use common::Mutex/MutexLock/CondVar from "
+                           "common/sync.h instead of std::";
+  EXPECT_EQ(CheckOne("naked_mutex.cc"), (std::vector<std::string>{
+                                            "naked_mutex.cc:6: " + kUse + "mutex",
+                                            "naked_mutex.cc:9: " + kUse + "lock_guard",
+                                            "naked_mutex.cc:10: " + kUse + "condition_variable",
+                                        }));
+}
+
+TEST(HqcheckGoldenTest, NewDelete) {
+  EXPECT_EQ(CheckOne("new_delete.cc"),
+            (std::vector<std::string>{
+                "new_delete.cc:11: [new-delete] raw `new` outside a smart-pointer factory; "
+                "wrap the result in unique_ptr/shared_ptr at the allocation site",
+                "new_delete.cc:15: [new-delete] raw `delete`; ownership must live in "
+                "unique_ptr/shared_ptr",
+            }));
+}
+
+TEST(HqcheckGoldenTest, IncludeHygiene) {
+  EXPECT_EQ(CheckOne("bad_header.h"),
+            (std::vector<std::string>{
+                "bad_header.h:2: [include-hygiene] header must open with #pragma once "
+                "before any other code",
+                "bad_header.h:4: [include-hygiene] `using namespace` in a header leaks "
+                "into every includer",
+            }));
+}
+
+TEST(HqcheckGoldenTest, BlockingUnderLock) {
+  auto blocks = [](int line, const std::string& what) {
+    return "blocking_under_lock.cc:" + std::to_string(line) +
+           ": [blocking-under-lock] potential deadlock: `" + what +
+           "` can block while a MutexLock is held in this scope";
+  };
+  EXPECT_EQ(CheckOne("blocking_under_lock.cc"),
+            (std::vector<std::string>{blocks(17, "Put"), blocks(18, "sleep_for"),
+                                      blocks(23, "Put"), blocks(25, "sleep_for"),
+                                      blocks(33, "WaitFor")}));
+}
+
+TEST(HqcheckGoldenTest, UnboundedRetry) {
+  const std::string kLoop =
+      ": [unbounded-retry] hand-rolled retry loop (sleep + I/O call) with no attempt bound; "
+      "use common::RetryPolicy (common/retry.h) for bounded backoff with jitter and stats";
+  EXPECT_EQ(CheckOne("unbounded_retry.cc"), (std::vector<std::string>{
+                                                "unbounded_retry.cc:5" + kLoop,
+                                                "unbounded_retry.cc:12" + kLoop,
+                                            }));
+}
+
+TEST(HqcheckGoldenTest, StaleAllow) {
+  EXPECT_EQ(CheckOne("stale_allow.cc"),
+            (std::vector<std::string>{
+                "stale_allow.cc:6: [stale-allow] stale hqcheck:allow(naked-mutex) marker: no "
+                "finding is suppressed here any more — remove it (or fix the rule name)",
+                "stale_allow.cc:8: [stale-allow] stale hqcheck:allow(nakedmutex) marker: no "
+                "finding is suppressed here any more — remove it (or fix the rule name)",
+            }));
+}
+
 // ---------------------------------------------------------------------------
 // Golden: clean input stays silent
 // ---------------------------------------------------------------------------
 
 TEST(HqcheckGoldenTest, CleanFileHasNoFindings) {
   EXPECT_EQ(CheckOne("clean.cc"), std::vector<std::string>{});
+}
+
+// The retired line linter's clean input: a ranked global mutex locked in a
+// free function, and a make_unique factory.
+TEST(HqlintGoldenTest, CleanFileHasNoDiagnostics) {
+  EXPECT_EQ(CheckOne("clean_globals.cc"), std::vector<std::string>{});
 }
 
 // ---------------------------------------------------------------------------
@@ -202,6 +286,42 @@ TEST(HqcheckMutationTest, SuppressionSilencesAndAuditTrailHolds) {
       ReplaceOnce(CleanSource(), "    common::MutexLock lock(&mu_);\n    last_ = v;",
                   "    last_ = v;  // hqcheck:allow(guarded-field)");
   EXPECT_EQ(CheckSource("clean.cc", mutated), std::vector<std::string>{});
+}
+
+TEST(HqcheckGoldenTest, DescendingNestingsAreSilent) {
+  EXPECT_EQ(CheckOne("nested_lock.cc"), std::vector<std::string>{});
+}
+
+std::vector<int> FindingLines(const std::vector<std::string>& got, const std::string& rule) {
+  std::vector<int> lines;
+  for (const std::string& d : got) {
+    if (d.find("[" + rule + "]") == std::string::npos) continue;
+    lines.push_back(std::stoi(d.substr(d.find(':') + 1)));
+  }
+  return lines;
+}
+
+TEST(HqcheckMutationTest, InvertedDeclaredRanksAreReportedAtEveryNesting) {
+  std::string mutated = ReplaceOnce(ReadFileOrDie(TestdataPath("nested_lock.cc")),
+                                    "g_outer{common::LockRank::kServer",
+                                    "g_outer{common::LockRank::kQueue");
+  mutated = ReplaceOnce(mutated, "g_inner{common::LockRank::kQueue",
+                        "g_inner{common::LockRank::kServer");
+  std::vector<std::string> got = CheckSource("nested_lock.cc", mutated);
+  EXPECT_EQ(FindingLines(got, "lock-nesting"), (std::vector<int>{12, 18, 23, 29}));
+  EXPECT_EQ(got.size(), 4u);
+}
+
+TEST(HqcheckMutationTest, UnrankedNestedMutexIsReported) {
+  // Without a rank the nesting order is unproven: lock-rank flags the
+  // declaration and lock-nesting every acquisition under another lock.
+  std::string mutated = ReplaceOnce(ReadFileOrDie(TestdataPath("nested_lock.cc")),
+                                    "g_inner{common::LockRank::kQueue, \"inner\"}", "g_inner");
+  std::vector<std::string> got = CheckSource("nested_lock.cc", mutated);
+  EXPECT_EQ(FindingLines(got, "lock-rank"), (std::vector<int>{7}));
+  EXPECT_EQ(FindingLines(got, "lock-nesting"), (std::vector<int>{12, 18, 23, 29}));
+  EXPECT_NE(got[1].find("the rank of g_inner cannot be attributed"), std::string::npos)
+      << got[1];
 }
 
 // ---------------------------------------------------------------------------
@@ -458,6 +578,16 @@ TEST(HqcheckHotpathTest, SeededAllocationIsReported) {
       << got[0];
 }
 
+TEST(HqcheckHotpathTest, SeededPerRowStringIsReported) {
+  // std::to_string and a std::string temporary in a kernel body.
+  for (const char* leaf : {"_ZNSt7__cxx119to_stringEi",
+                           "_ZNSt7__cxx1112basic_stringIcSt11char_traitsIcESaIcEE9_M_createERmm"}) {
+    std::vector<std::string> got = FormatAll(Prove(FakeDisasm(leaf), "::Kernel"));
+    ASSERT_EQ(got.size(), 1u) << leaf;
+    EXPECT_NE(got[0].find("per-value-string symbol"), std::string::npos) << got[0];
+  }
+}
+
 TEST(HqcheckHotpathTest, AuditedFrontierCutsTheWalk) {
   std::vector<Diagnostic> got =
       Prove(FakeDisasm("_Znwm"), "::Kernel",
@@ -476,6 +606,20 @@ TEST(HqcheckHotpathTest, EmptyRootSetFailsTheProof) {
                      "`::NoSuchRoot`; an empty proof proves nothing — fix the regex or "
                      "the object list",
                  }));
+}
+
+// The roots regex replaced the retired line linter's per-file hotpath marker:
+// the same allocation outside the root set is not the proof's business.
+TEST(HqlintGoldenTest, PerRowAllocOnlyFiresInMarkedFiles) {
+  const std::string disasm = FakeDisasm("memcpy") +
+                             "\n"
+                             "0000000000000040 <_ZN4demo4ColdEv>:\n"
+                             "  44:\tcall   49 <_ZN4demo4ColdEv+0x9>\n"
+                             "\t\t\t45: R_X86_64_PLT32\t_ZNSt7__cxx119to_stringEi-0x4\n";
+  EXPECT_TRUE(Prove(disasm, "::Kernel").empty());
+  std::vector<std::string> got = FormatAll(Prove(disasm, "::Cold"));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_NE(got[0].find("per-value-string symbol"), std::string::npos) << got[0];
 }
 
 TEST(HqcheckHotpathTest, AllowFileRequiresJustifications) {
@@ -499,6 +643,52 @@ TEST(HqcheckCliTest, ExitCodesAndUsage) {
   EXPECT_EQ(RunHqcheck({TestdataPath("enum_switch.cc")}, out, err), 1);
   EXPECT_EQ(RunHqcheck({}, out, err), 2);
   EXPECT_EQ(RunHqcheck({"--bogus-flag", TestdataPath("clean.cc")}, out, err), 2);
+}
+
+// The retired line linter's CLI contract, kept under its test names: hqcheck
+// exits 0 on clean input, 1 on findings, 2 on a usage or I/O error.
+TEST(HqlintCliTest, CleanFileExitsZero) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({TestdataPath("clean_globals.cc")}, out, err), 0);
+  EXPECT_EQ(out.str(), "");
+  EXPECT_EQ(err.str(), "");
+}
+
+TEST(HqlintCliTest, ViolationsExitOneAndPrintSummary) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({TestdataPath("bad_header.h")}, out, err), 1);
+  EXPECT_NE(out.str().find("[include-hygiene]"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("2 violations in 1 files"), std::string::npos) << out.str();
+}
+
+TEST(HqlintCliTest, NoInputsIsAUsageError) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({}, out, err), 2);
+  EXPECT_NE(err.str().find("usage:"), std::string::npos) << err.str();
+}
+
+TEST(HqlintCliTest, MissingPathIsAnIoError) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({TestdataPath("does_not_exist.cc")}, out, err), 2);
+  EXPECT_NE(err.str().find("cannot read"), std::string::npos) << err.str();
+}
+
+TEST(HqlintCliTest, UnknownFlagIsAUsageError) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({"--frobnicate", TestdataPath("clean_globals.cc")}, out, err), 2);
+}
+
+TEST(HqlintCliTest, RootRelativizesPaths) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({"--root", HQCHECK_TESTDATA_DIR, TestdataPath("bad_header.h")}, out, err),
+            1);
+  EXPECT_EQ(out.str().rfind("bad_header.h:2:", 0), 0u) << out.str();
 }
 
 TEST(HqcheckCliTest, InterlockModeExitCodes) {

@@ -50,7 +50,10 @@ Schema RandomBinaryLayout(common::Random* rng) {
   Schema layout;
   size_t nfields = 1 + rng->NextBounded(8);
   for (size_t i = 0; i < nfields; ++i) {
-    layout.AddField(Field("F" + std::to_string(i), RandomTypeDesc(rng)));
+    // Appends, not `"F" + std::to_string(i)`: GCC 12 -Wrestrict at -O3.
+    std::string name = "F";
+    name += std::to_string(i);
+    layout.AddField(Field(name, RandomTypeDesc(rng)));
   }
   return layout;
 }
@@ -242,7 +245,9 @@ TEST(ConversionDiffTest, RandomVartextChunksMatchReference) {
     size_t nfields = 1 + rng.NextBounded(6);
     Schema layout;
     for (size_t i = 0; i < nfields; ++i) {
-      layout.AddField(Field("V" + std::to_string(i), TypeDesc::Varchar(30)));
+      std::string name = "V";
+      name += std::to_string(i);
+      layout.AddField(Field(name, TypeDesc::Varchar(30)));
     }
     common::ByteBuffer payload;
     uint32_t nrows = static_cast<uint32_t>(rng.NextBounded(20));

@@ -227,7 +227,10 @@ TEST(StagingDiffTest, RandomLayoutsLandIdenticalTables) {
     Schema layout;
     size_t nfields = 1 + rng.NextBounded(8);
     for (size_t i = 0; i < nfields; ++i) {
-      layout.AddField(Field("F" + std::to_string(i), RandomTypeDesc(&rng)));
+      // Appends, not `"F" + std::to_string(i)`: GCC 12 -Wrestrict at -O3.
+      std::string name = "F";
+      name += std::to_string(i);
+      layout.AddField(Field(name, RandomTypeDesc(&rng)));
     }
     SCOPED_TRACE("seed " + std::to_string(seed));
     ExpectFormatsLandIdenticalTables(layout, DataFormat::kBinary,

@@ -173,7 +173,6 @@ TEST(SnapshotDumperTest, WritesLockGraphDotFileOnEveryDump) {
   common::Mutex inner{common::LockRank::kJob, "dump_inner"};
   {
     common::MutexLock lock_outer(&outer);
-    // lock-order: kServer > kJob
     common::MutexLock lock_inner(&inner);
   }
 
@@ -209,7 +208,6 @@ TEST(LockGraphJsonTest, NameEdgesAppearInJsonExport) {
   common::Mutex inner{common::LockRank::kJob, "json_inner"};
   {
     common::MutexLock lock_outer(&outer);
-    // lock-order: kServer > kJob
     common::MutexLock lock_inner(&inner);
   }
   const std::string json = LockGraphToJson(common::LockOrderGraph::Global().Snapshot());

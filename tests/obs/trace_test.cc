@@ -68,7 +68,10 @@ TEST(TraceTest, RecordSpanBackfillsMeasuredInterval) {
 TEST(TraceTest, CapsSpansAndCountsDropped) {
   Trace trace("job1", Phase::kImport, /*max_spans=*/4);
   for (int i = 0; i < 10; ++i) {
-    uint64_t id = trace.StartSpan(Phase::kOther, "s" + std::to_string(i));
+    // Appends, not `"s" + std::to_string(i)`: GCC 12 -Wrestrict at -O3.
+    std::string name = "s";
+    name += std::to_string(i);
+    uint64_t id = trace.StartSpan(Phase::kOther, name);
     trace.EndSpan(id);  // EndSpan(0) no-op once full
   }
   EXPECT_EQ(trace.spans().size(), 4u);

@@ -52,11 +52,15 @@ std::string Format(const Diagnostic& d) {
 // ---------------------------------------------------------------------------
 
 bool LexedFile::Allowed(int line, const std::string& rule) const {
-  auto has = [&](int l) {
-    return l >= 1 && l <= static_cast<int>(allows.size()) &&
-           allows[static_cast<size_t>(l - 1)].count(rule) != 0;
-  };
-  return has(line) || has(line - 1);
+  for (int l : {line, line - 1}) {
+    if (l < 1 || l > static_cast<int>(allows.size())) continue;
+    const size_t idx = static_cast<size_t>(l - 1);
+    if (allows[idx].count(rule) == 0) continue;
+    used.resize(allows.size());
+    used[idx].insert(rule);
+    return true;
+  }
+  return false;
 }
 
 const TrustedMarker* LexedFile::Trusted(int line, const std::string& rule) const {
@@ -80,10 +84,9 @@ LexedFile Lex(std::string path, const std::string& content) {
     out.allows.resize(std::max(out.allows.size(), static_cast<size_t>(l)));
     out.allows[static_cast<size_t>(l - 1)].insert(std::move(rule));
   };
-  // Harvests hqcheck:allow(rule) and hqcheck:trusted(rule): justification
-  // markers out of comment text spanning [begin, end); `at_line` is the line
-  // the comment starts on (markers in a multi-line block comment land on
-  // their own line).
+  // Harvests allow and trusted markers out of comment text spanning
+  // [begin, end); `at_line` is the line the comment starts on (markers in a
+  // multi-line block comment land on their own line).
   auto harvest = [&](size_t begin, size_t end, int at_line) {
     int l = at_line;
     for (size_t p = begin; p < end;) {
@@ -97,8 +100,11 @@ LexedFile Lex(std::string path, const std::string& content) {
       if (content.compare(p, kMarker.size(), kMarker) == 0) {
         size_t open = p + kMarker.size();
         size_t close = content.find(')', open);
-        if (close != std::string::npos && close < end) {
-          allow_at(l, content.substr(open, close - open));
+        std::string rule = close < end ? content.substr(open, close - open) : "";
+        // Prose like `allow(<rule>)` in a doc comment is not a marker.
+        if (!rule.empty() && rule.find_first_not_of("abcdefghijklmnopqrstuvwxyz-") ==
+                                 std::string::npos) {
+          allow_at(l, std::move(rule));
         }
         p = open;
       } else if (content.compare(p, kTrusted.size(), kTrusted) == 0) {
@@ -147,6 +153,13 @@ LexedFile Lex(std::string path, const std::string& content) {
       // Preprocessor directive: skip to end of line, honouring backslash
       // continuations. Macro bodies are not analysed (HQ_GUARDED_BY's own
       // #define must not register as a declaration).
+      if (out.first_code_line == 0 && out.tokens.empty()) {
+        out.first_code_line = line;
+        std::istringstream words(content.substr(i + 1, content.find('\n', i) - i - 1));
+        std::string pragma, once, extra;
+        out.opens_with_pragma_once =
+            words >> pragma >> once && pragma == "pragma" && once == "once" && !(words >> extra);
+      }
       while (i < n) {
         if (content[i] == '\\' && i + 1 < n && content[i + 1] == '\n') {
           ++line;
@@ -268,6 +281,9 @@ LexedFile Lex(std::string path, const std::string& content) {
     }
     out.tokens.push_back({TokKind::kPunct, punct, line});
     i += punct.size();
+  }
+  if (out.first_code_line == 0 && !out.tokens.empty()) {
+    out.first_code_line = out.tokens.front().line;
   }
   out.line_count = line;
   out.allows.resize(static_cast<size_t>(line));
@@ -803,11 +819,28 @@ using internal::MatchingClose;
 using internal::MutexSite;
 using internal::ResolveRank;
 
+namespace {
+
+/// Mutexes under tests/ or bench/ are test-local: ranked and nesting-checked
+/// like any other, but not part of the production manifest.
+bool TestLocalPath(const std::string& path) {
+  for (const std::string dir : {"tests/", "bench/"}) {
+    const size_t pos = path.find(dir);
+    if (pos != std::string::npos && (pos == 0 || path[pos - 1] == '/')) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Function-body analysis (pass 2)
 // ---------------------------------------------------------------------------
 
 namespace {
+
+const std::set<std::string> kBlockingMembers = {"Put", "PutBatch", "Get",    "Push",
+                                                "Pop", "PopNext",  "Acquire"};
 
 struct LiveLock {
   std::string guard;  // last identifier of the mutex expression
@@ -827,7 +860,8 @@ struct BodyContext {
 };
 
 /// Walks one function body in [open, close] (token indexes of the braces)
-/// and applies the guarded-field, lock-nesting and enum-switch rules.
+/// and applies the guarded-field, lock-nesting, blocking-under-lock and
+/// enum-switch rules.
 void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
   const std::vector<Token>& t = ctx.file->tokens;
   const Declarations& d = *ctx.decls;
@@ -880,8 +914,13 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
              "enumerator must be spelled out"});
   };
 
+  int stmt_line = 0;      // line the current statement starts on
+  int reported_stmt = 0;  // one blocking-under-lock finding per statement
   for (size_t i = open; i <= close && i < t.size(); ++i) {
     const Token& tok = t[i];
+    if (i == open || t[i - 1].text == ";" || t[i - 1].text == "{" || t[i - 1].text == "}") {
+      stmt_line = tok.line;
+    }
     if (tok.kind == TokKind::kPunct) {
       if (tok.text == "{") ++depth;
       if (tok.text == "}") {
@@ -941,17 +980,23 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
         std::string rank = ResolveRank(d, ctx.cls, guard);
         if (!locks.empty() && !pair) {
           const LiveLock& outer = locks.back();
-          if (!rank.empty() && !outer.rank.empty()) {
-            int inner_idx = LockRankIndex(rank);
-            int outer_idx = LockRankIndex(outer.rank);
-            if (inner_idx >= outer_idx && !ctx.file->Allowed(tok.line, "lock-nesting")) {
-              ctx.diags->push_back(
-                  {ctx.file->path, tok.line, "lock-nesting",
-                   "acquiring `" + guard + "` (" + rank + ") while holding `" + outer.guard +
-                       "` (" + outer.rank +
-                       ") is not strictly descending; the runtime validator will abort here "
-                       "— reorder the acquisitions or use MutexLock2 for same-rank pairs"});
-            }
+          // A nesting whose ranks cannot be attributed is unproven, not fine.
+          const bool attributed = !rank.empty() && !outer.rank.empty();
+          if ((!attributed || LockRankIndex(rank) >= LockRankIndex(outer.rank)) &&
+              !ctx.file->Allowed(tok.line, "lock-nesting")) {
+            ctx.diags->push_back(
+                {ctx.file->path, tok.line, "lock-nesting",
+                 attributed
+                     ? "acquiring `" + guard + "` (" + rank + ") while holding `" +
+                           outer.guard + "` (" + outer.rank +
+                           ") is not strictly descending; the runtime validator will abort "
+                           "here — reorder the acquisitions or use MutexLock2 for same-rank "
+                           "pairs"
+                     : "acquiring `" + guard + "` while holding `" + outer.guard +
+                           "`, but the rank of " + (rank.empty() ? guard : outer.guard) +
+                           " cannot be attributed (unranked, or a name declared at several "
+                           "ranks); the order is unproven — rank it unambiguously or use "
+                           "MutexLock2"});
           }
         }
         locks.push_back({guard, rank, depth, tok.line, pair});
@@ -1001,6 +1046,28 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
       }
       i = j;
       continue;
+    }
+
+    // blocking-under-lock: a call that can block while a lock is live (locks
+    // taken outside a lambda do not carry into its body). CondVar waits
+    // release their own lock, so they block only under a second one.
+    if (!locks.empty() && stmt_line != reported_stmt) {
+      const int barrier = lambda_depths.empty() ? 0 : lambda_depths.back();
+      const auto held = std::count_if(locks.begin(), locks.end(),
+                                      [&](const LiveLock& l) { return l.depth >= barrier; });
+      const bool member = internal::IsMemberCall(t, i);
+      const bool blocks =
+          (held >= 1 && member && kBlockingMembers.count(tok.text) != 0) ||
+          (held >= 2 && member && (tok.text == "WaitFor" || tok.text == "WaitUntil")) ||
+          (held >= 1 && internal::SleepCalls().count(tok.text) != 0);
+      if (blocks) {
+        reported_stmt = stmt_line;
+        if (!ctx.file->Allowed(stmt_line, "blocking-under-lock")) {
+          ctx.diags->push_back({ctx.file->path, stmt_line, "blocking-under-lock",
+                                "potential deadlock: `" + tok.text +
+                                    "` can block while a MutexLock is held in this scope"});
+        }
+      }
     }
 
     if (guarded_fields != nullptr && !ctx.ctor_dtor) {
@@ -1089,20 +1156,21 @@ std::vector<Diagnostic> Analyzer::Run() const {
     CollectDeclarations(lexed.back(), &decls);
   }
   for (const LexedFile& f : lexed) {
+    internal::CheckFileRules(f, &diags);
     // sync.h implements the lock primitives themselves; its internals are
-    // the one place the source rules do not apply.
+    // the one place the body rules do not apply.
     if (EndsWith(f.path, "common/sync.h")) continue;
     AnalyzeFile(f, decls, &diags);
   }
 
-  // Lock-rank manifest cross-check.
+  // lock-rank: every construction names a rank; production (non-test,
+  // non-bench) constructions must also agree with the manifest, which is
+  // the source of the DESIGN.md rank table.
+  std::map<std::string, std::string> manifest_ranks;  // label -> rank
+  std::map<std::string, int> manifest_lines;
   if (has_manifest_) {
-    std::vector<ManifestEntry> manifest = ParseManifest(manifest_path_, manifest_, &diags);
-    std::map<std::string, std::string> manifest_ranks;  // label -> rank
-    std::map<std::string, int> manifest_lines;
-    for (const ManifestEntry& e : manifest) {
-      auto it = manifest_ranks.find(e.label);
-      if (it != manifest_ranks.end()) {
+    for (const ManifestEntry& e : ParseManifest(manifest_path_, manifest_, &diags)) {
+      if (manifest_ranks.count(e.label) != 0) {
         diags.push_back({manifest_path_, e.line, "lock-rank",
                          "duplicate manifest entry for mutex `" + e.label + "`"});
         continue;
@@ -1110,59 +1178,57 @@ std::vector<Diagnostic> Analyzer::Run() const {
       manifest_ranks[e.label] = e.rank;
       manifest_lines[e.label] = e.line;
     }
-    std::set<std::string> seen_labels;
-    for (const MutexSite& site : decls.mutex_sites) {
-      if (site.rank.empty()) continue;  // unranked: hqlint's rule owns this
-      auto lexed_it = std::find_if(lexed.begin(), lexed.end(), [&](const LexedFile& f) {
-        return f.path == site.path;
-      });
-      auto allowed = [&](const char* rule) {
-        return lexed_it != lexed.end() && lexed_it->Allowed(site.line, rule);
-      };
-      if (site.label.empty()) {
-        if (!allowed("lock-rank")) {
-          diags.push_back({site.path, site.line, "lock-rank",
-                           "Mutex `" + site.var +
-                               "` is constructed without a name; the lock-rank manifest "
-                               "(tools/hqcheck/lock_ranks.txt) keys on names — pass one: "
-                               "{LockRank::" + site.rank + ", \"<name>\"}"});
-        }
-        continue;
+  }
+  std::set<std::string> seen_labels;
+  for (const MutexSite& site : decls.mutex_sites) {
+    auto lexed_it = std::find_if(lexed.begin(), lexed.end(),
+                                 [&](const LexedFile& f) { return f.path == site.path; });
+    auto report = [&](std::string message) {
+      if (lexed_it == lexed.end() || !lexed_it->Allowed(site.line, "lock-rank")) {
+        diags.push_back({site.path, site.line, "lock-rank", std::move(message)});
       }
-      seen_labels.insert(site.label);
-      auto it = manifest_ranks.find(site.label);
-      if (it == manifest_ranks.end()) {
-        if (!allowed("lock-rank")) {
-          diags.push_back({site.path, site.line, "lock-rank",
-                           "mutex `" + site.label + "` (" + site.rank +
-                               ") is not in tools/hqcheck/lock_ranks.txt; the manifest is "
-                               "the source of truth for the DESIGN.md rank table — add `" +
-                               site.rank + " " + site.label + "`"});
-        }
-      } else if (it->second != site.rank) {
-        if (!allowed("lock-rank")) {
-          diags.push_back({site.path, site.line, "lock-rank",
-                           "mutex `" + site.label + "` is constructed at " + site.rank +
-                               " but the manifest declares " + it->second +
-                               "; fix whichever is wrong"});
-        }
-      }
+    };
+    if (site.rank.empty()) {
+      report("Mutex `" + site.var +
+             "` is declared without a LockRank; every mutex names its level in the lock "
+             "hierarchy (see common::LockRank)");
+      continue;
     }
-    for (const auto& [label, rank] : manifest_ranks) {
-      if (seen_labels.count(label) == 0) {
-        diags.push_back({manifest_path_, manifest_lines[label], "lock-rank",
-                         "manifest mutex `" + label + "` (" + rank +
-                             ") has no construction site in the analysed sources; remove "
-                             "the stale entry or check the spelling"});
-      }
+    if (!has_manifest_ || TestLocalPath(site.path)) continue;
+    if (site.label.empty()) {
+      report("Mutex `" + site.var +
+             "` is constructed without a name; the lock-rank manifest "
+             "(tools/hqcheck/lock_ranks.txt) keys on names — pass one: "
+             "{LockRank::" + site.rank + ", \"<name>\"}");
+      continue;
+    }
+    seen_labels.insert(site.label);
+    auto it = manifest_ranks.find(site.label);
+    if (it == manifest_ranks.end()) {
+      report("mutex `" + site.label + "` (" + site.rank +
+             ") is not in tools/hqcheck/lock_ranks.txt; the manifest is the source of truth "
+             "for the DESIGN.md rank table — add `" + site.rank + " " + site.label + "`");
+    } else if (it->second != site.rank) {
+      report("mutex `" + site.label + "` is constructed at " + site.rank +
+             " but the manifest declares " + it->second + "; fix whichever is wrong");
+    }
+  }
+  for (const auto& [label, rank] : manifest_ranks) {
+    if (seen_labels.count(label) == 0) {
+      diags.push_back({manifest_path_, manifest_lines[label], "lock-rank",
+                       "manifest mutex `" + label + "` (" + rank +
+                           ") has no construction site in the analysed sources; remove "
+                           "the stale entry or check the spelling"});
     }
   }
 
   // Note: var_rank_conflicts (same variable name ranked differently in
   // different classes — the conventional member name `mu_` does this by
-  // design) is not a diagnostic. ResolveRank() answers those lookups from
-  // the per-class map and refuses the ambiguous global fallback, so the
-  // nesting check simply skips locks it cannot attribute.
+  // design) is not a diagnostic by itself. ResolveRank() answers those
+  // lookups from the per-class map and refuses the ambiguous global
+  // fallback, which lock-nesting reports if such a lock is nested.
+
+  internal::AuditAllows(lexed, internal::SourceRules(), &diags);
 
   std::sort(diags.begin(), diags.end(), [](const Diagnostic& a, const Diagnostic& b) {
     if (a.path != b.path) return a.path < b.path;

@@ -7,38 +7,52 @@
 #include <vector>
 
 /// \file hqcheck.h
-/// Second-generation semantic analyzer for the HyperQ tree. Where hqlint
-/// (tools/hqlint) pattern-matches single lines, hqcheck lexes the sources
-/// into tokens, parses declaration scopes, and runs an intraprocedural
-/// dataflow pass per function body, so it can prove contracts hqlint can
-/// only hint at. Self-contained on purpose (no dependency on src/) so the
-/// checker builds even when the tree it is checking does not.
+/// The repo's static analyzer. It lexes the sources into tokens, parses
+/// declaration scopes, and runs an intraprocedural dataflow pass per
+/// function body, plus two whole-program passes and a binary proof.
+/// Self-contained on purpose (no dependency on src/) so the checker builds
+/// even when the tree it is checking does not.
 ///
-/// Source rules (see DESIGN.md "Static analysis v2"):
+/// Source rules (default mode; see DESIGN.md "Static analysis: hqcheck"):
 ///   guarded-field   every read/write of a field declared
 ///                   HQ_GUARDED_BY(mu) happens under a live
 ///                   MutexLock/MutexLock2 on mu or inside a method
 ///                   annotated HQ_REQUIRES(mu). This is clang's
 ///                   thread-safety analysis re-derived lexically, so
 ///                   gcc-only builds get the same race protection.
-///   lock-rank       every `Mutex name{LockRank::kX, "label"}` construction
-///                   must appear in the machine-readable manifest
-///                   (tools/hqcheck/lock_ranks.txt) with the same rank, and
-///                   every manifest entry must correspond to a live
-///                   construction site — the manifest is the single source
-///                   of truth the DESIGN.md table is written from.
+///   lock-rank       every `Mutex` construction names a LockRank, and every
+///                   production (outside tests/ and bench/) construction
+///                   `Mutex name{LockRank::kX, "label"}` appears in the
+///                   machine-readable manifest (tools/hqcheck/lock_ranks.txt)
+///                   with the same rank; every manifest entry must match a
+///                   live production construction site — the manifest is
+///                   the single source of truth the DESIGN.md table is
+///                   written from.
 ///   lock-nesting    a MutexLock acquired while another lock is live must
 ///                   name a mutex of strictly lower rank (resolved through
 ///                   the declared rank of the mutex variable); same-rank
-///                   pairs must use MutexLock2. PR 4's runtime abort,
-///                   moved to lint time.
+///                   pairs must use MutexLock2, and a nesting whose ranks
+///                   cannot be attributed is itself a finding.
 ///   enum-switch     a switch whose case labels name enumerators of a
 ///                   repo-declared enum must cover every enumerator of
 ///                   that enum; `default:` does not count as coverage
 ///                   (it swallows the -Wswitch signal that would otherwise
 ///                   flag the next enumerator someone adds).
+///   naked-mutex     std::mutex / lock_guard / condition_variable (and
+///                   friends) outside common/sync.h.
+///   new-delete      raw `new` outside a unique_ptr/shared_ptr construction
+///                   in the same statement; raw `delete`.
+///   include-hygiene headers open with #pragma once; no `using namespace`.
+///   blocking-under-lock
+///                   Put/Get/Push/Pop/Acquire member calls and sleeps while
+///                   a MutexLock is live; CondVar WaitFor/WaitUntil while a
+///                   *second* lock is held above the waiting one.
+///   unbounded-retry a loop whose condition or body both sleeps and issues
+///                   an I/O-shaped member call without common::RetryPolicy.
+///   stale-allow     an allow marker for a rule the mode ran (or for no
+///                   rule at all) that suppressed nothing.
 ///
-/// Whole-program rules (v3; see DESIGN.md "Static analysis v3"):
+/// Whole-program rules (see DESIGN.md "Whole-program proofs"):
 ///   may-acquire     interprocedural lock proof: per-function may-acquire
 ///                   rank summaries computed to a fixpoint over the repo
 ///                   call graph (scope-parser edges fused with objdump
@@ -58,7 +72,7 @@
 /// The binary-level rule (hotpath-symbol) lives in symbol_proof.cc: a
 /// reachability proof over `objdump -dr` call relocations asserting that no
 /// lock, throw, or per-value allocation symbol is reachable from the
-/// hqlint:hotpath-marked conversion kernels. See HotpathProofOptions.
+/// conversion kernels and decoders. See HotpathProofOptions.
 
 namespace hqcheck {
 
@@ -74,8 +88,8 @@ struct Diagnostic {
   }
 };
 
-/// "path:line: [rule] message" — same shape as hqlint, so editors and the
-/// golden tests treat both tools identically.
+/// "path:line: [rule] message" — the shape editors jump to and the golden
+/// tests compare verbatim.
 std::string Format(const Diagnostic& d);
 
 // ---------------------------------------------------------------------------
@@ -104,18 +118,26 @@ struct LexedFile {
   std::string path;
   std::vector<Token> tokens;                  // kEnd-terminated
   std::vector<std::set<std::string>> allows;  // per line (0-based), from comments
+  // Markers that suppressed a finding, recorded by Allowed() for the
+  // stale-allow audit. Mutable: recording use is bookkeeping, not file state.
+  mutable std::vector<std::set<std::string>> used;
   std::vector<TrustedMarker> trusted;         // in file order
   int line_count = 0;
+  int first_code_line = 0;             // first directive or token, 1-based
+  bool opens_with_pragma_once = false;  // that first line is `#pragma once`
 
-  bool Allowed(int line, const std::string& rule) const;  // line is 1-based
+  /// True when a marker for `rule` sits on `line` (1-based) or the line
+  /// above; the marker is recorded as used. Call only for a real finding.
+  bool Allowed(int line, const std::string& rule) const;
   /// Marker for `rule` on `line` or the line above, or nullptr.
   const TrustedMarker* Trusted(int line, const std::string& rule) const;
 };
 
-/// Lexes C++ source: comments are consumed (harvesting hqcheck:allow
-/// markers), string/char literals become single tokens, multi-char
-/// punctuators (`::`, `->`, `>>` is split — template brackets matter more
-/// than shifts here) are preserved.
+/// Lexes C++ source: comments are consumed (harvesting allow and trusted
+/// markers; an allow rule name is lowercase letters and dashes),
+/// string/char literals become single tokens, multi-char punctuators (`::`,
+/// `->`, `>>` is split — template brackets matter more than shifts here)
+/// are preserved, and preprocessor directives are skipped.
 LexedFile Lex(std::string path, const std::string& content);
 
 // ---------------------------------------------------------------------------
@@ -139,7 +161,7 @@ std::vector<ManifestEntry> ParseManifest(const std::string& path, const std::str
 // ---------------------------------------------------------------------------
 
 /// Options for the interprocedural may-acquire pass (rule `may-acquire`,
-/// defined in interlock.cc; see DESIGN.md "Static analysis v3").
+/// defined in interlock.cc; see DESIGN.md "Whole-program proofs").
 struct InterlockOptions {
   /// Pre-captured `objdump -dr` output. Its relocation edges are fused into
   /// the source call graph as extra summary-propagation edges, covering
@@ -173,9 +195,9 @@ class Analyzer {
   void AddFile(std::string path, std::string content);
 
   /// Provides the lock-rank manifest (contents of lock_ranks.txt). Without
-  /// it the lock-rank rule only checks construction-site consistency, not
-  /// manifest membership, and the interlock runtime diff cannot map mutex
-  /// names back to ranks.
+  /// it the lock-rank rule only checks that every construction names a
+  /// rank, not manifest membership, and the interlock runtime diff cannot
+  /// map mutex names back to ranks.
   void SetManifest(std::string path, std::string content);
 
   /// Runs every rule over every added file. Deterministic: diagnostics are

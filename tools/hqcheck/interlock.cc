@@ -524,13 +524,9 @@ std::vector<Diagnostic> Analyzer::RunInterlock(const InterlockOptions& options,
   // -------------------------------------------------------------------------
   std::map<std::string, const LexedFile*> file_of;
   for (const LexedFile& f : lexed) file_of[f.path] = &f;
-  std::set<std::pair<std::string, int>> consumed_allows;
   auto suppressed = [&](const std::string& path, int line) {
     auto it = file_of.find(path);
-    if (it == file_of.end() || !it->second->Allowed(line, "may-acquire")) return false;
-    consumed_allows.insert({path, line});
-    consumed_allows.insert({path, line - 1});
-    return true;
+    return it != file_of.end() && it->second->Allowed(line, "may-acquire");
   };
 
   size_t under_lock_calls = 0;
@@ -561,18 +557,8 @@ std::vector<Diagnostic> Analyzer::RunInterlock(const InterlockOptions& options,
     }
   }
 
-  // Stale-allow audit for the may-acquire family: a marker that suppressed
-  // nothing is debt that hides the next real finding.
-  for (const LexedFile& f : lexed) {
-    for (size_t l = 0; l < f.allows.size(); ++l) {
-      if (f.allows[l].count("may-acquire") == 0) continue;
-      int line = static_cast<int>(l) + 1;
-      if (consumed_allows.count({f.path, line}) != 0) continue;
-      diags.push_back({f.path, line, "may-acquire",
-                       "stale hqcheck:allow(may-acquire) marker: no finding is suppressed "
-                       "here any more — remove it"});
-    }
-  }
+  // A may-acquire marker that suppressed nothing hides the next real finding.
+  internal::AuditAllows(lexed, {"may-acquire"}, &diags);
 
   // -------------------------------------------------------------------------
   // Cycle check over the static rank edges.

@@ -10,10 +10,10 @@
 #include "hqcheck.h"
 
 /// \file internal.h
-/// Shared plumbing between hqcheck's analysis passes. The v2 rules
-/// (hqcheck.cc), the interprocedural lock pass (interlock.cc) and the taint
-/// pass (taint.cc) all walk the same lexed token streams and share the same
-/// declaration model; this header is the seam between them. Nothing here is
+/// Shared plumbing between hqcheck's analysis passes. The source rules
+/// (hqcheck.cc, file_rules.cc), the interprocedural lock pass (interlock.cc)
+/// and the taint pass (taint.cc) all walk the same lexed token streams and
+/// share the same declaration model; this header is the seam between them. Nothing here is
 /// part of the tool's public contract (that is hqcheck.h) — tests may reach
 /// in, production code must not.
 
@@ -109,6 +109,28 @@ bool EndsWith(const std::string& s, const std::string& suffix);
 using BodyCallback = std::function<void(const std::string& cls, const std::string& method,
                                         bool ctor_dtor, size_t open, size_t close)>;
 void ForEachFunctionBody(const LexedFile& f, const BodyCallback& fn);
+
+// ---------------------------------------------------------------------------
+// File-level token rules and the stale-allow audit (file_rules.cc)
+// ---------------------------------------------------------------------------
+
+/// Every rule the default source mode runs (the audit's `ran` set there).
+const std::set<std::string>& SourceRules();
+
+/// Free functions that block the calling thread (`sleep_for`, `usleep`, ...).
+const std::set<std::string>& SleepCalls();
+
+/// True when t[i] is called as a member: `.name(` or `->name(`.
+bool IsMemberCall(const std::vector<Token>& t, size_t i);
+
+/// naked-mutex, new-delete, include-hygiene and unbounded-retry over `f`.
+void CheckFileRules(const LexedFile& f, std::vector<Diagnostic>* diags);
+
+/// stale-allow: run after every rule of a mode. Reports each allow marker
+/// for a rule in `ran`, or for a rule no mode knows, that suppressed
+/// nothing — unless a `stale-allow` marker parks it.
+void AuditAllows(const std::vector<LexedFile>& lexed, const std::set<std::string>& ran,
+                 std::vector<Diagnostic>* diags);
 
 // ---------------------------------------------------------------------------
 // Binary call graph (objdump -dr relocation edges; defined in symbol_proof.cc)

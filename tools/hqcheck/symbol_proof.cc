@@ -19,7 +19,7 @@
 /// relocation, so the object files give an honest intra-TU call graph —
 /// whatever the optimizer inlined is already flattened into the caller, and
 /// whatever remains is a real out-of-line call. Starting from the
-/// hqlint:hotpath kernel symbols we walk that graph and fail on any
+/// conversion-kernel root symbols we walk that graph and fail on any
 /// reachable lock, throw, or per-value allocation symbol.
 ///
 /// The frontier is an *audited allowlist* (tools/hqcheck/hotpath_allow.txt):
