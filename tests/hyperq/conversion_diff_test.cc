@@ -6,6 +6,7 @@
 #include "common/random.h"
 #include "hyperq/data_converter.h"
 #include "legacy/row_format.h"
+#include "random_quality_spec.h"
 #include "types/date.h"
 
 /// Differential test for the compiled conversion plan: Convert (fused
@@ -14,7 +15,9 @@
 /// RecordError list, same row accounting. Layouts and chunks are generated
 /// from a seeded PRNG so failures reproduce; the generators deliberately
 /// cover NULLs, empty strings, CSV specials embedded in text, malformed
-/// binary records, and vartext arity mismatches.
+/// binary records, and vartext arity mismatches. The quality-gate cases arm
+/// a random constraint spec and diff the fused check ops (under both staging
+/// formats) against ConvertReference's interpretive validator.
 
 namespace hyperq::core {
 namespace {
@@ -319,6 +322,117 @@ TEST(ConversionDiffTest, NonDefaultCsvDelimiterMatchesReference) {
   input.chunk.row_count = 1;
   input.chunk.payload = payload.vector();
   ExpectIdenticalOutput(converter, input);
+}
+
+/// Gate-armed differential: the compiled plan's quarantine stream, row
+/// accounting and quality counters must equal ConvertReference's under
+/// either staging format; the staging bytes are comparable for CSV only
+/// (ConvertReference always renders CSV). Returns the rows quarantined.
+uint64_t ExpectQualityMatchesReference(const DataConverter& converter,
+                                       const ConversionInput& input, bool compare_csv) {
+  auto compiled = converter.Convert(input);
+  auto reference = converter.ConvertReference(input);
+  EXPECT_EQ(compiled.ok(), reference.ok())
+      << "compiled: " << compiled.status().ToString()
+      << " reference: " << reference.status().ToString();
+  if (!compiled.ok() || !reference.ok()) return 0;
+  const ConvertedChunk& c = *compiled;
+  const ConvertedChunk& r = *reference;
+  EXPECT_EQ(c.rows_out, r.rows_out);
+  EXPECT_EQ(c.errors.size(), r.errors.size());
+  if (compare_csv) {
+    EXPECT_EQ(std::string(c.csv.AsSlice().ToStringView()),
+              std::string(r.csv.AsSlice().ToStringView()));
+  }
+  testing_quality::ExpectSameQuality(c, r);
+  return r.quality.rows_quarantined;
+}
+
+TEST(ConversionDiffTest, QualityGateOnBinaryChunksMatchesReference) {
+  // Random layouts x random specs, with a share of truncated payloads so a
+  // record that fails wire decode must contribute nothing to the counters.
+  uint64_t quarantined = 0;
+  for (uint64_t seed = 300; seed < 700; ++seed) {
+    common::Random rng(seed);
+    Schema layout = RandomBinaryLayout(&rng);
+    const TableQualitySpec spec = testing_quality::RandomQualitySpec(layout, &rng, RandomValue);
+    legacy::BinaryRowCodec codec(layout);
+    common::ByteBuffer payload;
+    uint32_t nrows = static_cast<uint32_t>(rng.NextBounded(24));
+    for (uint32_t i = 0; i < nrows; ++i) {
+      types::Row row;
+      for (size_t f = 0; f < layout.num_fields(); ++f) {
+        row.push_back(RandomValue(layout.field(f).type, &rng));
+      }
+      ASSERT_TRUE(codec.EncodeRow(row, &payload).ok()) << "seed " << seed;
+    }
+    std::vector<uint8_t> bytes = payload.vector();
+    if (rng.NextBool(0.2)) bytes.resize(rng.NextBounded(bytes.size() + 1));
+    ConversionInput input;
+    input.first_row_number = 1 + rng.NextBounded(1000);
+    input.chunk.chunk_seq = seed;
+    input.chunk.row_count = nrows;
+    input.chunk.payload = std::move(bytes);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    for (cdw::StagingFormat staging : {cdw::StagingFormat::kCsv, cdw::StagingFormat::kBinary}) {
+      auto converter =
+          DataConverter::Create(layout, DataFormat::kBinary, kLegacyDelimiter, {}, staging, &spec);
+      ASSERT_TRUE(converter.ok()) << converter.status().ToString();
+      quarantined += ExpectQualityMatchesReference(*converter, input,
+                                                   staging == cdw::StagingFormat::kCsv);
+    }
+  }
+  EXPECT_GT(quarantined, 0u);
+}
+
+TEST(ConversionDiffTest, QualityGateOnVartextChunksMatchesReference) {
+  // Vartext fields are VARCHAR, so the spec draws notnull / len / charset /
+  // pattern / require; arity mismatches must not reach the counters.
+  uint64_t quarantined = 0;
+  for (uint64_t seed = 700; seed < 1100; ++seed) {
+    common::Random rng(seed);
+    size_t nfields = 1 + rng.NextBounded(6);
+    Schema layout;
+    for (size_t i = 0; i < nfields; ++i) {
+      std::string name = "V";
+      name += std::to_string(i);
+      layout.AddField(Field(name, TypeDesc::Varchar(30)));
+    }
+    const TableQualitySpec spec = testing_quality::RandomQualitySpec(layout, &rng, RandomValue);
+    common::ByteBuffer payload;
+    uint32_t nrows = static_cast<uint32_t>(rng.NextBounded(20));
+    for (uint32_t i = 0; i < nrows; ++i) {
+      size_t arity = nfields;
+      if (rng.NextBool(0.1)) arity = 1 + rng.NextBounded(nfields + 2);
+      legacy::VartextRecord record;
+      for (size_t f = 0; f < arity; ++f) {
+        legacy::VartextField field;
+        field.null = rng.NextBool(0.2);
+        if (!field.null) field.text = RandomDirtyText(&rng, 10);
+        // The legacy delimiter cannot appear inside a vartext field.
+        for (char& ch : field.text) {
+          if (ch == kLegacyDelimiter) ch = 'a';
+        }
+        record.push_back(std::move(field));
+      }
+      ASSERT_TRUE(legacy::EncodeVartextRecord(record, kLegacyDelimiter, &payload).ok())
+          << "seed " << seed;
+    }
+    ConversionInput input;
+    input.first_row_number = 1 + rng.NextBounded(500);
+    input.chunk.chunk_seq = seed;
+    input.chunk.row_count = nrows;
+    input.chunk.payload = payload.vector();
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    for (cdw::StagingFormat staging : {cdw::StagingFormat::kCsv, cdw::StagingFormat::kBinary}) {
+      auto converter = DataConverter::Create(layout, DataFormat::kVartext, kLegacyDelimiter, {},
+                                             staging, &spec);
+      ASSERT_TRUE(converter.ok()) << converter.status().ToString();
+      quarantined += ExpectQualityMatchesReference(*converter, input,
+                                                   staging == cdw::StagingFormat::kCsv);
+    }
+  }
+  EXPECT_GT(quarantined, 0u);
 }
 
 }  // namespace
