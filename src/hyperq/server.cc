@@ -241,13 +241,18 @@ void HyperQServer::HandleSession(std::shared_ptr<net::Transport> transport) {
     if (msg->parcels.empty()) continue;
     const Parcel& parcel = msg->parcels[0];
     if (m_.parcels_total != nullptr) m_.parcels_total->Increment(msg->parcels.size());
-    // Attribute the parcel's decode cost to the session's active job trace
-    // (decode ran before we knew the owning job, hence post-hoc recording).
-    if (import_job != nullptr && import_job->trace() != nullptr &&
-        parcel.kind == ParcelKind::kDataChunk) {
-      auto end = coalescer.last_decode_end();
-      import_job->trace()->RecordSpan(obs::Phase::kParcelDecode, "decode", 0,
-                                      end - coalescer.last_decode_elapsed(), end);
+    // Attribute the parcel's decode cost to the trace of whichever job the
+    // session serves, import or stream (decode ran before we knew the owning
+    // job, hence post-hoc recording).
+    if (parcel.kind == ParcelKind::kDataChunk) {
+      std::shared_ptr<obs::Trace> trace = import_job != nullptr   ? import_job->trace()
+                                          : stream_job != nullptr ? stream_job->trace()
+                                                                  : nullptr;
+      if (trace != nullptr) {
+        auto end = coalescer.last_decode_end();
+        trace->RecordSpan(obs::Phase::kParcelDecode, "decode", 0,
+                          end - coalescer.last_decode_elapsed(), end);
+      }
     }
 
     switch (parcel.kind) {

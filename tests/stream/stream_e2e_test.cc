@@ -308,6 +308,35 @@ TEST_F(StreamE2eTest, DriftingStreamLandsByteIdenticalToEquivalentBatch) {
   EXPECT_GT(phase_counts[obs::Phase::kFileWrite], 0);
 }
 
+TEST_F(StreamE2eTest, StreamTraceCarriesParcelDecodeSpans) {
+  // A stream's data chunks are decoded by the session like an import's, so
+  // its JobTrace carries one "decode" span per chunk under the stream root.
+  StartNode();
+  auto client = MakeStreamClient();
+  ASSERT_TRUE(client.Begin(MakeBegin()).ok());
+  std::vector<std::string> lines;
+  for (int i = 1; i <= kRowsPerPhase; ++i) {
+    lines.push_back(std::to_string(i) + "|Name" + std::to_string(i) + "|2012-01-01");
+  }
+  ASSERT_TRUE(client.SendLines(lines).ok());
+  ASSERT_TRUE(client.Commit(1000).ok());
+  ASSERT_TRUE(client.End().ok());
+  ASSERT_TRUE(client.Logoff().ok());
+
+  auto trace = node_->JobTrace("strm_e2e");
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  int decode_spans = 0;
+  for (const obs::SpanRecord& span : (*trace)->spans()) {
+    if (span.phase != obs::Phase::kParcelDecode) continue;
+    ++decode_spans;
+    EXPECT_EQ(span.name, "decode");
+    EXPECT_TRUE(span.finished());
+    EXPECT_GE(span.end_micros, span.start_micros);
+  }
+  EXPECT_GT(decode_spans, 0);
+  EXPECT_EQ((*trace)->dropped(), 0u);
+}
+
 TEST_F(StreamE2eTest, DriftingStreamSurvivesInjectedFaultsByteIdentically) {
   // --- Fault-free reference: the same streaming workload. ---
   StartNode();
