@@ -5,15 +5,15 @@
 
 #include "common/bytes.h"
 #include "hyperq/conversion_plan.h"
-#include "types/type.h"
 
 /// \file conversion_columnar.h
-/// The HQB1 columnar encode side of the direct-pipe load path: support types
-/// for the ConversionPlan binary kernel family (conversion_columnar.cc).
-/// Where the CSV kernels append escaped text, the columnar kernels append
-/// typed little-endian staging values into per-column sinks; the builder
-/// assembles the sinks into one self-describing HQB1 block per chunk
-/// (cdw/staging_binary.h) that CDW COPY appends without per-cell parsing.
+/// The HQB1 columnar encode side of the direct-pipe load path: the column
+/// sinks and chunk builder behind ConversionPlan's HQB1 staging sink (the
+/// columnar kernels live in conversion_columnar.cc). Where the CSV kernels
+/// append escaped text, the columnar kernels append typed little-endian
+/// staging values into per-column sinks; the builder assembles the sinks
+/// into one self-describing HQB1 block per chunk (cdw/staging_binary.h)
+/// that CDW COPY appends without per-cell parsing.
 ///
 /// Same hot-loop discipline as the CSV path: steady-state encoding performs
 /// zero per-row heap allocations (sink growth is amortized ByteBuffer
@@ -54,8 +54,8 @@ class ColumnarChunkBuilder {
   void MarkNull(size_t i) { pending_null_[i] = 1; }
 
   /// Appends the canonical NULL cell to column `i` (zero-filled fixed slot /
-  /// empty varlen cell) and marks it NULL — the remap path's "no source
-  /// field" slot, equivalent to what a kernel emits for a NULL indicator.
+  /// empty varlen cell) and marks it NULL — what a kernel emits for a NULL
+  /// indicator, for target slots no source field fills.
   void AppendNullCell(size_t i);
 
   /// Seals the in-progress row: appends HQ_ROWNUM, varlen offsets and null
@@ -77,15 +77,5 @@ class ColumnarChunkBuilder {
   std::vector<uint8_t> pending_null_;
   uint32_t rows_ = 0;
 };
-
-/// Columnar kernel + staging width for a SOURCE layout field type (the
-/// staging width reflects the CDW mapping: BYTEINT widens to SMALLINT,
-/// CHAR wider than the CDW limit stages as varlen).
-struct ColumnKernelInfo {
-  ConversionPlan::ColumnKernel kernel = nullptr;
-  uint32_t staging_width = 0;  ///< 0 = varlen
-};
-
-ColumnKernelInfo ColumnKernelFor(const types::TypeDesc& source_type);
 
 }  // namespace hyperq::core

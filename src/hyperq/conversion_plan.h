@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "cdw/staging_format.h"
@@ -17,10 +18,17 @@
 /// a ConversionPlan is built once per layout at DataConverter::Create time as
 /// a vector of per-field kernel functions (one per TypeId x format) that
 /// decode a field straight off the chunk's ByteReader and append its
-/// CSV-escaped text directly into the output ByteBuffer. Numeric, decimal and
-/// date/timestamp formatting go through fixed-size stack scratch
-/// (std::to_chars-style), so steady-state conversion performs O(1) heap
-/// allocations per row (the output buffer growth, amortized and pooled).
+/// CSV-escaped text (or, for HQB1 staging, its typed cell) directly into the
+/// output. Numeric, decimal and date/timestamp formatting go through
+/// fixed-size stack scratch (std::to_chars-style), so steady-state
+/// conversion performs O(1) heap allocations per row (the output buffer
+/// growth, amortized and pooled).
+///
+/// There is one chunk loop per wire format (legacy binary, vartext). Each
+/// writes through a staging sink — CSV text or an HQB1 block — and always
+/// routes fields through a target slot map, which is the identity unless
+/// the session's layout drifted (METL-style name matching). Staging
+/// encoding and drift remap are therefore plan data, not separate drivers.
 ///
 /// Contract: output bytes and error capture are bit-identical to
 /// DataConverter::ConvertReference — same CSV escaping, same NULL vs
@@ -74,41 +82,27 @@ class ConversionPlan {
     int32_t length = 0;
     /// Worst-case CSV text width for fixed-width types (0 = payload-carried).
     uint32_t width_hint = 0;
-    /// Fixed width of the field's CDW-mapped staging cell (0 = varlen).
-    uint32_t staging_width = 0;
     /// CSV output delimiter (copied here so kernels stay context-free).
     char csv_delimiter = ',';
   };
 
-  /// Compiles a plan for a layout DataConverter::Create already validated
-  /// (non-empty; all-VARCHAR when vartext). When `staging_format` is kBinary,
-  /// `staging_schema` (the MakeStagingSchema result: CDW-mapped columns +
-  /// HQ_ROWNUM) must be supplied; Execute then emits one HQB1 block per
-  /// chunk instead of CSV text.
-  static ConversionPlan Compile(const types::Schema& layout, legacy::DataFormat format,
-                                char legacy_delimiter, cdw::CsvOptions csv_options,
-                                cdw::StagingFormat staging_format = cdw::StagingFormat::kCsv,
-                                const types::Schema* staging_schema = nullptr);
-
-  /// Compiles a schema-drift remap plan: chunks arrive encoded in
-  /// `source_layout` but the staging CSV must keep `target_layout`'s column
-  /// order (the layout the staging table was created from). Fields are
-  /// matched by name, case-insensitively:
+  /// Compiles a plan for chunks encoded in `source_layout` (validated by
+  /// DataConverter: non-empty; all-VARCHAR when vartext) whose staging rows
+  /// keep `target_layout`'s column order. Fields are matched by name,
+  /// case-insensitively; when the two layouts are equal the slot map is the
+  /// identity. Under drift:
   ///   - a source field absent from the target is decoded and dropped,
   ///   - a target field absent from the source becomes NULL,
   ///   - matched fields are emitted in target order with the source kernel.
-  /// Implemented in conversion_remap.cc (off the fused hot path: drift
-  /// windows are rare and correctness beats fusion there).
-  /// With binary staging, `staging_schema` is the TARGET layout's staging
-  /// schema (what the staging table and the block headers carry); the caller
-  /// (DataConverter::CreateRemapped) must already have verified the drift is
-  /// type-stable — every name-matched field keeps its staging type.
-  static ConversionPlan CompileRemapped(const types::Schema& source_layout,
-                                        const types::Schema& target_layout,
-                                        legacy::DataFormat format, char legacy_delimiter,
-                                        cdw::CsvOptions csv_options,
-                                        cdw::StagingFormat staging_format = cdw::StagingFormat::kCsv,
-                                        const types::Schema* staging_schema = nullptr);
+  /// When `staging_format` is kBinary, `staging_schema` (the
+  /// MakeStagingSchema result for the TARGET layout) must be supplied, and
+  /// the drift must be type-stable (DataConverter::CreateRemapped checks);
+  /// Execute then emits one HQB1 block per chunk instead of CSV text.
+  static ConversionPlan Compile(const types::Schema& source_layout,
+                                const types::Schema& target_layout, legacy::DataFormat format,
+                                char legacy_delimiter, cdw::CsvOptions csv_options,
+                                cdw::StagingFormat staging_format = cdw::StagingFormat::kCsv,
+                                const types::Schema* staging_schema = nullptr);
 
   /// Arms the data-quality gate: distributes `quality`'s per-field check ops
   /// into the FieldPlans and keeps the compiled table for cross-field rules
@@ -139,42 +133,52 @@ class ConversionPlan {
 
   size_t num_fields() const { return fields_.size(); }
 
+  /// True when the source layout differs from the target (drift).
   bool remapped() const { return remapped_; }
-  /// Columns emitted per record (target layout width when remapped).
-  size_t num_target_fields() const { return remapped_ ? out_source_.size() : fields_.size(); }
   /// Source fields with no name match in the target (decoded, then dropped).
   size_t dropped_source_fields() const { return dropped_sources_; }
   /// Target slots with no name match in the source (emitted as NULL).
-  size_t nulled_target_fields() const { return nulled_targets_; }
+  size_t nulled_target_fields() const { return nulled_slots_.size(); }
 
  private:
+  /// Staging sinks (defined in conversion_plan.cc): the CSV sink appends
+  /// escaped text to the chunk's output and rolls back by truncation; the
+  /// HQB1 sink wraps a ColumnarChunkBuilder.
+  class CsvSink;
+  class Hqb1Sink;
+
   ConversionPlan() = default;
 
-  common::Status ExecuteBinary(const ConversionInput& input, ConvertedChunk* out) const;
-  common::Status ExecuteVartext(const ConversionInput& input, ConvertedChunk* out) const;
-  common::Status ExecuteRemappedBinary(const ConversionInput& input, ConvertedChunk* out) const;
-  common::Status ExecuteRemappedVartext(const ConversionInput& input, ConvertedChunk* out) const;
-  /// HQB1 columnar drivers (conversion_columnar.cc): same chunk loop and
-  /// error/rollback semantics as the CSV drivers above, emitting one HQB1
-  /// block instead of CSV lines.
-  common::Status ExecuteColumnarBinary(const ConversionInput& input, ConvertedChunk* out) const;
-  common::Status ExecuteColumnarVartext(const ConversionInput& input, ConvertedChunk* out) const;
-  common::Status ExecuteColumnarRemappedBinary(const ConversionInput& input,
-                                               ConvertedChunk* out) const;
-  common::Status ExecuteColumnarRemappedVartext(const ConversionInput& input,
-                                                ConvertedChunk* out) const;
+  /// The two chunk loops, one per wire format. Each owns record framing,
+  /// the RecordError codes and texts, the quality-gate row protocol,
+  /// quarantine diversion and the rows_out / csv_reallocs accounting.
+  template <typename Sink>
+  common::Status ConvertBinaryChunk(const ConversionInput& input, ConvertedChunk* out,
+                                    Sink* sink) const;
+  template <typename Sink>
+  common::Status ConvertVartextChunk(const ConversionInput& input, ConvertedChunk* out,
+                                     Sink* sink) const;
+
   /// Binds the HQB1 encoding state (header template, target widths, column
   /// kernels for `source_layout`'s fields). Defined in conversion_columnar.cc.
   void AttachBinaryStaging(const types::Schema& source_layout,
                            const types::Schema& staging_schema);
-  /// Fused decode+encode of one binary record (fields, HQ_ROWNUM, newline).
-  common::Status BinaryRecordToCsv(common::ByteReader* reader, uint64_t row_number,
-                                   common::ByteBuffer* out, QualityScratch* q) const;
-  /// Same, over an already-framed record body — shared by BinaryRecordToCsv
-  /// and the columnar drivers' quarantine re-render (a violating HQB1 row is
-  /// re-encoded as CSV text for the quarantine stream).
-  common::Status BinaryBodyToCsv(common::Slice record, uint64_t row_number,
-                                 common::ByteBuffer* out, QualityScratch* q) const;
+  /// Frames one binary record body (indicator bytes, then the fields in
+  /// source order) and hands each field to `emit(index, null, body)`;
+  /// fails on a decode error or trailing bytes.
+  template <typename EmitField>
+  common::Status ForEachBinaryField(common::Slice record, EmitField&& emit) const;
+  /// Renders one binary record as a staging CSV line in target order
+  /// (fields, HQ_ROWNUM, newline). Drifted layouts decode into `scratch`
+  /// (per-source-field text, sized on first use) before reordering. Serves
+  /// the CSV sink and the HQB1 sink's quarantine re-render.
+  common::Status BinaryRecordToCsv(common::Slice record, uint64_t row_number,
+                                   common::ByteBuffer* out, QualityScratch* q,
+                                   std::vector<common::ByteBuffer>* scratch) const;
+  /// Renders split vartext fields (source order, plus the empty NULL slot
+  /// at index num_fields()) as a staging CSV line in target order.
+  void VartextRecordToCsv(const std::string_view* fields, uint64_t row_number,
+                          common::ByteBuffer* out) const;
 
   std::vector<FieldPlan> fields_;
   legacy::DataFormat format_ = legacy::DataFormat::kBinary;
@@ -192,13 +196,16 @@ class ConversionPlan {
   std::vector<uint32_t> target_widths_;
   /// Typed-section bytes per row (fixed widths + varlen offsets + bitmap).
   size_t per_row_binary_hint_ = 0;
-  /// Remap mode (CompileRemapped): target slot -> source field index, -1 when
-  /// the target field has no source (NULL). fields_ describes the SOURCE
-  /// layout in remap mode; emission order comes from this table.
-  std::vector<int> out_source_;
+  /// Target slot -> source field index; nulled targets map to num_fields(),
+  /// the always-empty NULL slot of the loops' per-record field arrays.
+  std::vector<uint32_t> out_source_;
+  /// Source field -> target slot, kDroppedField when the target lacks it.
+  std::vector<uint32_t> slot_of_source_;
+  static constexpr uint32_t kDroppedField = UINT32_MAX;
+  /// Target slots with no source field.
+  std::vector<uint32_t> nulled_slots_;
   bool remapped_ = false;
   size_t dropped_sources_ = 0;
-  size_t nulled_targets_ = 0;
   /// Attached quality gate (nullptr = off). Not owned.
   const CompiledQuality* quality_ = nullptr;
 };

@@ -18,11 +18,13 @@ class BufferPool;
 
 /// \file data_converter.h
 /// The DataConverter stage (paper Section 4): converts chunks from the
-/// legacy wire encoding (binary indicdata or vartext) into the CDW staging
-/// CSV format, "detecting null values, handling empty strings, and escaping
-/// special characters" on the fly. Conversion is lazy with respect to the
-/// client: the PXC acknowledges the chunk first and conversion runs in the
-/// background on a worker pool.
+/// legacy wire encoding (binary indicdata or vartext) into CDW staging rows
+/// — CSV text, or typed HQB1 blocks on the binary direct pipe — "detecting
+/// null values, handling empty strings, and escaping special characters" on
+/// the fly. Conversion is lazy with respect to the client: the PXC
+/// acknowledges the chunk first and conversion runs in the background on a
+/// worker pool. Create and CreateRemapped build the same compiled
+/// ConversionPlan; a drifted layout only changes the plan's slot map.
 ///
 /// Each converted record gains a trailing HQ_ROWNUM column carrying its
 /// global input row number — the handle the adaptive error handler uses to
@@ -141,10 +143,15 @@ class DataConverter {
   const CompiledQuality* quality() const { return quality_.get(); }
 
  private:
-  DataConverter(types::Schema layout, legacy::DataFormat format, char delimiter,
-                cdw::CsvOptions csv_options, cdw::StagingFormat staging_format,
-                const types::Schema* staging_schema,
-                std::unique_ptr<CompiledQuality> quality);
+  /// Shared by Create and CreateRemapped: validates the wire layout, compiles
+  /// the quality spec against it and builds the plan for `target_layout`.
+  static common::Result<DataConverter> Make(types::Schema source_layout,
+                                            const types::Schema& target_layout,
+                                            legacy::DataFormat format, char delimiter,
+                                            cdw::CsvOptions csv_options,
+                                            cdw::StagingFormat staging_format,
+                                            const TableQualitySpec* quality,
+                                            bool allow_missing_columns);
   DataConverter(types::Schema source_layout, const types::Schema& target_layout,
                 legacy::DataFormat format, char delimiter, cdw::CsvOptions csv_options,
                 cdw::StagingFormat staging_format, const types::Schema* staging_schema,

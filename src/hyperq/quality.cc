@@ -313,7 +313,7 @@ bool TypeIsOrderable(types::TypeId id) {
 }
 
 /// CSV-escapes one field with the exact convention of the staging encoder
-/// (EncodeCsvRecord / conversion_text.h): quote when the field contains the
+/// (EncodeCsvRecord / conversion_plan.cc): quote when the field contains the
 /// delimiter, a quote, or a newline; double embedded quotes.
 void AppendCsvEscaped(std::string_view field, char delimiter, std::string* out) {
   bool needs_quote = field.empty();

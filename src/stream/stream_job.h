@@ -47,7 +47,7 @@
 ///
 /// Schema drift: a StreamLayout parcel switches the session's conversion
 /// plan. Name-matched fields are remapped into the original target layout
-/// (see ConversionPlan::CompileRemapped); new fields with no target are
+/// (see DataConverter::CreateRemapped); new fields with no target are
 /// dropped (counted), removed fields become NULLs. The staging table, DML
 /// binding and HQ_ROWNUM bookkeeping all stay in the original layout, which
 /// is what makes a drifting stream land byte-identical to a batch run of the
