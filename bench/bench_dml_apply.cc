@@ -1,0 +1,263 @@
+/// Join DML apply cost in the embedded CDW: MERGE, UPDATE…FROM and
+/// DELETE…USING of a staging table into a keyed target, |S| = |T| = N.
+///
+/// The statements are the shapes Hyper-Q's binder emits for a keyed upsert,
+/// update and delete (paper §6), each restricted to the staged row range the
+/// way §7's adaptive applier issues them. Half the staged keys exist in the
+/// target. Every statement is timed on a freshly loaded target; the table
+/// reports milliseconds per statement at each N and the growth ratio per
+/// doubling of N. An O(|S|+|T|) join grows about 2x per doubling; a nested
+/// loop grows 4x.
+///
+///   bench_dml_apply [--reps=N] [--json=PATH] [--smoke]
+///
+/// --json writes a machine-readable BENCH_dml.json. Every run fails (exit 1)
+/// when a statement's counts are wrong, a statement leaves the hash path, or
+/// a doubling ratio exceeds 3x. Ratios use the fastest of the repetitions,
+/// which shrugs off interference from other processes better than the
+/// median. --smoke runs fewer repetitions for CI.
+
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "cdw/catalog.h"
+#include "cdw/executor.h"
+#include "common/stopwatch.h"
+#include "sql/parser.h"
+#include "workload/report.h"
+
+using namespace hyperq;
+
+namespace {
+
+constexpr size_t kSizes[] = {1000, 2000, 4000, 8000};
+constexpr double kMaxDoublingRatio = 3.0;
+constexpr double kMerge8kTargetMs = 50.0;  // ROADMAP item 1
+
+int Usage() {
+  std::fprintf(stderr, "usage: bench_dml_apply [--reps=N] [--json=PATH] [--smoke]\n");
+  return 2;
+}
+
+std::string Key(size_t k) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "K%09zu", k);
+  return buf;
+}
+
+struct Statement {
+  const char* name;
+  std::string sql;
+  uint64_t expect_inserted;
+  uint64_t expect_updated;
+  uint64_t expect_deleted;
+};
+
+std::vector<Statement> Statements(size_t n) {
+  const std::string range = "HQ_ROWNUM BETWEEN 1 AND " + std::to_string(n);
+  return {
+      {"MERGE",
+       "MERGE INTO TGT T USING (SELECT * FROM STG WHERE " + range +
+           ") S ON T.CUST_ID = S.CUST_ID "
+           "WHEN MATCHED THEN UPDATE SET CUST_NAME = TRIM(S.CUST_NAME), "
+           "BALANCE = CAST(S.BALANCE AS INTEGER) "
+           "WHEN NOT MATCHED THEN INSERT VALUES (S.CUST_ID, TRIM(S.CUST_NAME), "
+           "CAST(S.BALANCE AS INTEGER))",
+       n - n / 2, n / 2, 0},
+      {"UPDATE...FROM",
+       "UPDATE TGT T SET CUST_NAME = TRIM(S.CUST_NAME), BALANCE = CAST(S.BALANCE AS INTEGER) "
+       "FROM STG S WHERE T.CUST_ID = S.CUST_ID AND S." +
+           range,
+       0, n / 2, 0},
+      {"DELETE...USING",
+       "DELETE FROM TGT T USING STG S WHERE T.CUST_ID = S.CUST_ID AND S." + range, 0, 0,
+       n / 2},
+  };
+}
+
+/// Recreates TGT with keys 1..n and STG with n rows, half of them existing
+/// keys (odd ones) and half new keys past n.
+void Load(cdw::Catalog* catalog, size_t n) {
+  (void)catalog->DropTable("TGT", /*if_exists=*/true);
+  (void)catalog->DropTable("STG", /*if_exists=*/true);
+  types::Schema target;
+  target.AddField(types::Field("CUST_ID", types::TypeDesc::Varchar(12), false));
+  target.AddField(types::Field("CUST_NAME", types::TypeDesc::Varchar(24)));
+  target.AddField(types::Field("BALANCE", types::TypeDesc::Int32()));
+  auto tgt = catalog->CreateTable("TGT", target, {"CUST_ID"}, /*unique_primary=*/true);
+  types::Schema staging;
+  staging.AddField(types::Field("CUST_ID", types::TypeDesc::Varchar(12)));
+  staging.AddField(types::Field("CUST_NAME", types::TypeDesc::Varchar(24)));
+  staging.AddField(types::Field("BALANCE", types::TypeDesc::Varchar(12)));
+  staging.AddField(types::Field("HQ_ROWNUM", types::TypeDesc::Int64()));
+  auto stg = catalog->CreateTable("STG", staging);
+  if (!tgt.ok() || !stg.ok()) {
+    std::fprintf(stderr, "table setup failed\n");
+    std::exit(1);
+  }
+  std::vector<types::Row> target_rows;
+  std::vector<types::Row> staging_rows;
+  for (size_t k = 1; k <= n; ++k) {
+    target_rows.push_back({types::Value::String(Key(k)), types::Value::String("name"),
+                           types::Value::Int(static_cast<int64_t>(k))});
+    const size_t key = k % 2 == 1 ? k : n + k;
+    staging_rows.push_back({types::Value::String(Key(key)), types::Value::String(" new name "),
+                            types::Value::String(std::to_string(k * 7)),
+                            types::Value::Int(static_cast<int64_t>(k))});
+  }
+  if (!(*tgt)->AppendRows(std::move(target_rows)).ok() ||
+      !(*stg)->AppendRows(std::move(staging_rows)).ok()) {
+    std::fprintf(stderr, "table load failed\n");
+    std::exit(1);
+  }
+}
+
+struct Timing {
+  double min_ms = 0;
+  double median_ms = 0;
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  int reps = 9;
+  std::string json_path;
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.rfind("--reps=", 0) == 0) {
+      reps = static_cast<int>(std::strtol(arg.c_str() + 7, nullptr, 10));
+      if (reps <= 0) return Usage();
+    } else if (arg.rfind("--json=", 0) == 0) {
+      json_path = arg.substr(7);
+    } else if (arg == "--smoke") {
+      reps = 7;
+    } else {
+      return Usage();
+    }
+  }
+
+  std::printf("=== Join DML apply: |S| = |T| = N, half the keys matching ===\n");
+  const std::vector<Statement> shapes = Statements(kSizes[0]);
+  constexpr size_t kNumSizes = std::size(kSizes);
+  // [statement][size]: the parsed statement and one time per repetition.
+  std::vector<std::vector<sql::StatementPtr>> parsed(shapes.size());
+  std::vector<std::vector<std::vector<double>>> ms(shapes.size(),
+                                                   std::vector<std::vector<double>>(kNumSizes));
+  for (size_t i = 0; i < kNumSizes; ++i) {
+    const std::vector<Statement> statements = Statements(kSizes[i]);
+    for (size_t s = 0; s < statements.size(); ++s) {
+      auto stmt = sql::ParseStatement(statements[s].sql);
+      if (!stmt.ok()) {
+        std::fprintf(stderr, "%s: %s\n", statements[s].name, stmt.status().ToString().c_str());
+        return 1;
+      }
+      parsed[s].push_back(std::move(stmt).ValueOrDie());
+    }
+  }
+  bool ok = true;
+  cdw::Catalog catalog;
+  cdw::Executor executor(&catalog);
+  cdw::ExecOptions options;
+  options.enforce_unique_primary = true;
+  // Repetitions go round-robin over the sizes, so a burst of load from other
+  // processes lands on every size alike instead of skewing one ratio.
+  for (int r = 0; r < reps; ++r) {
+    for (size_t i = 0; i < kNumSizes; ++i) {
+      const size_t n = kSizes[i];
+      const std::vector<Statement> statements = Statements(n);
+      for (size_t s = 0; s < statements.size(); ++s) {
+        const Statement& st = statements[s];
+        Load(&catalog, n);
+        common::Stopwatch watch;
+        auto result = executor.Execute(*parsed[s][i], options);
+        ms[s][i].push_back(watch.ElapsedSeconds() * 1e3);
+        if (!result.ok()) {
+          std::fprintf(stderr, "%s at N=%zu: %s\n", st.name, n,
+                       result.status().ToString().c_str());
+          return 1;
+        }
+        if (result->rows_inserted != st.expect_inserted ||
+            result->rows_updated != st.expect_updated ||
+            result->rows_deleted != st.expect_deleted) {
+          std::fprintf(stderr, "%s at N=%zu: wrong counts (ins %" PRIu64 ", upd %" PRIu64
+                       ", del %" PRIu64 ")\n",
+                       st.name, n, result->rows_inserted, result->rows_updated,
+                       result->rows_deleted);
+          ok = false;
+        }
+        if (result->join_path != cdw::JoinPath::kHash) {
+          std::fprintf(stderr, "%s at N=%zu: left the hash path\n", st.name, n);
+          ok = false;
+        }
+      }
+    }
+  }
+  std::vector<std::vector<Timing>> timings(shapes.size());  // [statement][size]
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    for (std::vector<double>& runs : ms[s]) {
+      std::sort(runs.begin(), runs.end());
+      timings[s].push_back(Timing{runs.front(), runs[runs.size() / 2]});
+    }
+  }
+
+  workload::ReportTable table(
+      {"statement", "N", "median ms", "min ms", "us/row", "x per doubling (min)"});
+  char buf[64];
+  auto fmt = [&](const char* f, double v) {
+    std::snprintf(buf, sizeof(buf), f, v);
+    return std::string(buf);
+  };
+  std::vector<std::vector<double>> ratios(shapes.size());
+  bool linear = true;
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    for (size_t i = 0; i < kNumSizes; ++i) {
+      const Timing& t = timings[s][i];
+      std::string ratio = "-";
+      if (i > 0) {
+        const double x = t.min_ms / timings[s][i - 1].min_ms;
+        ratios[s].push_back(x);
+        ratio = fmt("%.2f", x);
+        linear = linear && x <= kMaxDoublingRatio;
+      }
+      table.AddRow({shapes[s].name, std::to_string(kSizes[i]), fmt("%.3f", t.median_ms),
+                    fmt("%.3f", t.min_ms), fmt("%.2f", t.median_ms * 1e3 / kSizes[i]), ratio});
+    }
+  }
+  table.Print();
+  const double merge_8k = timings[0].back().median_ms;
+  std::printf("MERGE %zux%zu: %.2f ms (target < %.0f ms: %s)\n", kSizes[3], kSizes[3], merge_8k,
+              kMerge8kTargetMs, merge_8k < kMerge8kTargetMs ? "YES" : "NO");
+  std::printf("doubling ratios <= %.1fx (linear, not quadratic): %s\n", kMaxDoublingRatio,
+              linear ? "YES" : "NO");
+
+  if (!json_path.empty()) {
+    std::string json = "{\n  \"benchmark\": \"bench_dml_apply\",\n";
+    json += "  \"reps\": " + std::to_string(reps) + ",\n  \"results\": {\n";
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      json += std::string("    \"") + shapes[s].name + "\": {\n";
+      for (size_t i = 0; i < kNumSizes; ++i) {
+        json += "      \"" + std::to_string(kSizes[i]) + "\": {\"median_ms\": " +
+                fmt("%.3f", timings[s][i].median_ms) + ", \"min_ms\": " +
+                fmt("%.3f", timings[s][i].min_ms) + "},\n";
+      }
+      json += "      \"doubling_ratios\": [";
+      for (size_t i = 0; i < ratios[s].size(); ++i) {
+        json += (i > 0 ? ", " : "") + fmt("%.2f", ratios[s][i]);
+      }
+      json += std::string("]\n    }") + (s + 1 < shapes.size() ? "," : "") + "\n";
+    }
+    json += "  }\n}\n";
+    std::ofstream file(json_path, std::ios::binary | std::ios::trunc);
+    file << json;
+    if (!file) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+      return 1;
+    }
+  }
+  return ok && linear ? 0 : 1;
+}

@@ -11,7 +11,7 @@
 #   ci/check.sh default      # just the default preset build + tests
 #   ci/check.sh asan tsan    # just those sanitizer presets
 #   ci/check.sh ubsan        # UBSan with -fno-sanitize-recover=all
-#   ci/check.sh bench-smoke  # just the conversion-plan perf gate
+#   ci/check.sh bench-smoke  # just the perf gates (conversion plan, join DML, ...)
 #   ci/check.sh chaos-smoke  # chaos differential + fault-layer cost gate
 #   ci/check.sh perfbench-smoke  # short traced run of every end-to-end workload
 set -euo pipefail
@@ -146,7 +146,7 @@ for stage in "${STAGES[@]}"; do
       echo "=== bench-smoke: compiled conversion plan vs reference ==="
       cmake --preset default
       cmake --build --preset default -j "$JOBS" \
-        --target bench_ablation_convert bench_stream bench_csv_scan
+        --target bench_ablation_convert bench_stream bench_csv_scan bench_dml_apply
       ctest --preset default -R '^bench_smoke$' --output-on-failure
       ctest --preset default -R '^bench_smoke_binary$' --output-on-failure
       # Streaming micro-batch gate: exactly-once correctness across commits,
@@ -157,6 +157,10 @@ for stage in "${STAGES[@]}"; do
       # SWAR CSV scan: both scan paths must parse identically (the speedup is
       # gated only on full runs; debug-build timing is noise).
       ctest --preset default -R '^bench_csv_scan_smoke$' --output-on-failure
+      # Join DML apply: MERGE, UPDATE...FROM and DELETE...USING must grow
+      # linearly in |S|+|T| (no doubling of N may cost more than 3x; a
+      # nested loop costs 4x) and stay on the hash path (see BENCH_dml.json).
+      ctest --preset default -R '^bench_dml_apply_smoke$' --output-on-failure
       # Data-quality gate cost: the fused per-field check ops must stay
       # within 2% of the gate-off kernels (plus the run's own measured A/A
       # noise floor) on clean data, for the text AND columnar families.

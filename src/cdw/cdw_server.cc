@@ -24,11 +24,19 @@ CdwServer::CdwServer(cloud::ObjectStore* store, CdwServerOptions options)
     copy_csv_files_total_ = options_.metrics->GetCounter("hyperq_copy_csv_files_total");
     copy_csv_rows_total_ = options_.metrics->GetCounter("hyperq_copy_csv_rows_total");
     copy_csv_bytes_total_ = options_.metrics->GetCounter("hyperq_copy_csv_bytes_total");
+    join_hash_total_ = options_.metrics->GetCounter("cdw_join_hash_total");
+    join_nested_loop_total_ = options_.metrics->GetCounter("cdw_join_nested_loop_total");
   }
 }
 
 void CdwServer::PayStartupCost(int64_t micros) const {
   if (micros > 0) std::this_thread::sleep_for(std::chrono::microseconds(micros));
+}
+
+void CdwServer::CountJoinPath(const Result<ExecResult>& result) const {
+  if (!result.ok() || join_hash_total_ == nullptr) return;
+  if (result->join_path == JoinPath::kHash) join_hash_total_->Increment();
+  if (result->join_path == JoinPath::kNestedLoop) join_nested_loop_total_->Increment();
 }
 
 Result<ExecResult> CdwServer::ExecuteSql(std::string_view sql, const ExecOptions& options) {
@@ -41,7 +49,9 @@ Result<ExecResult> CdwServer::ExecuteSql(std::string_view sql, const ExecOptions
   PayStartupCost(options_.statement_startup_micros);
   common::MutexLock lock(&mu_);
   ++statements_executed_;
-  return executor_.ExecuteSql(sql, options);
+  Result<ExecResult> result = executor_.ExecuteSql(sql, options);
+  CountJoinPath(result);
+  return result;
 }
 
 Result<ExecResult> CdwServer::Execute(const sql::Statement& stmt, const ExecOptions& options) {
@@ -51,7 +61,9 @@ Result<ExecResult> CdwServer::Execute(const sql::Statement& stmt, const ExecOpti
   PayStartupCost(options_.statement_startup_micros);
   common::MutexLock lock(&mu_);
   ++statements_executed_;
-  return executor_.Execute(stmt, options);
+  Result<ExecResult> result = executor_.Execute(stmt, options);
+  CountJoinPath(result);
+  return result;
 }
 
 Result<uint64_t> CdwServer::CopyInto(const std::string& table_name, const std::string& prefix,

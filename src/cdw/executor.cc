@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "cdw/join_dml.h"
 #include "common/string_util.h"
 #include "sql/parser.h"
 
@@ -54,14 +55,6 @@ EvalContext MakeContext(const std::vector<Source>& sources, const std::vector<Ro
     ctx.AddBinding(sources[i].alias, &sources[i].table->schema(), &rows[i]);
   }
   return ctx;
-}
-
-Result<bool> PredicateTrue(const sql::Expr* where, const EvalContext& ctx) {
-  if (where == nullptr) return true;
-  HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*where, ctx));
-  if (v.is_null()) return false;
-  if (!v.is_boolean()) return Status::TypeError("WHERE predicate is not boolean");
-  return v.boolean();
 }
 
 /// Key of the declared unique primary key for one row.
@@ -615,23 +608,27 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
     assign_cols.push_back(idx);
   }
 
-  // Stage: row index -> new full row.
-  std::vector<std::pair<size_t, Row>> staged;
-  std::vector<size_t> touched_rows;
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    Row target_row = table->GetRow(r);
-    bool matched = false;
-    Row new_row;
-    auto try_source = [&](const Row* source_row) -> Status {
+  // With FROM, `matcher` pairs each target row with its first matching
+  // source row; without, the WHERE sees the target row alone.
+  auto run = [&](JoinMatcher* matcher) -> Result<ExecResult> {
+    // Stage: row index -> new full row.
+    std::vector<std::pair<size_t, Row>> staged;
+    std::vector<size_t> touched_rows;
+    Row source_row;
+    for (size_t r = 0; r < table->num_rows(); ++r) {
+      Row target_row = table->GetRow(r);
       EvalContext ctx;
       ctx.AddBinding(target_alias, &table->schema(), &target_row);
-      if (source_row != nullptr) {
-        ctx.AddBinding(from_alias, &from_table->schema(), source_row);
+      if (matcher != nullptr) {
+        HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher->Match(r, target_row, /*want_unique=*/false));
+        if (match.row < 0) continue;
+        source_row = from_table->GetRow(static_cast<size_t>(match.row));
+        ctx.AddBinding(from_alias, &from_table->schema(), &source_row);
+      } else {
+        HQ_ASSIGN_OR_RETURN(bool ok, PredicateTrue(stmt.where.get(), ctx));
+        if (!ok) continue;
       }
-      HQ_ASSIGN_OR_RETURN(bool ok, PredicateTrue(stmt.where.get(), ctx));
-      if (!ok) return Status::OK();
-      matched = true;
-      new_row = target_row;
+      Row new_row = target_row;
       for (size_t i = 0; i < stmt.assignments.size(); ++i) {
         HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*stmt.assignments[i].value, ctx));
         const types::Field& field = table->schema().field(assign_cols[i]);
@@ -641,35 +638,28 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
         }
         new_row[assign_cols[i]] = std::move(coerced);
       }
-      return Status::OK();
-    };
-    if (from_table) {
-      for (size_t s = 0; s < from_table->num_rows() && !matched; ++s) {
-        Row source_row = from_table->GetRow(s);
-        HQ_RETURN_NOT_OK(try_source(&source_row));
-      }
-    } else {
-      HQ_RETURN_NOT_OK(try_source(nullptr));
-    }
-    if (matched) {
       staged.emplace_back(r, std::move(new_row));
       touched_rows.push_back(r);
     }
-  }
 
-  if (options.enforce_unique_primary && table->unique_primary()) {
-    std::vector<Row> new_rows;
-    new_rows.reserve(staged.size());
-    for (const auto& [r, row] : staged) new_rows.push_back(row);
-    HQ_RETURN_NOT_OK(CheckUniqueness(*table, new_rows, &touched_rows));
-  }
+    if (options.enforce_unique_primary && table->unique_primary()) {
+      std::vector<Row> new_rows;
+      new_rows.reserve(staged.size());
+      for (const auto& [r, row] : staged) new_rows.push_back(row);
+      HQ_RETURN_NOT_OK(CheckUniqueness(*table, new_rows, &touched_rows));
+    }
 
-  for (auto& [r, row] : staged) {
-    HQ_RETURN_NOT_OK(table->ReplaceRow(r, std::move(row)));
-  }
-  ExecResult result;
-  result.rows_updated = staged.size();
-  return result;
+    for (auto& [r, row] : staged) {
+      HQ_RETURN_NOT_OK(table->ReplaceRow(r, std::move(row)));
+    }
+    ExecResult result;
+    result.rows_updated = staged.size();
+    return result;
+  };
+  if (!from_table) return run(nullptr);
+  JoinSides sides{table.get(), target_alias, from_table.get(), from_alias, stmt.where.get(),
+                  /*drive_source=*/false};
+  return RunJoinDml(sides, hash_join_, [&](JoinMatcher& matcher) { return run(&matcher); });
 }
 
 // --- DELETE -----------------------------------------------------------------
@@ -685,29 +675,32 @@ Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt) {
     using_alias = stmt.using_table.alias.empty() ? stmt.using_table.name : stmt.using_table.alias;
   }
 
-  std::vector<size_t> doomed;
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    Row target_row = table->GetRow(r);
-    bool matched = false;
-    if (using_table) {
-      for (size_t s = 0; s < using_table->num_rows() && !matched; ++s) {
-        Row source_row = using_table->GetRow(s);
+  // With USING, a target row goes when `matcher` pairs it with any source
+  // row; without, when the WHERE holds on it alone.
+  auto run = [&](JoinMatcher* matcher) -> Result<ExecResult> {
+    std::vector<size_t> doomed;
+    for (size_t r = 0; r < table->num_rows(); ++r) {
+      Row target_row = table->GetRow(r);
+      bool matched = false;
+      if (matcher != nullptr) {
+        HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher->Match(r, target_row, /*want_unique=*/false));
+        matched = match.row >= 0;
+      } else {
         EvalContext ctx;
         ctx.AddBinding(target_alias, &table->schema(), &target_row);
-        ctx.AddBinding(using_alias, &using_table->schema(), &source_row);
         HQ_ASSIGN_OR_RETURN(matched, PredicateTrue(stmt.where.get(), ctx));
       }
-    } else {
-      EvalContext ctx;
-      ctx.AddBinding(target_alias, &table->schema(), &target_row);
-      HQ_ASSIGN_OR_RETURN(matched, PredicateTrue(stmt.where.get(), ctx));
+      if (matched) doomed.push_back(r);
     }
-    if (matched) doomed.push_back(r);
-  }
-  HQ_RETURN_NOT_OK(table->RemoveRows(doomed));
-  ExecResult result;
-  result.rows_deleted = doomed.size();
-  return result;
+    HQ_RETURN_NOT_OK(table->RemoveRows(doomed));
+    ExecResult result;
+    result.rows_deleted = doomed.size();
+    return result;
+  };
+  if (!using_table) return run(nullptr);
+  JoinSides sides{table.get(), target_alias, using_table.get(), using_alias, stmt.where.get(),
+                  /*drive_source=*/false};
+  return RunJoinDml(sides, hash_join_, [&](JoinMatcher& matcher) { return run(&matcher); });
 }
 
 // --- MERGE ------------------------------------------------------------------
@@ -718,94 +711,86 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
   std::string target_alias = stmt.target.alias.empty() ? stmt.target.name : stmt.target.alias;
   std::string source_alias = stmt.source.alias.empty() ? stmt.source.name : stmt.source.alias;
 
-  // Snapshot of target rows for matching (MERGE matches pre-statement state).
-  const size_t target_rows_before = target->num_rows();
-
   std::vector<size_t> update_cols;
   for (const auto& a : stmt.matched_update) {
     HQ_ASSIGN_OR_RETURN(size_t idx, target->schema().RequireFieldIndex(a.column));
     update_cols.push_back(idx);
   }
 
-  std::vector<std::pair<size_t, Row>> staged_updates;
-  std::vector<size_t> touched_rows;
-  std::vector<Row> staged_inserts;
+  // The matcher pairs source rows with the pre-statement target: nothing is
+  // written until every source row has been matched.
+  JoinSides sides{target.get(), target_alias, source.get(), source_alias, stmt.on.get(),
+                  /*drive_source=*/true};
+  return RunJoinDml(sides, hash_join_, [&](JoinMatcher& matcher) -> Result<ExecResult> {
+    std::vector<std::pair<size_t, Row>> staged_updates;
+    std::vector<size_t> touched_rows;
+    std::vector<Row> staged_inserts;
 
-  for (size_t s = 0; s < source->num_rows(); ++s) {
-    Row source_row = source->GetRow(s);
-    if (stmt.source_filter) {
-      EvalContext filter_ctx;
-      filter_ctx.AddBinding(source_alias, &source->schema(), &source_row);
-      HQ_ASSIGN_OR_RETURN(bool pass, PredicateTrue(stmt.source_filter.get(), filter_ctx));
-      if (!pass) continue;
-    }
-    int matched_target = -1;
-    for (size_t t = 0; t < target_rows_before; ++t) {
-      Row target_row = target->GetRow(t);
-      EvalContext ctx;
-      ctx.AddBinding(target_alias, &target->schema(), &target_row);
-      ctx.AddBinding(source_alias, &source->schema(), &source_row);
-      HQ_ASSIGN_OR_RETURN(bool on, PredicateTrue(stmt.on.get(), ctx));
-      if (on) {
-        if (matched_target >= 0) {
-          return Status::Invalid("MERGE source row matches multiple target rows");
+    for (size_t s = 0; s < source->num_rows(); ++s) {
+      Row source_row = source->GetRow(s);
+      if (stmt.source_filter) {
+        EvalContext filter_ctx;
+        filter_ctx.AddBinding(source_alias, &source->schema(), &source_row);
+        HQ_ASSIGN_OR_RETURN(bool pass, PredicateTrue(stmt.source_filter.get(), filter_ctx));
+        if (!pass) continue;
+      }
+      HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher.Match(s, source_row, /*want_unique=*/true));
+      if (match.multiple) return Status::Invalid("MERGE source row matches multiple target rows");
+      if (match.row >= 0) {
+        if (stmt.matched_update.empty()) continue;
+        const auto matched_target = static_cast<size_t>(match.row);
+        Row target_row = target->GetRow(matched_target);
+        EvalContext ctx;
+        ctx.AddBinding(target_alias, &target->schema(), &target_row);
+        ctx.AddBinding(source_alias, &source->schema(), &source_row);
+        Row new_row = target_row;
+        for (size_t i = 0; i < stmt.matched_update.size(); ++i) {
+          HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*stmt.matched_update[i].value, ctx));
+          const types::Field& field = target->schema().field(update_cols[i]);
+          HQ_ASSIGN_OR_RETURN(Value coerced, types::CastValue(v, field.type));
+          if (coerced.is_null() && !field.nullable) {
+            return Status::ConversionError("NULL value in NOT NULL column " + field.name);
+          }
+          new_row[update_cols[i]] = std::move(coerced);
         }
-        matched_target = static_cast<int>(t);
-      }
-    }
-    if (matched_target >= 0) {
-      if (stmt.matched_update.empty()) continue;
-      Row target_row = target->GetRow(static_cast<size_t>(matched_target));
-      EvalContext ctx;
-      ctx.AddBinding(target_alias, &target->schema(), &target_row);
-      ctx.AddBinding(source_alias, &source->schema(), &source_row);
-      Row new_row = target_row;
-      for (size_t i = 0; i < stmt.matched_update.size(); ++i) {
-        HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*stmt.matched_update[i].value, ctx));
-        const types::Field& field = target->schema().field(update_cols[i]);
-        HQ_ASSIGN_OR_RETURN(Value coerced, types::CastValue(v, field.type));
-        if (coerced.is_null() && !field.nullable) {
-          return Status::ConversionError("NULL value in NOT NULL column " + field.name);
+        staged_updates.emplace_back(matched_target, std::move(new_row));
+        touched_rows.push_back(matched_target);
+      } else {
+        if (stmt.insert_values.empty()) continue;
+        EvalContext ctx;
+        ctx.AddBinding(source_alias, &source->schema(), &source_row);
+        Row values;
+        values.reserve(stmt.insert_values.size());
+        for (const auto& e : stmt.insert_values) {
+          HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, ctx));
+          values.push_back(std::move(v));
         }
-        new_row[update_cols[i]] = std::move(coerced);
+        HQ_ASSIGN_OR_RETURN(Row positioned,
+                            ApplyColumnList(*target, stmt.insert_columns, std::move(values)));
+        HQ_ASSIGN_OR_RETURN(Row coerced, CoerceRowToTable(*target, positioned));
+        staged_inserts.push_back(std::move(coerced));
       }
-      staged_updates.emplace_back(static_cast<size_t>(matched_target), std::move(new_row));
-      touched_rows.push_back(static_cast<size_t>(matched_target));
-    } else {
-      if (stmt.insert_values.empty()) continue;
-      EvalContext ctx;
-      ctx.AddBinding(source_alias, &source->schema(), &source_row);
-      Row values;
-      values.reserve(stmt.insert_values.size());
-      for (const auto& e : stmt.insert_values) {
-        HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, ctx));
-        values.push_back(std::move(v));
-      }
-      HQ_ASSIGN_OR_RETURN(Row positioned,
-                          ApplyColumnList(*target, stmt.insert_columns, std::move(values)));
-      HQ_ASSIGN_OR_RETURN(Row coerced, CoerceRowToTable(*target, positioned));
-      staged_inserts.push_back(std::move(coerced));
     }
-  }
 
-  if (options.enforce_unique_primary && target->unique_primary()) {
-    std::vector<Row> all_new;
-    for (const auto& [r, row] : staged_updates) all_new.push_back(row);
-    for (const auto& row : staged_inserts) all_new.push_back(row);
-    std::sort(touched_rows.begin(), touched_rows.end());
-    HQ_RETURN_NOT_OK(CheckUniqueness(*target, all_new, &touched_rows));
-  }
+    if (options.enforce_unique_primary && target->unique_primary()) {
+      std::vector<Row> all_new;
+      for (const auto& [r, row] : staged_updates) all_new.push_back(row);
+      for (const auto& row : staged_inserts) all_new.push_back(row);
+      std::sort(touched_rows.begin(), touched_rows.end());
+      HQ_RETURN_NOT_OK(CheckUniqueness(*target, all_new, &touched_rows));
+    }
 
-  for (auto& [r, row] : staged_updates) {
-    HQ_RETURN_NOT_OK(target->ReplaceRow(r, std::move(row)));
-  }
-  size_t inserted = staged_inserts.size();
-  HQ_RETURN_NOT_OK(target->AppendRows(std::move(staged_inserts)));
+    for (auto& [r, row] : staged_updates) {
+      HQ_RETURN_NOT_OK(target->ReplaceRow(r, std::move(row)));
+    }
+    size_t inserted = staged_inserts.size();
+    HQ_RETURN_NOT_OK(target->AppendRows(std::move(staged_inserts)));
 
-  ExecResult result;
-  result.rows_updated = staged_updates.size();
-  result.rows_inserted = inserted;
-  return result;
+    ExecResult result;
+    result.rows_updated = staged_updates.size();
+    result.rows_inserted = inserted;
+    return result;
+  });
 }
 
 // --- DDL --------------------------------------------------------------------
@@ -821,6 +806,13 @@ Result<ExecResult> Executor::ExecuteCreateTable(const sql::CreateTableStmt& stmt
 Result<ExecResult> Executor::ExecuteDropTable(const sql::DropTableStmt& stmt) {
   HQ_RETURN_NOT_OK(catalog_->DropTable(stmt.table, stmt.if_exists));
   return ExecResult{};
+}
+
+Result<ExecResult> ExecuteOnNestedLoop(Catalog* catalog, const sql::Statement& stmt,
+                                       const ExecOptions& options) {
+  Executor executor(catalog);
+  executor.hash_join_ = false;
+  return executor.Execute(stmt, options);
 }
 
 }  // namespace hyperq::cdw

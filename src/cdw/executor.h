@@ -19,10 +19,15 @@
 
 namespace hyperq::cdw {
 
+/// How a join DML statement (MERGE, UPDATE…FROM, DELETE…USING) paired its
+/// rows; kNone for every other statement.
+enum class JoinPath : uint8_t { kNone, kHash, kNestedLoop };
+
 struct ExecResult {
   uint64_t rows_inserted = 0;
   uint64_t rows_updated = 0;
   uint64_t rows_deleted = 0;
+  JoinPath join_path = JoinPath::kNone;
   types::Schema schema;          ///< non-empty for SELECT
   std::vector<types::Row> rows;  ///< SELECT result rows
 
@@ -59,7 +64,13 @@ class Executor {
   common::Result<ExecResult> ExecuteCreateTable(const sql::CreateTableStmt& stmt);
   common::Result<ExecResult> ExecuteDropTable(const sql::DropTableStmt& stmt);
 
+  friend common::Result<ExecResult> ExecuteOnNestedLoop(Catalog* catalog,
+                                                        const sql::Statement& stmt,
+                                                        const ExecOptions& options);
+
   Catalog* catalog_;
+  /// Lets the join planner choose the hash path (see join_dml.h).
+  bool hash_join_ = true;
 };
 
 }  // namespace hyperq::cdw

@@ -37,6 +37,14 @@ Result<Value> EvalContext::ResolveColumn(const std::string& qualifier,
   return (*found->row)[static_cast<size_t>(found->schema->FieldIndex(name))];
 }
 
+Result<bool> PredicateTrue(const sql::Expr* where, const EvalContext& ctx) {
+  if (where == nullptr) return true;
+  HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*where, ctx));
+  if (v.is_null()) return false;
+  if (!v.is_boolean()) return Status::TypeError("WHERE predicate is not boolean");
+  return v.boolean();
+}
+
 bool IsAggregateFunction(std::string_view name) {
   return EqualsIgnoreCase(name, "COUNT") || EqualsIgnoreCase(name, "SUM") ||
          EqualsIgnoreCase(name, "MIN") || EqualsIgnoreCase(name, "MAX") ||

@@ -45,6 +45,10 @@ class EvalContext {
 /// whole-statement abort (set-oriented semantics).
 common::Result<types::Value> EvaluateExpr(const sql::Expr& expr, const EvalContext& ctx);
 
+/// Evaluates a WHERE/ON predicate: NULL counts as false, a non-boolean value
+/// is a TypeError, and a null `where` is true.
+common::Result<bool> PredicateTrue(const sql::Expr* where, const EvalContext& ctx);
+
 /// True for COUNT/SUM/MIN/MAX/AVG.
 bool IsAggregateFunction(std::string_view name);
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cdw/join_dml.h"
+#include "sql/binder.h"
+#include "sql/parser.h"
+
 namespace hyperq::cdw {
 namespace {
 
@@ -291,6 +295,113 @@ TEST_F(ExecutorTest, MergeWithUniquenessEmulation) {
       "WHEN NOT MATCHED THEN INSERT (ID) VALUES (S.K)",
       /*enforce=*/true);
   EXPECT_TRUE(s.IsConstraintViolation());
+}
+
+// --- join DML paths ---------------------------------------------------------
+
+TEST_F(ExecutorTest, MergeMultiMatchStillErrorsOnHashPath) {
+  SeedCustomers();
+  Schema stg;
+  stg.AddField(Field("K", TypeDesc::Int64()));
+  catalog_.CreateTable("STG", stg).ok();
+  Exec("INSERT INTO STG VALUES (2)");
+  const std::string merge =
+      "MERGE INTO CUSTOMERS T USING STG S ON T.ID = S.K "
+      "WHEN MATCHED THEN UPDATE SET NAME = 'hit'";
+  EXPECT_EQ(Exec(merge).join_path, JoinPath::kHash);
+  Exec("INSERT INTO CUSTOMERS VALUES (2, 'Bob again', NULL)");  // not enforced natively
+  auto s = ExecError(merge);
+  EXPECT_EQ(s.code(), common::StatusCode::kInvalid);
+  EXPECT_EQ(s.message(), "MERGE source row matches multiple target rows");
+}
+
+TEST_F(ExecutorTest, UpdateFromDuplicateSourceKeysTakesFirstSourceRow) {
+  SeedCustomers();
+  Schema stg;
+  stg.AddField(Field("K", TypeDesc::Int32()));  // INT widths share one key family
+  stg.AddField(Field("NEWNAME", TypeDesc::Varchar(20)));
+  catalog_.CreateTable("STG", stg).ok();
+  Exec("INSERT INTO STG VALUES (2, 'first'), (3, 'only'), (2, 'second')");
+  auto result = Exec("UPDATE CUSTOMERS T SET NAME = S.NEWNAME FROM STG S WHERE T.ID = S.K");
+  EXPECT_EQ(result.join_path, JoinPath::kHash);
+  EXPECT_EQ(result.rows_updated, 2u);
+  EXPECT_EQ(Exec("SELECT NAME FROM CUSTOMERS WHERE ID = 2").rows[0][0].string_value(), "first");
+  EXPECT_EQ(Exec("SELECT NAME FROM CUSTOMERS WHERE ID = 3").rows[0][0].string_value(), "only");
+}
+
+TEST_F(ExecutorTest, VarcharAgainstIntegerOnFallsBackWithSameError) {
+  SeedCustomers();
+  Schema stg;
+  stg.AddField(Field("K", TypeDesc::Varchar(8)));
+  catalog_.CreateTable("STG", stg).ok();
+  Exec("INSERT INTO STG VALUES ('2')");
+  const std::string merge =
+      "MERGE INTO CUSTOMERS T USING STG S ON T.ID = S.K "
+      "WHEN MATCHED THEN UPDATE SET NAME = 'hit'";
+  // '2' parses to the number 2: a match byte equality would miss.
+  auto ok = Exec(merge);
+  EXPECT_EQ(ok.join_path, JoinPath::kNestedLoop);
+  EXPECT_EQ(ok.rows_updated, 1u);
+
+  Exec("INSERT INTO STG VALUES ('two')");
+  auto stmt = sql::ParseStatement(merge);
+  ASSERT_TRUE(stmt.ok());
+  auto planned = executor_.Execute(**stmt);
+  auto oracle = ExecuteOnNestedLoop(&catalog_, **stmt);
+  ASSERT_FALSE(planned.ok());
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_TRUE(planned.status().IsConversionError());
+  EXPECT_EQ(planned.status().message(), oracle.status().message());
+}
+
+TEST_F(ExecutorTest, UnresolvableOnColumnAgainstEmptyTargetStillSucceeds) {
+  Schema stg;
+  stg.AddField(Field("K", TypeDesc::Int64()));
+  catalog_.CreateTable("STG", stg).ok();
+  Exec("INSERT INTO STG VALUES (7), (8)");
+  // The ON is never evaluated when there is no target row to pair with.
+  auto result = Exec(
+      "MERGE INTO CUSTOMERS T USING STG S ON T.NOPE = S.K "
+      "WHEN NOT MATCHED THEN INSERT (ID) VALUES (S.K)");
+  EXPECT_EQ(result.join_path, JoinPath::kNestedLoop);
+  EXPECT_EQ(result.rows_inserted, 2u);
+}
+
+TEST_F(ExecutorTest, RangeRestrictedStagedUpdateAndDeleteTakeHashPath) {
+  SeedCustomers();
+  Schema stg;
+  stg.AddField(Field("ID", TypeDesc::Int64()));
+  stg.AddField(Field("NAME", TypeDesc::Varchar(20)));
+  stg.AddField(Field("HQ_ROWNUM", TypeDesc::Int64()));
+  catalog_.CreateTable("STG", stg).ok();
+  Exec("INSERT INTO STG VALUES (1, 'one', 1), (2, 'two', 2), (3, 'three', 3)");
+  Schema layout;
+  layout.AddField(Field("ID", TypeDesc::Int64()));
+  layout.AddField(Field("NAME", TypeDesc::Varchar(20)));
+  sql::BindOptions bind;
+  bind.staging_table = "STG";
+  bind.row_number_column = "HQ_ROWNUM";
+  bind.first_row = 2;
+  bind.last_row = 3;
+  auto bound_exec = [&](const std::string& legacy) {
+    auto stmt = sql::ParseStatement(legacy);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+    auto bound = sql::BindDmlToStaging(**stmt, layout, bind);
+    EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+    auto result = executor_.Execute(**bound);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? *result : ExecResult{};
+  };
+  auto updated = bound_exec("UPDATE CUSTOMERS SET NAME = :NAME WHERE ID = :ID");
+  EXPECT_EQ(updated.join_path, JoinPath::kHash);
+  EXPECT_EQ(updated.rows_updated, 2u);  // row 1 is outside the range
+  EXPECT_EQ(Exec("SELECT NAME FROM CUSTOMERS WHERE ID = 1").rows[0][0].string_value(), "Ada");
+  EXPECT_EQ(Exec("SELECT NAME FROM CUSTOMERS WHERE ID = 3").rows[0][0].string_value(), "three");
+
+  auto deleted = bound_exec("DELETE FROM CUSTOMERS WHERE ID = :ID");
+  EXPECT_EQ(deleted.join_path, JoinPath::kHash);
+  EXPECT_EQ(deleted.rows_deleted, 2u);
+  EXPECT_EQ(Exec("SELECT ID FROM CUSTOMERS").rows.size(), 1u);
 }
 
 TEST_F(ExecutorTest, CreateAndDropTable) {

@@ -50,7 +50,9 @@ class ObservabilityE2eTest : public ::testing::Test {
     if (node_) node_->Stop();
   }
 
-  common::Result<etlscript::RunResult> RunImport(int rows) {
+  /// Loads `rows` generated rows into a fresh PROD.CUSTOMER through `dml`
+  /// (default: a plain insert).
+  common::Result<etlscript::RunResult> RunImport(int rows, const std::string& dml = kInsertDml) {
     std::string data;
     for (int i = 1; i <= rows; ++i) {
       data += std::to_string(i) + "|Name" + std::to_string(i) + "|2012-01-01\n";
@@ -68,7 +70,7 @@ class ObservabilityE2eTest : public ::testing::Test {
       return t;
     };
     etlscript::EtlClient client(client_options);
-    const char* script = R"(.logon hq/u,p;
+    const std::string script = R"(.logon hq/u,p;
 create table PROD.CUSTOMER (
   CUST_ID varchar(5) not null,
   CUST_NAME varchar(50),
@@ -80,15 +82,17 @@ create table PROD.CUSTOMER (
 .field JOIN_DATE varchar(10);
 .begin import tables PROD.CUSTOMER errortables PROD.CUSTOMER_ET PROD.CUSTOMER_UV;
 .dml label Ins;
-insert into PROD.CUSTOMER values (
-  trim(:CUST_ID), trim(:CUST_NAME),
-  cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'));
+)" + dml + R"(
 .import infile input.txt format vartext '|' layout L apply Ins;
 .end load;
 .logoff;
 )";
     return client.RunScript(script);
   }
+
+  static constexpr const char* kInsertDml = R"(insert into PROD.CUSTOMER values (
+  trim(:CUST_ID), trim(:CUST_NAME),
+  cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'));)";
 
   std::string work_dir_;
   obs::MetricsRegistry registry_;
@@ -136,6 +140,21 @@ TEST_F(ObservabilityE2eTest, SnapshotCoversWholeLoadPath) {
   EXPECT_EQ(snap.gauges.at("hyperq_sessions_active"), 0);
   EXPECT_EQ(snap.gauges.at("hyperq_credits_in_use"), 0);
   EXPECT_EQ(snap.gauges.at("hyperq_memory_in_flight_bytes"), 0);
+}
+
+TEST_F(ObservabilityE2eTest, UpsertImportCountsHashJoinPath) {
+  StartNode();
+  // UPDATE ... ELSE INSERT becomes a MERGE whose ON is a plain key equality.
+  auto run = RunImport(500, R"(update PROD.CUSTOMER set CUST_NAME = trim(:CUST_NAME)
+  where CUST_ID = :CUST_ID
+  else insert values (:CUST_ID, trim(:CUST_NAME),
+    cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'));)");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->imports[0].report.rows_inserted, 500u);
+
+  obs::MetricsSnapshot snap = node_->MetricsSnapshot();
+  EXPECT_GE(snap.counters.at("cdw_join_hash_total"), 1u);
+  EXPECT_EQ(snap.counters.at("cdw_join_nested_loop_total"), 0u);
 }
 
 TEST_F(ObservabilityE2eTest, FailedImportEndsTheJobAsFailed) {
