@@ -175,7 +175,7 @@ Result<uint64_t> CopyFromStore(Table* table, const cloud::ObjectStore& store,
     HQ_ASSIGN_OR_RETURN(auto blob, store.Get(key));
     Slice raw(*blob);
     common::ByteBuffer decompressed;
-    if (options.auto_decompress && cloud::IsCompressed(raw)) {
+    if (cloud::IsCompressed(raw)) {
       HQ_ASSIGN_OR_RETURN(decompressed, cloud::Decompress(raw));
       raw = decompressed.AsSlice();
     }

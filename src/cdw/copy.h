@@ -39,8 +39,6 @@ enum class CopyFormat : uint8_t {
 struct CopyOptions {
   CsvOptions csv;
   CopyFormat format = CopyFormat::kAuto;
-  /// Transparently decompress HQZ1 objects.
-  bool auto_decompress = true;
 };
 
 /// Per-COPY ingest accounting (only objects decoded by THIS call; ledger

@@ -23,17 +23,6 @@ using types::Value;
 
 namespace {
 
-/// Lexicographic row comparator built on Value::Compare (DISTINCT, GROUP BY).
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  }
-};
-
 /// A scan source: table plus the alias it is visible under.
 struct Source {
   std::string alias;
@@ -48,29 +37,14 @@ Result<Source> BindSource(Catalog* catalog, const sql::TableRef& ref) {
   return src;
 }
 
-/// Builds an EvalContext over a combined row: one binding per source.
-EvalContext MakeContext(const std::vector<Source>& sources, const std::vector<Row>& rows) {
+/// Binds an EvalContext to a combined row given as one row index per
+/// source, in order; a shorter tuple binds only the leading sources.
+EvalContext MakeContext(const std::vector<Source>& sources, const std::vector<size_t>& rows) {
   EvalContext ctx;
-  for (size_t i = 0; i < sources.size(); ++i) {
-    ctx.AddBinding(sources[i].alias, &sources[i].table->schema(), &rows[i]);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ctx.AddBinding(sources[i].alias, sources[i].table.get(), rows[i]);
   }
   return ctx;
-}
-
-/// Key of the declared unique primary key for one row.
-Row PrimaryKeyOf(const Table& table, const Row& row) {
-  Row key;
-  key.reserve(table.primary_key_indexes().size());
-  for (size_t idx : table.primary_key_indexes()) key.push_back(row[idx]);
-  return key;
-}
-
-/// Same, reading the key columns straight from storage (no full-row copy).
-Row PrimaryKeyOfStored(const Table& table, size_t row) {
-  Row key;
-  key.reserve(table.primary_key_indexes().size());
-  for (size_t idx : table.primary_key_indexes()) key.push_back(table.At(row, idx));
-  return key;
 }
 
 /// Validates + coerces a row against a table schema (set-oriented: any error
@@ -119,11 +93,11 @@ Status CheckUniqueness(const Table& table, const std::vector<Row>& staged_rows,
   // Keys freed by rows this statement is rewriting don't count as conflicts.
   std::map<Row, size_t, RowLess> freed;
   if (replaced_rows != nullptr) {
-    for (size_t r : *replaced_rows) ++freed[PrimaryKeyOfStored(table, r)];
+    for (size_t r : *replaced_rows) ++freed[table.KeyOf([&](size_t c) { return table.At(r, c); })];
   }
   std::set<Row, RowLess> staged_keys;
   for (const auto& row : staged_rows) {
-    Row key = PrimaryKeyOf(table, row);
+    Row key = table.KeyOf([&](size_t c) { return row[c]; });
     bool key_has_null = false;
     for (const auto& v : key) key_has_null |= v.is_null();
     if (key_has_null) continue;  // NULL keys never collide (SQL semantics)
@@ -135,6 +109,25 @@ Status CheckUniqueness(const Table& table, const std::vector<Row>& staged_rows,
     }
   }
   return Status::OK();
+}
+
+/// A copy of stored row `row` with SET `assignments` applied: each value is
+/// evaluated in `ctx`, cast to its column (`columns[i]`) type and checked
+/// against NOT NULL. This copy is the staged replacement row.
+Result<Row> AssignRow(const Table& table, size_t row,
+                      const std::vector<sql::Assignment>& assignments,
+                      const std::vector<size_t>& columns, const EvalContext& ctx) {
+  Row out = table.GetRow(row);
+  for (size_t i = 0; i < assignments.size(); ++i) {
+    HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*assignments[i].value, ctx));
+    const types::Field& field = table.schema().field(columns[i]);
+    HQ_ASSIGN_OR_RETURN(Value coerced, types::CastValue(v, field.type));
+    if (coerced.is_null() && !field.nullable) {
+      return Status::ConversionError("NULL value in NOT NULL column " + field.name);
+    }
+    out[columns[i]] = std::move(coerced);
+  }
+  return out;
 }
 
 }  // namespace
@@ -208,9 +201,10 @@ std::string ItemName(const sql::SelectItem& item, size_t index) {
 }
 
 /// Evaluates an expression in aggregate context: aggregate calls compute over
-/// the group's combined rows; other column refs bind to the group's first row.
+/// the group's combined rows (index tuples); other column refs bind to the
+/// group's first row.
 Result<Value> EvaluateWithAggregates(const sql::Expr& expr, const std::vector<Source>& sources,
-                                     const std::vector<std::vector<Row>>& group_rows) {
+                                     const std::vector<std::vector<size_t>>& group_rows) {
   if (expr.kind == ExprKind::kFunction) {
     const auto& fn = static_cast<const sql::FunctionExpr&>(expr);
     if (IsAggregateFunction(fn.name)) {
@@ -317,169 +311,8 @@ Result<Value> EvaluateWithAggregates(const sql::Expr& expr, const std::vector<So
   }
 }
 
-}  // namespace
-
-Result<ExecResult> Executor::ExecuteSelect(const SelectStmt& stmt) {
-  // FROM-less SELECT: evaluate items once against an empty context.
-  std::vector<Source> sources;
-  if (stmt.has_from) {
-    HQ_ASSIGN_OR_RETURN(Source src, BindSource(catalog_, stmt.from));
-    sources.push_back(std::move(src));
-    for (const auto& join : stmt.joins) {
-      HQ_ASSIGN_OR_RETURN(Source jsrc, BindSource(catalog_, join.table));
-      sources.push_back(std::move(jsrc));
-    }
-  }
-
-  // Expand stars into per-column items.
-  std::vector<sql::SelectItem> items;
-  for (const auto& item : stmt.items) {
-    if (item.expr->kind == ExprKind::kStar) {
-      if (sources.empty()) return Status::Invalid("SELECT * requires a FROM clause");
-      for (const auto& src : sources) {
-        for (const auto& f : src.table->schema().fields()) {
-          sql::SelectItem expanded;
-          expanded.expr = std::make_unique<sql::ColumnRefExpr>(src.alias, f.name);
-          expanded.alias = f.name;
-          items.push_back(std::move(expanded));
-        }
-      }
-    } else {
-      sql::SelectItem copy;
-      copy.expr = item.expr->Clone();
-      copy.alias = item.alias;
-      items.push_back(std::move(copy));
-    }
-  }
-
-  ExecResult result;
-  bool has_aggregates = !stmt.group_by.empty();
-  for (const auto& item : items) has_aggregates |= ContainsAggregate(*item.expr);
-
-  // Output schema.
-  for (size_t i = 0; i < items.size(); ++i) {
-    result.schema.AddField(
-        types::Field(ItemName(items[i], i), InferItemType(*items[i].expr, sources)));
-  }
-
-  // Fast path: single-table (or table-less) scan without aggregation streams
-  // rows straight into the result — this is the shape of every staged DML
-  // SELECT, so it must not materialize the whole table.
-  if (sources.size() <= 1 && !has_aggregates) {
-    const Table* table = sources.empty() ? nullptr : sources[0].table.get();
-    const size_t scan_rows = table != nullptr ? table->num_rows() : 1;
-    Row current;
-    for (size_t r = 0; r < scan_rows; ++r) {
-      EvalContext ctx;
-      if (table != nullptr) {
-        current = table->GetRow(r);
-        ctx.AddBinding(sources[0].alias, &table->schema(), &current);
-      }
-      HQ_ASSIGN_OR_RETURN(bool keep, PredicateTrue(stmt.where.get(), ctx));
-      if (!keep) continue;
-      Row out;
-      out.reserve(items.size());
-      for (const auto& item : items) {
-        HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*item.expr, ctx));
-        out.push_back(std::move(v));
-      }
-      result.rows.push_back(std::move(out));
-    }
-    HQ_RETURN_NOT_OK(FinishSelect(stmt, &result));
-    return result;
-  }
-
-  // Materialize the (joined) working set of combined rows.
-  std::vector<std::vector<Row>> working;
-  if (sources.empty()) {
-    working.emplace_back();  // one empty combined row
-  } else {
-    // Nested-loop join with per-level ON filtering.
-    std::vector<Row> combined(sources.size());
-    // Recursive lambda over join levels.
-    std::function<Result<bool>(size_t)> descend = [&](size_t level) -> Result<bool> {
-      if (level == sources.size()) {
-        working.push_back(combined);
-        return true;
-      }
-      const Table& table = *sources[level].table;
-      for (size_t r = 0; r < table.num_rows(); ++r) {
-        combined[level] = table.GetRow(r);
-        if (level > 0) {
-          // Evaluate this join's ON with bindings visible so far.
-          EvalContext ctx;
-          for (size_t i = 0; i <= level; ++i) {
-            ctx.AddBinding(sources[i].alias, &sources[i].table->schema(), &combined[i]);
-          }
-          HQ_ASSIGN_OR_RETURN(bool ok, PredicateTrue(stmt.joins[level - 1].on.get(), ctx));
-          if (!ok) continue;
-        }
-        HQ_ASSIGN_OR_RETURN(bool cont, descend(level + 1));
-        if (!cont) return false;
-      }
-      return true;
-    };
-    HQ_RETURN_NOT_OK(descend(0).status());
-  }
-
-  // WHERE.
-  std::vector<std::vector<Row>> filtered;
-  filtered.reserve(working.size());
-  for (auto& combined : working) {
-    EvalContext ctx = MakeContext(sources, combined);
-    HQ_ASSIGN_OR_RETURN(bool keep, PredicateTrue(stmt.where.get(), ctx));
-    if (keep) filtered.push_back(std::move(combined));
-  }
-
-  if (has_aggregates) {
-    std::map<Row, std::vector<std::vector<Row>>, RowLess> groups;
-    if (stmt.group_by.empty()) {
-      groups[Row{}] = std::move(filtered);
-    } else {
-      for (auto& combined : filtered) {
-        EvalContext ctx = MakeContext(sources, combined);
-        Row key;
-        key.reserve(stmt.group_by.size());
-        for (const auto& g : stmt.group_by) {
-          HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*g, ctx));
-          key.push_back(std::move(v));
-        }
-        groups[std::move(key)].push_back(std::move(combined));
-      }
-    }
-    for (const auto& [key, group_rows] : groups) {
-      if (stmt.having) {
-        HQ_ASSIGN_OR_RETURN(Value h, EvaluateWithAggregates(*stmt.having, sources, group_rows));
-        if (!(h.is_boolean() && h.boolean())) continue;
-      }
-      Row out;
-      out.reserve(items.size());
-      for (const auto& item : items) {
-        HQ_ASSIGN_OR_RETURN(Value v, EvaluateWithAggregates(*item.expr, sources, group_rows));
-        out.push_back(std::move(v));
-      }
-      result.rows.push_back(std::move(out));
-    }
-  } else {
-    result.rows.reserve(filtered.size());
-    for (const auto& combined : filtered) {
-      EvalContext ctx = MakeContext(sources, combined);
-      Row out;
-      out.reserve(items.size());
-      for (const auto& item : items) {
-        HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*item.expr, ctx));
-        out.push_back(std::move(v));
-      }
-      result.rows.push_back(std::move(out));
-    }
-  }
-
-  HQ_RETURN_NOT_OK(FinishSelect(stmt, &result));
-  return result;
-}
-
-// DISTINCT / ORDER BY / LIMIT tail shared by the scan and join paths.
-Status Executor::FinishSelect(const SelectStmt& stmt, ExecResult* result_out) {
+/// DISTINCT / ORDER BY / LIMIT tail of every SELECT.
+Status FinishSelect(const SelectStmt& stmt, ExecResult* result_out) {
   ExecResult& result = *result_out;
   if (stmt.distinct) {
     std::set<Row, RowLess> seen;
@@ -540,6 +373,131 @@ Status Executor::FinishSelect(const SelectStmt& stmt, ExecResult* result_out) {
     result.rows.resize(static_cast<size_t>(stmt.top));
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Result<ExecResult> Executor::ExecuteSelect(const SelectStmt& stmt) {
+  // FROM-less SELECT: evaluate items once against an empty context.
+  std::vector<Source> sources;
+  if (stmt.has_from) {
+    HQ_ASSIGN_OR_RETURN(Source src, BindSource(catalog_, stmt.from));
+    sources.push_back(std::move(src));
+    for (const auto& join : stmt.joins) {
+      HQ_ASSIGN_OR_RETURN(Source jsrc, BindSource(catalog_, join.table));
+      sources.push_back(std::move(jsrc));
+    }
+  }
+
+  // Expand stars into per-column items.
+  std::vector<sql::SelectItem> items;
+  for (const auto& item : stmt.items) {
+    if (item.expr->kind == ExprKind::kStar) {
+      if (sources.empty()) return Status::Invalid("SELECT * requires a FROM clause");
+      for (const auto& src : sources) {
+        for (const auto& f : src.table->schema().fields()) {
+          sql::SelectItem expanded;
+          expanded.expr = std::make_unique<sql::ColumnRefExpr>(src.alias, f.name);
+          expanded.alias = f.name;
+          items.push_back(std::move(expanded));
+        }
+      }
+    } else {
+      sql::SelectItem copy;
+      copy.expr = item.expr->Clone();
+      copy.alias = item.alias;
+      items.push_back(std::move(copy));
+    }
+  }
+
+  ExecResult result;
+  bool has_aggregates = !stmt.group_by.empty();
+  for (const auto& item : items) has_aggregates |= ContainsAggregate(*item.expr);
+
+  // Output schema.
+  for (size_t i = 0; i < items.size(); ++i) {
+    result.schema.AddField(
+        types::Field(ItemName(items[i], i), InferItemType(*items[i].expr, sources)));
+  }
+
+  // One loop over the join tree, depth first in FROM/JOIN order, reading
+  // rows in place. contexts[k] binds sources 0..k, so each JOIN's ON sees
+  // only the tables to its left. A combined row is checked against its ONs
+  // while it is built, then WHERE, then projected; with aggregates its index
+  // tuple is kept for grouping instead. A FROM-less SELECT is the one empty
+  // tuple.
+  std::vector<EvalContext> contexts;
+  for (size_t k = 0; k < sources.size(); ++k) {
+    contexts.push_back(MakeContext(sources, std::vector<size_t>(k + 1)));
+  }
+  if (contexts.empty()) contexts.emplace_back();
+  std::vector<size_t> tuple(sources.size());
+  std::vector<std::vector<size_t>> kept;
+  std::function<Status(size_t)> descend = [&](size_t level) -> Status {
+    if (level == sources.size()) {
+      const EvalContext& ctx = contexts.back();
+      HQ_ASSIGN_OR_RETURN(bool keep, PredicateTrue(stmt.where.get(), ctx));
+      if (!keep) return Status::OK();
+      if (has_aggregates) {
+        kept.push_back(tuple);
+        return Status::OK();
+      }
+      Row out;
+      out.reserve(items.size());
+      for (const auto& item : items) {
+        HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*item.expr, ctx));
+        out.push_back(std::move(v));
+      }
+      result.rows.push_back(std::move(out));
+      return Status::OK();
+    }
+    for (size_t r = 0; r < sources[level].table->num_rows(); ++r) {
+      tuple[level] = r;
+      for (size_t k = level; k < contexts.size(); ++k) contexts[k].SetRow(level, r);
+      if (level > 0) {
+        const sql::Expr* on = stmt.joins[level - 1].on.get();
+        HQ_ASSIGN_OR_RETURN(bool joined, PredicateTrue(on, contexts[level]));
+        if (!joined) continue;
+      }
+      HQ_RETURN_NOT_OK(descend(level + 1));
+    }
+    return Status::OK();
+  };
+  HQ_RETURN_NOT_OK(descend(0));
+
+  if (has_aggregates) {
+    std::map<Row, std::vector<std::vector<size_t>>, RowLess> groups;
+    if (stmt.group_by.empty()) {
+      groups[Row{}] = std::move(kept);
+    } else {
+      for (auto& combined : kept) {
+        EvalContext ctx = MakeContext(sources, combined);
+        Row key;
+        key.reserve(stmt.group_by.size());
+        for (const auto& g : stmt.group_by) {
+          HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*g, ctx));
+          key.push_back(std::move(v));
+        }
+        groups[std::move(key)].push_back(std::move(combined));
+      }
+    }
+    for (const auto& [key, group_rows] : groups) {
+      if (stmt.having) {
+        HQ_ASSIGN_OR_RETURN(Value h, EvaluateWithAggregates(*stmt.having, sources, group_rows));
+        if (!(h.is_boolean() && h.boolean())) continue;
+      }
+      Row out;
+      out.reserve(items.size());
+      for (const auto& item : items) {
+        HQ_ASSIGN_OR_RETURN(Value v, EvaluateWithAggregates(*item.expr, sources, group_rows));
+        out.push_back(std::move(v));
+      }
+      result.rows.push_back(std::move(out));
+    }
+  }
+
+  HQ_RETURN_NOT_OK(FinishSelect(stmt, &result));
+  return result;
 }
 
 // --- INSERT -----------------------------------------------------------------
@@ -614,30 +572,20 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
     // Stage: row index -> new full row.
     std::vector<std::pair<size_t, Row>> staged;
     std::vector<size_t> touched_rows;
-    Row source_row;
+    EvalContext ctx;
+    ctx.AddBinding(target_alias, table.get(), 0);
+    if (matcher != nullptr) ctx.AddBinding(from_alias, from_table.get(), 0);
     for (size_t r = 0; r < table->num_rows(); ++r) {
-      Row target_row = table->GetRow(r);
-      EvalContext ctx;
-      ctx.AddBinding(target_alias, &table->schema(), &target_row);
+      ctx.SetRow(0, r);
       if (matcher != nullptr) {
-        HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher->Match(r, target_row, /*want_unique=*/false));
+        HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher->Match(r, /*want_unique=*/false));
         if (match.row < 0) continue;
-        source_row = from_table->GetRow(static_cast<size_t>(match.row));
-        ctx.AddBinding(from_alias, &from_table->schema(), &source_row);
+        ctx.SetRow(1, static_cast<size_t>(match.row));
       } else {
         HQ_ASSIGN_OR_RETURN(bool ok, PredicateTrue(stmt.where.get(), ctx));
         if (!ok) continue;
       }
-      Row new_row = target_row;
-      for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-        HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*stmt.assignments[i].value, ctx));
-        const types::Field& field = table->schema().field(assign_cols[i]);
-        HQ_ASSIGN_OR_RETURN(Value coerced, types::CastValue(v, field.type));
-        if (coerced.is_null() && !field.nullable) {
-          return Status::ConversionError("NULL value in NOT NULL column " + field.name);
-        }
-        new_row[assign_cols[i]] = std::move(coerced);
-      }
+      HQ_ASSIGN_OR_RETURN(Row new_row, AssignRow(*table, r, stmt.assignments, assign_cols, ctx));
       staged.emplace_back(r, std::move(new_row));
       touched_rows.push_back(r);
     }
@@ -679,15 +627,15 @@ Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt) {
   // row; without, when the WHERE holds on it alone.
   auto run = [&](JoinMatcher* matcher) -> Result<ExecResult> {
     std::vector<size_t> doomed;
+    EvalContext ctx;
+    ctx.AddBinding(target_alias, table.get(), 0);
     for (size_t r = 0; r < table->num_rows(); ++r) {
-      Row target_row = table->GetRow(r);
       bool matched = false;
       if (matcher != nullptr) {
-        HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher->Match(r, target_row, /*want_unique=*/false));
+        HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher->Match(r, /*want_unique=*/false));
         matched = match.row >= 0;
       } else {
-        EvalContext ctx;
-        ctx.AddBinding(target_alias, &table->schema(), &target_row);
+        ctx.SetRow(0, r);
         HQ_ASSIGN_OR_RETURN(matched, PredicateTrue(stmt.where.get(), ctx));
       }
       if (matched) doomed.push_back(r);
@@ -725,44 +673,37 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
     std::vector<std::pair<size_t, Row>> staged_updates;
     std::vector<size_t> touched_rows;
     std::vector<Row> staged_inserts;
+    // The filter and WHEN NOT MATCHED see the source row; WHEN MATCHED sees
+    // the target row, then the source row.
+    EvalContext source_ctx;
+    source_ctx.AddBinding(source_alias, source.get(), 0);
+    EvalContext pair_ctx;
+    pair_ctx.AddBinding(target_alias, target.get(), 0);
+    pair_ctx.AddBinding(source_alias, source.get(), 0);
 
     for (size_t s = 0; s < source->num_rows(); ++s) {
-      Row source_row = source->GetRow(s);
+      source_ctx.SetRow(0, s);
       if (stmt.source_filter) {
-        EvalContext filter_ctx;
-        filter_ctx.AddBinding(source_alias, &source->schema(), &source_row);
-        HQ_ASSIGN_OR_RETURN(bool pass, PredicateTrue(stmt.source_filter.get(), filter_ctx));
+        HQ_ASSIGN_OR_RETURN(bool pass, PredicateTrue(stmt.source_filter.get(), source_ctx));
         if (!pass) continue;
       }
-      HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher.Match(s, source_row, /*want_unique=*/true));
+      HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher.Match(s, /*want_unique=*/true));
       if (match.multiple) return Status::Invalid("MERGE source row matches multiple target rows");
       if (match.row >= 0) {
         if (stmt.matched_update.empty()) continue;
         const auto matched_target = static_cast<size_t>(match.row);
-        Row target_row = target->GetRow(matched_target);
-        EvalContext ctx;
-        ctx.AddBinding(target_alias, &target->schema(), &target_row);
-        ctx.AddBinding(source_alias, &source->schema(), &source_row);
-        Row new_row = target_row;
-        for (size_t i = 0; i < stmt.matched_update.size(); ++i) {
-          HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*stmt.matched_update[i].value, ctx));
-          const types::Field& field = target->schema().field(update_cols[i]);
-          HQ_ASSIGN_OR_RETURN(Value coerced, types::CastValue(v, field.type));
-          if (coerced.is_null() && !field.nullable) {
-            return Status::ConversionError("NULL value in NOT NULL column " + field.name);
-          }
-          new_row[update_cols[i]] = std::move(coerced);
-        }
+        pair_ctx.SetRow(0, matched_target);
+        pair_ctx.SetRow(1, s);
+        HQ_ASSIGN_OR_RETURN(Row new_row, AssignRow(*target, matched_target, stmt.matched_update,
+                                                   update_cols, pair_ctx));
         staged_updates.emplace_back(matched_target, std::move(new_row));
         touched_rows.push_back(matched_target);
       } else {
         if (stmt.insert_values.empty()) continue;
-        EvalContext ctx;
-        ctx.AddBinding(source_alias, &source->schema(), &source_row);
         Row values;
         values.reserve(stmt.insert_values.size());
         for (const auto& e : stmt.insert_values) {
-          HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, ctx));
+          HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, source_ctx));
           values.push_back(std::move(v));
         }
         HQ_ASSIGN_OR_RETURN(Row positioned,

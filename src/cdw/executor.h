@@ -54,7 +54,6 @@ class Executor {
 
  private:
   common::Result<ExecResult> ExecuteSelect(const sql::SelectStmt& stmt);
-  common::Status FinishSelect(const sql::SelectStmt& stmt, ExecResult* result);
   common::Result<ExecResult> ExecuteInsert(const sql::InsertStmt& stmt,
                                            const ExecOptions& options);
   common::Result<ExecResult> ExecuteUpdate(const sql::UpdateStmt& stmt,

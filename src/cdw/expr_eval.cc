@@ -1,7 +1,9 @@
 #include "cdw/expr_eval.h"
 
 #include <cmath>
+#include <limits>
 
+#include "cdw/table.h"
 #include "common/string_util.h"
 #include "types/date.h"
 
@@ -21,20 +23,22 @@ using types::Value;
 Result<Value> EvalContext::ResolveColumn(const std::string& qualifier,
                                          const std::string& name) const {
   const RowBinding* found = nullptr;
+  size_t column = 0;
   for (const auto& binding : bindings_) {
     if (!qualifier.empty() && !EqualsIgnoreCase(binding.alias, qualifier)) continue;
-    int idx = binding.schema->FieldIndex(name);
+    int idx = binding.table->schema().FieldIndex(name);
     if (idx < 0) continue;
     if (found != nullptr) {
       return Status::Invalid("ambiguous column reference: " + name);
     }
     found = &binding;
+    column = static_cast<size_t>(idx);
   }
   if (found == nullptr) {
     std::string full = qualifier.empty() ? name : qualifier + "." + name;
     return Status::NotFound("column not found: " + full);
   }
-  return (*found->row)[static_cast<size_t>(found->schema->FieldIndex(name))];
+  return found->table->At(found->row, column);
 }
 
 Result<bool> PredicateTrue(const sql::Expr* where, const EvalContext& ctx) {
@@ -126,6 +130,17 @@ bool LikeMatch(std::string_view text, std::string_view pattern) {
 namespace {
 
 bool IsNumericValue(const Value& v) { return v.is_int() || v.is_float() || v.is_decimal(); }
+
+/// -x; INT64_MIN has no negation and is an overflow, as in `+ - *`.
+Result<int64_t> Negate(int64_t x) {
+  int64_t out;
+  if (__builtin_sub_overflow(int64_t{0}, x, &out)) {
+    return Status::ConversionError("integer overflow");
+  }
+  return out;
+}
+
+Result<int64_t> Abs(int64_t x) { return x < 0 ? Negate(x) : Result<int64_t>(x); }
 
 double AsDouble(const Value& v) {
   if (v.is_int()) return static_cast<double>(v.int_value());
@@ -229,11 +244,13 @@ Result<Value> EvalArithmetic(BinaryOp op, const Value& left, const Value& right)
         if (__builtin_mul_overflow(a, b, &out)) return Status::ConversionError("integer overflow");
         return Value::Int(out);
       case BinaryOp::kDiv:
-        if (b == 0) return Status::ConversionError("division by zero");
-        return Value::Int(a / b);
       case BinaryOp::kMod:
         if (b == 0) return Status::ConversionError("division by zero");
-        return Value::Int(a % b);
+        // INT64_MIN / -1 does not fit, and the hardware traps on its % too.
+        if (b == -1 && a == std::numeric_limits<int64_t>::min()) {
+          return Status::ConversionError("integer overflow");
+        }
+        return Value::Int(op == BinaryOp::kDiv ? a / b : a % b);
       default:
         return Status::Internal("not an arithmetic op");
     }
@@ -369,10 +386,14 @@ Result<Value> EvalFunction(const sql::FunctionExpr& fn, const EvalContext& ctx) 
   if (EqualsIgnoreCase(fn.name, "ABS")) {
     HQ_RETURN_NOT_OK(need_args(1, 1));
     if (args[0].is_null()) return Value::Null();
-    if (args[0].is_int()) return Value::Int(std::llabs(args[0].int_value()));
+    if (args[0].is_int()) {
+      HQ_ASSIGN_OR_RETURN(int64_t x, Abs(args[0].int_value()));
+      return Value::Int(x);
+    }
     if (args[0].is_decimal()) {
       const Decimal& d = args[0].decimal_value();
-      return Value::Dec(Decimal(std::llabs(d.unscaled()), d.scale()));
+      HQ_ASSIGN_OR_RETURN(int64_t unscaled, Abs(d.unscaled()));
+      return Value::Dec(Decimal(unscaled, d.scale()));
     }
     if (args[0].is_float()) return Value::Float(std::fabs(args[0].float_value()));
     return Status::TypeError("ABS on non-numeric value");
@@ -504,10 +525,14 @@ Result<Value> EvaluateExpr(const Expr& expr, const EvalContext& ctx) {
         return Value::Boolean(!v.boolean());
       }
       // Negation.
-      if (v.is_int()) return Value::Int(-v.int_value());
+      if (v.is_int()) {
+        HQ_ASSIGN_OR_RETURN(int64_t x, Negate(v.int_value()));
+        return Value::Int(x);
+      }
       if (v.is_float()) return Value::Float(-v.float_value());
       if (v.is_decimal()) {
-        return Value::Dec(Decimal(-v.decimal_value().unscaled(), v.decimal_value().scale()));
+        HQ_ASSIGN_OR_RETURN(int64_t unscaled, Negate(v.decimal_value().unscaled()));
+        return Value::Dec(Decimal(unscaled, v.decimal_value().scale()));
       }
       return Status::TypeError("negation of non-numeric value");
     }

@@ -8,33 +8,37 @@
 #include "types/schema.h"
 
 /// \file expr_eval.h
-/// Row-at-a-time expression evaluation over one or more bound rows (target
-/// table, staging table, join sides). This evaluator implements the *CDW*
-/// dialect: legacy-only constructs (CAST ... FORMAT, ZEROIFNULL, '**',
-/// :placeholders) are rejected — running them requires the Hyper-Q
-/// transpiler first, which is the point of the paper.
+/// Row-at-a-time expression evaluation over one or more bound table rows
+/// (target table, staging table, join sides), read in place. This evaluator
+/// implements the *CDW* dialect: legacy-only constructs (CAST ... FORMAT,
+/// ZEROIFNULL, '**', :placeholders) are rejected — running them requires the
+/// Hyper-Q transpiler first, which is the point of the paper.
 
 namespace hyperq::cdw {
 
-/// One named row visible to column references.
+class Table;
+
+/// One table row visible to column references under `alias`.
 struct RowBinding {
   std::string alias;  ///< table alias or table name
-  const types::Schema* schema;
-  const types::Row* row;
+  const Table* table;
+  size_t row;
 };
 
 class EvalContext {
  public:
-  void AddBinding(std::string alias, const types::Schema* schema, const types::Row* row) {
-    bindings_.push_back(RowBinding{std::move(alias), schema, row});
+  void AddBinding(std::string alias, const Table* table, size_t row) {
+    bindings_.push_back(RowBinding{std::move(alias), table, row});
   }
+
+  /// Points binding `binding` (in AddBinding order) at another row of its
+  /// table, so a scan reuses one context for every row.
+  void SetRow(size_t binding, size_t row) { bindings_[binding].row = row; }
 
   /// Resolves a (possibly qualified) column. Unqualified names matching more
   /// than one binding are ambiguous.
   common::Result<types::Value> ResolveColumn(const std::string& qualifier,
                                              const std::string& name) const;
-
-  const std::vector<RowBinding>& bindings() const { return bindings_; }
 
  private:
   std::vector<RowBinding> bindings_;

@@ -8,7 +8,6 @@ using common::EqualsIgnoreCase;
 using common::Result;
 using common::Status;
 using sql::ExprKind;
-using types::Row;
 using types::TypeId;
 using types::Value;
 
@@ -177,14 +176,9 @@ bool JoinMatcher::Plan() {
 bool JoinMatcher::BuildIndex() {
   const Table& table = other();
   index_.reserve(table.num_rows());
-  Row row;
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    int pass = 1;
-    if (!other_residuals_.empty()) {
-      row = table.GetRow(r);
-      pass = Residuals(other_residuals_, !sides_.drive_source, row);
-      if (pass < 0) return false;
-    }
+    int pass = other_residuals_.empty() ? 1 : Residuals(other_residuals_, !sides_.drive_source, r);
+    if (pass < 0) return false;
     KeyStatus key = EncodeKey(other_keys_, table, r);
     if (key == KeyStatus::kUndecidable) return false;
     if (pass == 0 || key == KeyStatus::kNull) continue;
@@ -195,10 +189,10 @@ bool JoinMatcher::BuildIndex() {
 }
 
 int JoinMatcher::Residuals(const std::vector<const sql::Expr*>& residuals, bool source_side,
-                           const Row& row) const {
+                           size_t row) const {
   EvalContext ctx;
-  const Table& table = source_side ? *sides_.source : *sides_.target;
-  ctx.AddBinding(source_side ? sides_.source_alias : sides_.target_alias, &table.schema(), &row);
+  ctx.AddBinding(source_side ? sides_.source_alias : sides_.target_alias,
+                 source_side ? sides_.source : sides_.target, row);
   // Every conjunct is evaluated, as the AND in the pair context would: a
   // later one's error must surface even after an earlier one is false.
   int pass = 1;
@@ -252,11 +246,10 @@ JoinMatcher::KeyStatus JoinMatcher::EncodeKey(const std::vector<size_t>& columns
   return has_null ? KeyStatus::kNull : KeyStatus::kKey;
 }
 
-Result<JoinMatch> JoinMatcher::Match(size_t row, const Row& driving_row, bool want_unique) {
-  if (!hash_) return NestedLoopMatch(driving_row, want_unique);
-  int pass = driving_residuals_.empty()
-                 ? 1
-                 : Residuals(driving_residuals_, sides_.drive_source, driving_row);
+Result<JoinMatch> JoinMatcher::Match(size_t row, bool want_unique) {
+  if (!hash_) return NestedLoopMatch(row, want_unique);
+  int pass =
+      driving_residuals_.empty() ? 1 : Residuals(driving_residuals_, sides_.drive_source, row);
   KeyStatus key = pass < 0 ? KeyStatus::kUndecidable : EncodeKey(driving_keys_, driving(), row);
   if (key == KeyStatus::kUndecidable) {
     fell_back_ = true;
@@ -270,16 +263,15 @@ Result<JoinMatch> JoinMatcher::Match(size_t row, const Row& driving_row, bool wa
 // The nested loop: the whole predicate per (driving, other) pair, in the
 // other side's row order. It is the reference semantics the hash path must
 // reproduce, and the only path for predicates the planner cannot split.
-Result<JoinMatch> JoinMatcher::NestedLoopMatch(const Row& driving_row, bool want_unique) const {
+Result<JoinMatch> JoinMatcher::NestedLoopMatch(size_t row, bool want_unique) const {
   JoinMatch match;
   const Table& table = other();
+  const size_t other_binding = sides_.drive_source ? 0 : 1;
+  EvalContext ctx;
+  ctx.AddBinding(sides_.target_alias, sides_.target, row);
+  ctx.AddBinding(sides_.source_alias, sides_.source, row);
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    Row other_row = table.GetRow(r);
-    const Row& target_row = sides_.drive_source ? other_row : driving_row;
-    const Row& source_row = sides_.drive_source ? driving_row : other_row;
-    EvalContext ctx;
-    ctx.AddBinding(sides_.target_alias, &sides_.target->schema(), &target_row);
-    ctx.AddBinding(sides_.source_alias, &sides_.source->schema(), &source_row);
+    ctx.SetRow(other_binding, r);
     HQ_ASSIGN_OR_RETURN(bool on, PredicateTrue(sides_.predicate, ctx));
     if (!on) continue;
     if (match.row >= 0) {

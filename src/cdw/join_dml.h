@@ -51,11 +51,11 @@ class JoinMatcher {
 
   JoinPath path() const { return hash_ ? JoinPath::kHash : JoinPath::kNestedLoop; }
 
-  /// Pairs driving row `row` (its values in `driving_row`) with the other
-  /// side: the first paired row in the other side's order. With
-  /// `want_unique` it also reports whether a second one exists; the nested
-  /// loop stops at that second pairing, as MERGE's multi-match check needs.
-  common::Result<JoinMatch> Match(size_t row, const types::Row& driving_row, bool want_unique);
+  /// Pairs driving row `row` with the other side: the first paired row in
+  /// the other side's order. With `want_unique` it also reports whether a
+  /// second one exists; the nested loop stops at that second pairing, as
+  /// MERGE's multi-match check needs.
+  common::Result<JoinMatch> Match(size_t row, bool want_unique);
 
   /// True once the hash path met a row it cannot decide (a residual error, a
   /// stored value of the wrong kind). Match then returned an error that the
@@ -71,11 +71,10 @@ class JoinMatcher {
   /// Evaluates one side's residuals on a row: 1 all true, 0 some false or
   /// NULL, -1 undecidable (an error or a non-boolean value).
   int Residuals(const std::vector<const sql::Expr*>& residuals, bool source_side,
-                const types::Row& row) const;
+                size_t row) const;
   /// Encodes a stored row's equi-key into key_.
   KeyStatus EncodeKey(const std::vector<size_t>& columns, const Table& table, size_t row);
-  common::Result<JoinMatch> NestedLoopMatch(const types::Row& driving_row,
-                                            bool want_unique) const;
+  common::Result<JoinMatch> NestedLoopMatch(size_t row, bool want_unique) const;
 
   const Table& driving() const { return *(sides_.drive_source ? sides_.source : sides_.target); }
   const Table& other() const { return *(sides_.drive_source ? sides_.target : sides_.source); }

@@ -21,19 +21,12 @@ Table::Table(std::string name, types::Schema schema, std::vector<std::string> pr
   }
 }
 
-bool Table::KeyLess::operator()(const Row& a, const Row& b) const {
+bool RowLess::operator()(const Row& a, const Row& b) const {
   for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
     int c = a[i].Compare(b[i]);
     if (c != 0) return c < 0;
   }
   return a.size() < b.size();
-}
-
-Row Table::KeyOfStored(size_t row) const {
-  Row key;
-  key.reserve(pk_indexes_.size());
-  for (size_t idx : pk_indexes_) key.push_back(columns_[idx][row]);
-  return key;
 }
 
 void Table::IndexInsert(Row key) { ++pk_index_[std::move(key)]; }
@@ -61,12 +54,7 @@ Status Table::AppendRow(Row row) {
     return Status::Invalid("row arity " + std::to_string(row.size()) + " != table arity " +
                            std::to_string(columns_.size()));
   }
-  if (IndexedKeys()) {
-    Row key;
-    key.reserve(pk_indexes_.size());
-    for (size_t idx : pk_indexes_) key.push_back(row[idx]);
-    IndexInsert(std::move(key));
-  }
+  if (IndexedKeys()) IndexInsert(KeyOf([&](size_t c) { return row[c]; }));
   for (size_t c = 0; c < columns_.size(); ++c) {
     columns_[c].push_back(std::move(row[c]));
   }
@@ -94,12 +82,7 @@ Status Table::AppendColumns(std::vector<std::vector<Value>> values) {
   }
   if (added == 0) return Status::OK();
   if (IndexedKeys()) {
-    for (size_t r = 0; r < added; ++r) {
-      Row key;
-      key.reserve(pk_indexes_.size());
-      for (size_t idx : pk_indexes_) key.push_back(values[idx][r]);
-      IndexInsert(std::move(key));
-    }
+    for (size_t r = 0; r < added; ++r) IndexInsert(KeyOf([&](size_t c) { return values[c][r]; }));
   }
   for (size_t c = 0; c < columns_.size(); ++c) {
     auto& dst = columns_[c];
@@ -114,11 +97,8 @@ Status Table::ReplaceRow(size_t row, Row values) {
   if (row >= num_rows_) return Status::Invalid("row index out of range");
   if (values.size() != columns_.size()) return Status::Invalid("row arity mismatch");
   if (IndexedKeys()) {
-    IndexErase(KeyOfStored(row));
-    Row key;
-    key.reserve(pk_indexes_.size());
-    for (size_t idx : pk_indexes_) key.push_back(values[idx]);
-    IndexInsert(std::move(key));
+    IndexErase(KeyOf([&](size_t c) { return At(row, c); }));
+    IndexInsert(KeyOf([&](size_t c) { return values[c]; }));
   }
   for (size_t c = 0; c < columns_.size(); ++c) {
     columns_[c][row] = std::move(values[c]);
@@ -135,7 +115,7 @@ Status Table::RemoveRows(const std::vector<size_t>& sorted_rows) {
   }
   if (sorted_rows.back() >= num_rows_) return Status::Invalid("row index out of range");
   if (IndexedKeys()) {
-    for (size_t r : sorted_rows) IndexErase(KeyOfStored(r));
+    for (size_t r : sorted_rows) IndexErase(KeyOf([&](size_t c) { return At(r, c); }));
   }
   for (auto& col : columns_) {
     std::vector<Value> kept;

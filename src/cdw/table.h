@@ -21,6 +21,12 @@
 
 namespace hyperq::cdw {
 
+/// Lexicographic tuple order on Value::Compare: the key index, DISTINCT and
+/// GROUP BY all order rows with it.
+struct RowLess {
+  bool operator()(const types::Row& a, const types::Row& b) const;
+};
+
 class Table {
  public:
   Table(std::string name, types::Schema schema, std::vector<std::string> primary_key = {},
@@ -39,8 +45,19 @@ class Table {
   /// Cell accessor (no bounds checking beyond asserts).
   const types::Value& At(size_t row, size_t col) const { return columns_[col][row]; }
 
-  /// Materializes one row.
+  /// Materializes one row (a copy: statements read cells in place via At and
+  /// copy a row only to stage its replacement).
   types::Row GetRow(size_t row) const;
+
+  /// The primary-key tuple (primary_key_indexes() order) of a row whose
+  /// column c is `cell(c)`: a stored row, a staged Row or a columnar batch.
+  template <typename Cell>
+  types::Row KeyOf(const Cell& cell) const {
+    types::Row key;
+    key.reserve(pk_indexes_.size());
+    for (size_t idx : pk_indexes_) key.push_back(cell(idx));
+    return key;
+  }
 
   /// Appends a pre-validated row (values must already match column types).
   common::Status AppendRow(types::Row row);
@@ -73,13 +90,7 @@ class Table {
   size_t PrimaryKeyCount(const types::Row& key) const;
 
  private:
-  /// Lexicographic tuple ordering on Value::Compare, for the key index.
-  struct KeyLess {
-    bool operator()(const types::Row& a, const types::Row& b) const;
-  };
-
   bool IndexedKeys() const { return unique_primary_ && !pk_indexes_.empty(); }
-  types::Row KeyOfStored(size_t row) const;
   void IndexInsert(types::Row key);
   void IndexErase(const types::Row& key);
 
@@ -94,7 +105,7 @@ class Table {
   /// table itself never rejects duplicates (constraints are metadata only,
   /// see the file comment); the count is what lets the executor emulate
   /// enforcement without scanning.
-  std::map<types::Row, size_t, KeyLess> pk_index_;
+  std::map<types::Row, size_t, RowLess> pk_index_;
 };
 
 using TablePtr = std::shared_ptr<Table>;

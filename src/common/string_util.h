@@ -1,5 +1,6 @@
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +31,16 @@ std::vector<std::string> Split(std::string_view s, char delim);
 std::string Join(const std::vector<std::string>& parts, std::string_view delim);
 
 bool StartsWithIgnoreCase(std::string_view s, std::string_view prefix);
+
+/// Parses all of `text` as a base-10 number with std::from_chars. False on
+/// empty input, trailing characters or a value outside T's range: the
+/// non-throwing replacement for std::stoi/stoll/stod on untrusted text.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 /// printf-style formatting into a std::string.
 std::string Sprintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -136,6 +136,13 @@ Status ParseError(size_t line, const std::string& msg) {
   return Status::ParseError("script line " + std::to_string(line) + ": " + msg);
 }
 
+/// A count or setting value: a base-10 integer, a ParseError otherwise.
+Result<int64_t> ParseInteger(size_t line, const std::string& word) {
+  int64_t n = 0;
+  if (!common::ParseNumber(word, &n)) return ParseError(line, "expected an integer, got: " + word);
+  return n;
+}
+
 Result<Command> ParseDotCommand(const RawStatement& raw) {
   Command cmd;
   cmd.line = raw.line;
@@ -165,7 +172,7 @@ Result<Command> ParseDotCommand(const RawStatement& raw) {
   if (lower == ".sessions") {
     if (!scan.Next(&word)) return ParseError(raw.line, ".sessions expects a count");
     cmd.kind = CommandKind::kSessions;
-    cmd.number = std::stoll(word);
+    HQ_ASSIGN_OR_RETURN(cmd.number, ParseInteger(raw.line, word));
     if (cmd.number < 1 || cmd.number > 64) {
       return ParseError(raw.line, ".sessions count out of range (1..64)");
     }
@@ -225,7 +232,7 @@ Result<Command> ParseDotCommand(const RawStatement& raw) {
               // Not a delimiter: treat as the next keyword.
               if (EqualsIgnoreCase(delim, "sessions")) {
                 if (!scan.Next(&word)) return ParseError(raw.line, "sessions expects a count");
-                cmd.number = std::stoll(word);
+                HQ_ASSIGN_OR_RETURN(cmd.number, ParseInteger(raw.line, word));
               } else {
                 return ParseError(raw.line, "unexpected word after format vartext: " + delim);
               }
@@ -237,7 +244,7 @@ Result<Command> ParseDotCommand(const RawStatement& raw) {
           }
         } else if (EqualsIgnoreCase(word, "sessions")) {
           if (!scan.Next(&word)) return ParseError(raw.line, "sessions expects a count");
-          cmd.number = std::stoll(word);
+          HQ_ASSIGN_OR_RETURN(cmd.number, ParseInteger(raw.line, word));
         } else {
           return ParseError(raw.line, "unexpected word in .begin export: " + word);
         }
@@ -311,7 +318,7 @@ Result<Command> ParseDotCommand(const RawStatement& raw) {
     if (!scan.Next(&cmd.set_name)) return ParseError(raw.line, ".set expects a name");
     if (!scan.Next(&word)) return ParseError(raw.line, ".set expects a value");
     cmd.set_name = common::ToLower(cmd.set_name);
-    cmd.number = std::stoll(word);
+    HQ_ASSIGN_OR_RETURN(cmd.number, ParseInteger(raw.line, word));
     cmd.kind = CommandKind::kSet;
     return cmd;
   }

@@ -83,6 +83,16 @@ class Parser {
                               "'");
   }
 
+  /// Consumes the TOP/LIMIT count token (already known to be a number).
+  Result<int64_t> ParseCount(std::string_view clause) {
+    int64_t count = 0;
+    if (!common::ParseNumber(Peek().text, &count)) {
+      return Error(std::string(clause) + " count out of range");
+    }
+    Advance();
+    return count;
+  }
+
   Result<std::string> ExpectIdentifier(std::string_view what) {
     if (Peek().kind != TokenKind::kIdentifier) {
       return Error("expected " + std::string(what));
@@ -158,7 +168,7 @@ class Parser {
     }
     if (AcceptKeyword("TOP")) {
       if (Peek().kind != TokenKind::kNumberLiteral) return Error("expected TOP count");
-      stmt->top = std::stoll(Advance().text);
+      HQ_ASSIGN_OR_RETURN(stmt->top, ParseCount("TOP"));
     }
     // Select list.
     for (;;) {
@@ -215,7 +225,7 @@ class Parser {
     }
     if (AcceptKeyword("LIMIT")) {
       if (Peek().kind != TokenKind::kNumberLiteral) return Error("expected LIMIT count");
-      stmt->top = std::stoll(Advance().text);
+      HQ_ASSIGN_OR_RETURN(stmt->top, ParseCount("LIMIT"));
     }
     return stmt;
   }
@@ -688,12 +698,17 @@ class Parser {
   Result<ExprPtr> ParsePrimary() {
     const Token& t = Peek();
     if (t.kind == TokenKind::kNumberLiteral) {
-      Advance();
       if (t.text.find('.') != std::string::npos || t.text.find('e') != std::string::npos ||
           t.text.find('E') != std::string::npos) {
-        return ExprPtr(std::make_unique<LiteralExpr>(Value::Float(std::stod(t.text))));
+        double d = 0;
+        if (!common::ParseNumber(t.text, &d)) return Error("numeric literal out of range");
+        Advance();
+        return ExprPtr(std::make_unique<LiteralExpr>(Value::Float(d)));
       }
-      return ExprPtr(std::make_unique<LiteralExpr>(Value::Int(std::stoll(t.text))));
+      int64_t i = 0;
+      if (!common::ParseNumber(t.text, &i)) return Error("integer literal out of range");
+      Advance();
+      return ExprPtr(std::make_unique<LiteralExpr>(Value::Int(i)));
     }
     if (t.kind == TokenKind::kStringLiteral) {
       Advance();

@@ -116,7 +116,9 @@ Status ParseParens(std::string_view text, size_t* pos, int32_t* a, int32_t* b, b
     size_t start = *pos;
     while (*pos < text.size() && std::isdigit(static_cast<unsigned char>(text[*pos]))) ++*pos;
     if (*pos == start) return Status::ParseError("expected integer in type: " + std::string(text));
-    *out = std::stoi(std::string(text.substr(start, *pos - start)));
+    if (!common::ParseNumber(text.substr(start, *pos - start), out)) {
+      return Status::ParseError("integer out of range in type: " + std::string(text));
+    }
     while (*pos < text.size() && std::isspace(static_cast<unsigned char>(text[*pos]))) ++*pos;
     return Status::OK();
   };

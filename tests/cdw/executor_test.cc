@@ -421,6 +421,79 @@ TEST_F(ExecutorTest, FromlessSelect) {
   EXPECT_EQ(result.rows[0][0].int_value(), 2);
 }
 
+TEST_F(ExecutorTest, FromlessSelectWithAndWithoutCount) {
+  auto plain = Exec("SELECT 2 * 3 AS SIX");
+  ASSERT_EQ(plain.rows.size(), 1u);
+  EXPECT_EQ(plain.rows[0][0].int_value(), 6);
+  auto counted = Exec("SELECT COUNT(*), 1 + 1");
+  ASSERT_EQ(counted.rows.size(), 1u);
+  EXPECT_EQ(counted.rows[0][0].int_value(), 1);
+  EXPECT_EQ(counted.rows[0][1].int_value(), 2);
+  EXPECT_TRUE(Exec("SELECT 1 WHERE 1 = 0").rows.empty());
+  auto none = Exec("SELECT COUNT(*) WHERE 1 = 0");
+  ASSERT_EQ(none.rows.size(), 1u);
+  EXPECT_EQ(none.rows[0][0].int_value(), 0);
+}
+
+TEST_F(ExecutorTest, ThreeTableJoinWithDistinctAndOrder) {
+  SeedCustomers();
+  Exec("CREATE TABLE ORDERS (CUST_ID INTEGER, AMT INTEGER, PROD VARCHAR(4))");
+  Exec("CREATE TABLE PRODUCTS (PID VARCHAR(4), PNAME VARCHAR(20))");
+  Exec("INSERT INTO ORDERS VALUES (1, 10, 'P1'), (1, 20, 'P2'), (3, 5, 'P1'), (2, 7, 'P3'), "
+       "(1, 10, 'P1'), (4, 50, 'P2')");
+  Exec("INSERT INTO PRODUCTS VALUES ('P1', 'Widget'), ('P2', 'Gadget'), ('P3', 'Gizmo')");
+  auto result = Exec(
+      "SELECT DISTINCT c.NAME, p.PNAME, o.AMT FROM CUSTOMERS c "
+      "JOIN ORDERS o ON c.ID = o.CUST_ID JOIN PRODUCTS p ON o.PROD = p.PID "
+      "WHERE o.AMT >= 7 ORDER BY NAME, AMT DESC");
+  ASSERT_EQ(result.rows.size(), 3u);
+  auto expect_row = [&](size_t i, const char* name, const char* product, int64_t amt) {
+    EXPECT_EQ(result.rows[i][0].string_value(), name) << i;
+    EXPECT_EQ(result.rows[i][1].string_value(), product) << i;
+    EXPECT_EQ(result.rows[i][2].int_value(), amt) << i;
+  };
+  expect_row(0, "Ada", "Gadget", 20);
+  expect_row(1, "Ada", "Widget", 10);
+  expect_row(2, "Bob", "Gizmo", 7);
+  // Each ON sees only the tables to its left.
+  EXPECT_TRUE(ExecError("SELECT c.NAME FROM CUSTOMERS c JOIN ORDERS o ON o.PROD = p.PID "
+                        "JOIN PRODUCTS p ON c.ID = o.CUST_ID")
+                  .IsNotFound());
+}
+
+TEST_F(ExecutorTest, UpdateSwapReadsPreStatementValues) {
+  Exec("CREATE TABLE PAIRS (K INTEGER, A INTEGER, B INTEGER)");
+  Exec("INSERT INTO PAIRS VALUES (1, 1, 2), (2, 3, 4)");
+  EXPECT_EQ(Exec("UPDATE PAIRS SET A = B, B = A").rows_updated, 2u);
+  auto swapped = Exec("SELECT A, B FROM PAIRS ORDER BY A");
+  ASSERT_EQ(swapped.rows.size(), 2u);
+  EXPECT_EQ(swapped.rows[0][0].int_value(), 2);
+  EXPECT_EQ(swapped.rows[0][1].int_value(), 1);
+  EXPECT_EQ(swapped.rows[1][0].int_value(), 4);
+  EXPECT_EQ(swapped.rows[1][1].int_value(), 3);
+}
+
+TEST_F(ExecutorTest, MergeSetReadsTargetColumnsItWrites) {
+  Exec("CREATE TABLE ACCT (ID INTEGER, BAL INTEGER, PREV INTEGER)");
+  Exec("CREATE TABLE DELTA (K INTEGER, D INTEGER)");
+  Exec("INSERT INTO ACCT VALUES (1, 100, NULL), (2, 200, NULL)");
+  Exec("INSERT INTO DELTA VALUES (2, 5), (3, 7)");
+  auto result = Exec(
+      "MERGE INTO ACCT T USING DELTA S ON T.ID = S.K "
+      "WHEN MATCHED THEN UPDATE SET BAL = T.BAL + S.D, PREV = T.BAL "
+      "WHEN NOT MATCHED THEN INSERT (ID, BAL) VALUES (S.K, S.D)");
+  EXPECT_EQ(result.rows_updated, 1u);
+  EXPECT_EQ(result.rows_inserted, 1u);
+  auto rows = Exec("SELECT ID, BAL, PREV FROM ACCT ORDER BY ID");
+  ASSERT_EQ(rows.rows.size(), 3u);
+  EXPECT_EQ(rows.rows[0][1].int_value(), 100);
+  EXPECT_TRUE(rows.rows[0][2].is_null());
+  EXPECT_EQ(rows.rows[1][1].int_value(), 205);
+  EXPECT_EQ(rows.rows[1][2].int_value(), 200);
+  EXPECT_EQ(rows.rows[2][1].int_value(), 7);
+  EXPECT_TRUE(rows.rows[2][2].is_null());
+}
+
 TEST_F(ExecutorTest, MissingTableIsNotFound) {
   EXPECT_TRUE(ExecError("SELECT * FROM NOPE").IsNotFound());
   EXPECT_TRUE(ExecError("INSERT INTO NOPE VALUES (1)").IsNotFound());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "cdw/table.h"
 #include "sql/parser.h"
 #include "types/date.h"
 
@@ -15,14 +18,20 @@ using types::Value;
 
 class ExprEvalTest : public ::testing::Test {
  protected:
+  static Schema MakeSchema() {
+    Schema schema;
+    schema.AddField(Field("A", TypeDesc::Int64()));
+    schema.AddField(Field("B", TypeDesc::Varchar(20)));
+    schema.AddField(Field("D", TypeDesc::Date()));
+    schema.AddField(Field("N", TypeDesc::Int64()));
+    return schema;
+  }
+
   ExprEvalTest() {
-    schema_.AddField(Field("A", TypeDesc::Int64()));
-    schema_.AddField(Field("B", TypeDesc::Varchar(20)));
-    schema_.AddField(Field("D", TypeDesc::Date()));
-    schema_.AddField(Field("N", TypeDesc::Int64()));
     row_ = {Value::Int(10), Value::String("hello"),
             Value::Date(types::DaysFromYmd(2020, 6, 15).ValueOrDie()), Value::Null()};
-    ctx_.AddBinding("T", &schema_, &row_);
+    EXPECT_TRUE(table_.AppendRow(row_).ok());
+    ctx_.AddBinding("T", &table_, 0);
   }
 
   common::Result<Value> Eval(const std::string& text) {
@@ -37,7 +46,7 @@ class ExprEvalTest : public ::testing::Test {
     return v.ok() ? *v : Value::Null();
   }
 
-  Schema schema_;
+  Table table_{"T", MakeSchema()};
   types::Row row_;
   EvalContext ctx_;
 };
@@ -51,9 +60,9 @@ TEST_F(ExprEvalTest, ColumnResolution) {
 }
 
 TEST_F(ExprEvalTest, AmbiguousColumnRejected) {
-  Schema other = schema_;
-  types::Row other_row = row_;
-  ctx_.AddBinding("S", &other, &other_row);
+  Table other("S", table_.schema());
+  ASSERT_TRUE(other.AppendRow(row_).ok());
+  ctx_.AddBinding("S", &other, 0);
   EXPECT_TRUE(Eval("A").status().IsInvalid());
   EXPECT_TRUE(Eval("S.A").ok());
 }
@@ -74,6 +83,30 @@ TEST_F(ExprEvalTest, DivisionByZeroIsConversionError) {
 
 TEST_F(ExprEvalTest, IntegerOverflowCaught) {
   EXPECT_TRUE(Eval("9223372036854775807 + 1").status().IsConversionError());
+}
+
+// INT64_MIN has no positive counterpart: its division and remainder by -1
+// trap in hardware and its negation wraps, so all three are overflow errors.
+TEST_F(ExprEvalTest, Int64MinOverflowCaught) {
+  const std::string kMin = "(-9223372036854775807 - 1)";
+  EXPECT_TRUE(Eval(kMin + " / -1").status().IsConversionError());
+  EXPECT_TRUE(Eval("MOD(" + kMin + ", -1)").status().IsConversionError());
+  EXPECT_TRUE(Eval("-" + kMin).status().IsConversionError());
+  EXPECT_TRUE(Eval("ABS(" + kMin + ")").status().IsConversionError());
+  EXPECT_EQ(MustEval(kMin + " / 1").int_value(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(MustEval("-(-9223372036854775807)").int_value(), 9223372036854775807);
+  EXPECT_EQ(MustEval("ABS(-A)").int_value(), 10);
+}
+
+TEST_F(ExprEvalTest, DecimalInt64MinUnscaledOverflowCaught) {
+  Schema schema;
+  schema.AddField(Field("X", TypeDesc::Decimal(18, 2)));
+  Table dec("S", schema);
+  ASSERT_TRUE(
+      dec.AppendRow({Value::Dec(types::Decimal(std::numeric_limits<int64_t>::min(), 2))}).ok());
+  ctx_.AddBinding("S", &dec, 0);
+  EXPECT_TRUE(Eval("ABS(X)").status().IsConversionError());
+  EXPECT_TRUE(Eval("-X").status().IsConversionError());
 }
 
 TEST_F(ExprEvalTest, FloatAndMixedArithmetic) {

@@ -67,6 +67,17 @@ TEST(ScriptParserTest, SessionsRangeValidated) {
   EXPECT_FALSE(ParseScript(".sessions 100;").ok());
 }
 
+TEST(ScriptParserTest, NonNumericCountsAreParseErrors) {
+  for (const char* script : {".sessions x;", ".sessions 99999999999999999999;",
+                             ".set max_errors lots;",
+                             ".begin export outfile f.txt sessions 4x;",
+                             ".begin export outfile f.txt format vartext sessions x;"}) {
+    auto r = ParseScript(script);
+    ASSERT_FALSE(r.ok()) << script;
+    EXPECT_TRUE(r.status().IsParseError()) << script << ": " << r.status().ToString();
+  }
+}
+
 TEST(ScriptParserTest, BareSqlIsControlStatement) {
   auto script = ParseScript(".logon h/u,p;\ncreate table t (a integer);\nselect * from t;")
                     .ValueOrDie();

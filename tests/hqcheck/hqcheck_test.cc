@@ -210,6 +210,24 @@ TEST(HqcheckGoldenTest, UnboundedRetry) {
                                             }));
 }
 
+TEST(HqcheckGoldenTest, ThrowingConversion) {
+  auto finding = [](int line, const std::string& fn) {
+    return "throwing_conversion.cc:" + std::to_string(line) + ": [throwing-conversion] std::" +
+           fn +
+           " throws on malformed or out-of-range text and nothing catches it; parse with "
+           "common::ParseNumber (std::from_chars) and return a Status";
+  };
+  EXPECT_EQ(CheckOne("throwing_conversion.cc"), (std::vector<std::string>{
+                                                    finding(4, "stoll"),
+                                                    finding(7, "stod"),
+                                                    finding(8, "stoi"),
+                                                }));
+  // Like the lock-rank manifest, the rule covers production code only.
+  for (const char* path : {"tests/sql/parser_test.cc", "bench/bench_x.cc"}) {
+    EXPECT_EQ(CheckSource(path, "int n = std::stoi(arg);\n"), std::vector<std::string>{}) << path;
+  }
+}
+
 TEST(HqcheckGoldenTest, StaleAllow) {
   EXPECT_EQ(CheckOne("stale_allow.cc"),
             (std::vector<std::string>{

@@ -49,6 +49,20 @@ TEST_F(ProtocolTest, SyntaxErrorReturnsLegacyCode3706) {
   EXPECT_NE(result.status().message().find("[3706]"), std::string::npos);
 }
 
+TEST_F(ProtocolTest, OversizedNumericLiteralReturnsLegacyCode3706AndNodeSurvives) {
+  auto session = Connect();
+  for (const char* sql : {"SELECT 99999999999999999999", "SELECT 1.5e999999",
+                          "SELECT TOP 99999999999999999999 * FROM T",
+                          "SELECT CAST(1 AS VARCHAR(99999999999))"}) {
+    auto result = session->ExecuteSql(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_NE(result.status().message().find("[3706]"), std::string::npos)
+        << sql << ": " << result.status().ToString();
+  }
+  auto alive = session->ExecuteSql("SELECT 1");
+  EXPECT_TRUE(alive.ok()) << alive.status().ToString();
+}
+
 TEST_F(ProtocolTest, MissingTableReturnsLegacyCode3807) {
   auto session = Connect();
   auto result = session->ExecuteSql("SELECT * FROM NO.SUCH_TABLE");

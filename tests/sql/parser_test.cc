@@ -260,6 +260,19 @@ TEST(ParserTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(ParseStatement("SELECT 1 SELECT 2").ok());
 }
 
+TEST(ParserTest, OversizedNumbersAreParseErrors) {
+  for (const char* sql : {"SELECT 99999999999999999999", "SELECT 1.5e999999",
+                          "SELECT TOP 99999999999999999999 a FROM t",
+                          "SELECT a FROM t LIMIT 99999999999999999999",
+                          "SELECT CAST(1 AS VARCHAR(99999999999))"}) {
+    auto r = ParseStatement(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsParseError()) << sql << ": " << r.status().ToString();
+  }
+  // The largest literals that fit still parse.
+  EXPECT_TRUE(ParseStatement("SELECT 9223372036854775807, 1.5e300").ok());
+}
+
 TEST(ParserTest, RejectsPositionalParameters) {
   EXPECT_FALSE(ParseStatement("SELECT * FROM t WHERE a = ?").ok());
 }

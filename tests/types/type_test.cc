@@ -94,5 +94,12 @@ TEST(ParseTypeNameErrorTest, RejectsGarbage) {
   EXPECT_FALSE(ParseTypeName("").ok());
 }
 
+TEST(ParseTypeNameErrorTest, OversizedLengthIsParseError) {
+  auto r = ParseTypeName("varchar(99999999999)");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+  EXPECT_FALSE(ParseTypeName("decimal(10,99999999999)").ok());
+}
+
 }  // namespace
 }  // namespace hyperq::types

@@ -7,8 +7,8 @@
 
 /// \file file_rules.cc
 /// Source rules that need tokens but no declaration model (naked-mutex,
-/// new-delete, include-hygiene, unbounded-retry), and the stale-allow audit
-/// every mode that honours allow markers runs last.
+/// new-delete, include-hygiene, unbounded-retry, throwing-conversion), and
+/// the stale-allow audit every mode that honours allow markers runs last.
 
 namespace hqcheck::internal {
 
@@ -28,6 +28,11 @@ const std::set<std::string> kRetryIoMembers = {"Put",        "PutBatch", "Get",
 const std::set<std::string> kRetryPolicyNames = {"RetryPolicy", "RetryAttempt",
                                                  "BackoffMicros"};
 
+/// std:: text-to-number conversions that throw on malformed or out-of-range
+/// input.
+const std::set<std::string> kThrowingConversions = {"stoi",  "stol", "stoul", "stoll",
+                                                    "stoull", "stof", "stod",  "stold"};
+
 bool IsPunct(const Token& t, const char* text) {
   return t.kind == TokKind::kPunct && t.text == text;
 }
@@ -42,7 +47,7 @@ const std::set<std::string>& SourceRules() {
   static const std::set<std::string> rules = {
       "guarded-field",   "lock-rank",           "lock-nesting",    "enum-switch",
       "naked-mutex",     "new-delete",          "include-hygiene", "blocking-under-lock",
-      "unbounded-retry", "stale-allow"};
+      "unbounded-retry", "throwing-conversion", "stale-allow"};
   return rules;
 }
 
@@ -50,6 +55,14 @@ const std::set<std::string>& SleepCalls() {
   static const std::set<std::string> calls = {"sleep_for", "sleep_until", "usleep",
                                               "nanosleep"};
   return calls;
+}
+
+bool TestLocalPath(const std::string& path) {
+  for (const std::string dir : {"tests/", "bench/"}) {
+    const size_t pos = path.find(dir);
+    if (pos != std::string::npos && (pos == 0 || path[pos - 1] == '/')) return true;
+  }
+  return false;
 }
 
 bool IsMemberCall(const std::vector<Token>& t, size_t i) {
@@ -72,6 +85,7 @@ void CheckFileRules(const LexedFile& f, std::vector<Diagnostic>* diags) {
   const bool sync_layer = EndsWith(f.path, "common/sync.h");
   const bool retry_layer =
       EndsWith(f.path, "common/retry.h") || EndsWith(f.path, "common/retry.cc");
+  const bool production = !TestLocalPath(f.path);
 
   int naked_line = 0;  // one naked-mutex finding per line
   for (size_t i = 0; i + 1 < t.size(); ++i) {
@@ -84,6 +98,14 @@ void CheckFileRules(const LexedFile& f, std::vector<Diagnostic>* diags) {
       report(t[i].line, "naked-mutex",
              "use common::Mutex/MutexLock/CondVar from common/sync.h instead of std::" +
                  t[i + 2].text);
+    } else if (x == "std" && production && IsPunct(t[i + 1], "::") &&
+               kThrowingConversions.count(t[i + 2].text) != 0 && IsPunct(t[i + 3], "(")) {
+      // Nothing in the server catches exceptions: one bad literal from a
+      // client would abort the whole node.
+      report(t[i].line, "throwing-conversion",
+             "std::" + t[i + 2].text +
+                 " throws on malformed or out-of-range text and nothing catches it; parse "
+                 "with common::ParseNumber (std::from_chars) and return a Status");
     } else if (x == "using" && header && t[i + 1].text == "namespace") {
       report(t[i].line, "include-hygiene",
              "`using namespace` in a header leaks into every includer");

@@ -818,20 +818,7 @@ using internal::LastIdent;
 using internal::MatchingClose;
 using internal::MutexSite;
 using internal::ResolveRank;
-
-namespace {
-
-/// Mutexes under tests/ or bench/ are test-local: ranked and nesting-checked
-/// like any other, but not part of the production manifest.
-bool TestLocalPath(const std::string& path) {
-  for (const std::string dir : {"tests/", "bench/"}) {
-    const size_t pos = path.find(dir);
-    if (pos != std::string::npos && (pos == 0 || path[pos - 1] == '/')) return true;
-  }
-  return false;
-}
-
-}  // namespace
+using internal::TestLocalPath;
 
 // ---------------------------------------------------------------------------
 // Function-body analysis (pass 2)

@@ -49,6 +49,10 @@
 ///                   *second* lock is held above the waiting one.
 ///   unbounded-retry a loop whose condition or body both sleeps and issues
 ///                   an I/O-shaped member call without common::RetryPolicy.
+///   throwing-conversion
+///                   a production (outside tests/ and bench/) call to
+///                   std::stoi/stol/stoll/stod and friends, which throw on
+///                   bad text that nothing catches.
 ///   stale-allow     an allow marker for a rule the mode ran (or for no
 ///                   rule at all) that suppressed nothing.
 ///

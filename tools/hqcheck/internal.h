@@ -103,6 +103,10 @@ std::string ResolveRank(const Declarations& d, const std::string& cls,
 
 bool EndsWith(const std::string& s, const std::string& suffix);
 
+/// True for paths under tests/ or bench/: test-local code that the
+/// production-only rules (the lock-rank manifest, throwing-conversion) skip.
+bool TestLocalPath(const std::string& path);
+
 /// Invokes `fn(cls, method, ctor_dtor, open, close)` for every function body
 /// in the file; `open`/`close` are token indexes of the body braces. `cls`
 /// resolves `X::Name` qualifiers over the enclosing scope.
@@ -123,7 +127,8 @@ const std::set<std::string>& SleepCalls();
 /// True when t[i] is called as a member: `.name(` or `->name(`.
 bool IsMemberCall(const std::vector<Token>& t, size_t i);
 
-/// naked-mutex, new-delete, include-hygiene and unbounded-retry over `f`.
+/// naked-mutex, new-delete, include-hygiene, unbounded-retry and
+/// throwing-conversion over `f`.
 void CheckFileRules(const LexedFile& f, std::vector<Diagnostic>* diags);
 
 /// stale-allow: run after every rule of a mode. Reports each allow marker
