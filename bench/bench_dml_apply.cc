@@ -1,5 +1,9 @@
 /// Join DML apply cost in the embedded CDW: MERGE, UPDATE…FROM and
 /// DELETE…USING of a staging table into a keyed target, |S| = |T| = N.
+/// A second section times the §7 probe: the fig7 INSERT…SELECT (TRIM,
+/// TRIM, TO_DATE and the pass-through filler columns) restricted to one
+/// HQ_ROWNUM, the statement the adaptive error handler issues most, over a
+/// staging table of N rows; plus the same statement over all 8000 rows.
 ///
 /// The statements are the shapes Hyper-Q's binder emits for a keyed upsert,
 /// update and delete (paper §6), each restricted to the staged row range the
@@ -11,9 +15,11 @@
 ///
 ///   bench_dml_apply [--reps=N] [--json=PATH] [--smoke]
 ///
-/// --json writes a machine-readable BENCH_dml.json. Every run fails (exit 1)
-/// when a statement's counts are wrong, a statement leaves the hash path, or
-/// a doubling ratio exceeds 3x. Ratios use the fastest of the repetitions,
+/// --json writes a machine-readable BENCH_dml.json (the probe section under
+/// "PROBE": ms per statement and ns per scanned row). Every run fails (exit 1)
+/// when a statement's counts are wrong (a probe must insert exactly 1 row and
+/// scan the whole staging table), a statement leaves the hash path, or a
+/// join DML doubling ratio exceeds 3x. Ratios use the fastest of the repetitions,
 /// which shrugs off interference from other processes better than the
 /// median. --smoke runs fewer repetitions for CI.
 
@@ -28,7 +34,11 @@
 #include "cdw/catalog.h"
 #include "cdw/executor.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
+#include "sql/binder.h"
 #include "sql/parser.h"
+#include "sql/transpiler.h"
+#include "workload/dataset.h"
 #include "workload/report.h"
 
 using namespace hyperq;
@@ -122,6 +132,129 @@ struct Timing {
   double median_ms = 0;
 };
 
+Timing Summarize(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  return Timing{runs.front(), runs[runs.size() / 2]};
+}
+
+// --- §7 probes ----------------------------------------------------------------
+
+constexpr size_t kProbeFullRows = 8000;
+
+/// The fig7 feed: 500-byte rows, CUST_ID, CUST_NAME, JOIN_DATE and 9 fillers.
+workload::CustomerDataset ProbeDataset() {
+  workload::DatasetSpec spec;
+  spec.rows = kProbeFullRows;
+  spec.row_bytes = 500;
+  spec.seed = 7;
+  return workload::CustomerDataset(spec);
+}
+
+/// Recreates PSTG, the staging table (the layout as text plus HQ_ROWNUM),
+/// with the dataset's first n rows, and an empty keyed target PTGT.
+void LoadProbe(cdw::Catalog* catalog, const workload::CustomerDataset& dataset, size_t n) {
+  (void)catalog->DropTable("PSTG", /*if_exists=*/true);
+  (void)catalog->DropTable("PTGT", /*if_exists=*/true);
+  types::Schema staging = dataset.MakeLayout();
+  staging.AddField(types::Field("HQ_ROWNUM", types::TypeDesc::Int64()));
+  auto stg = catalog->CreateTable("PSTG", staging);
+  auto ddl = sql::ParseStatement(dataset.MakeTargetDdl("PTGT"));
+  cdw::Executor executor(catalog);
+  if (!stg.ok() || !ddl.ok() || !executor.Execute(**ddl).ok()) {
+    std::fprintf(stderr, "probe table setup failed\n");
+    std::exit(1);
+  }
+  std::vector<types::Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    types::Row row;
+    for (const std::string& field : common::Split(dataset.MakeLine(i), '|')) {
+      row.push_back(types::Value::String(field));
+    }
+    row.push_back(types::Value::Int(static_cast<int64_t>(i + 1)));
+    rows.push_back(std::move(row));
+  }
+  if (!(*stg)->AppendRows(std::move(rows)).ok()) {
+    std::fprintf(stderr, "probe table load failed\n");
+    std::exit(1);
+  }
+}
+
+/// The fig7 insert bound to PSTG rows [first, last] and transpiled, as the
+/// adaptive error handler issues it.
+sql::StatementPtr ProbeStatement(const workload::CustomerDataset& dataset, size_t first,
+                                 size_t last) {
+  auto legacy = sql::ParseStatement(dataset.MakeInsertDml("PTGT"));
+  sql::BindOptions bind;
+  bind.staging_table = "PSTG";
+  bind.row_number_column = "HQ_ROWNUM";
+  bind.first_row = static_cast<int64_t>(first);
+  bind.last_row = static_cast<int64_t>(last);
+  if (!legacy.ok()) {
+    std::fprintf(stderr, "probe DML: %s\n", legacy.status().ToString().c_str());
+    std::exit(1);
+  }
+  auto bound = sql::BindDmlToStaging(**legacy, dataset.MakeLayout(), bind);
+  auto cdw_stmt = bound.ok() ? sql::TranspileStatement(**bound)
+                             : common::Result<sql::StatementPtr>(bound.status());
+  if (!cdw_stmt.ok()) {
+    std::fprintf(stderr, "probe DML: %s\n", cdw_stmt.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(cdw_stmt).ValueOrDie();
+}
+
+struct ProbeRun {
+  std::string name;  ///< "singleton" or "full_range"
+  size_t n;          ///< staging rows
+  Timing timing;
+};
+
+/// Times each probe `reps` times, each run from an empty target. A wrong
+/// row count clears *ok.
+std::vector<ProbeRun> RunProbes(int reps, bool* ok) {
+  const workload::CustomerDataset dataset = ProbeDataset();
+  struct Probe {
+    std::string name;
+    size_t n;
+    uint64_t expect_inserted;
+    sql::StatementPtr stmt;
+    std::vector<double> ms;
+  };
+  std::vector<Probe> probes;
+  for (size_t n : kSizes) {
+    probes.push_back({"singleton", n, 1, ProbeStatement(dataset, n / 2, n / 2), {}});
+  }
+  probes.push_back({"full_range", kProbeFullRows, kProbeFullRows,
+                    ProbeStatement(dataset, 1, kProbeFullRows), {}});
+  cdw::Catalog catalog;
+  cdw::Executor executor(&catalog);
+  cdw::ExecOptions options;
+  options.enforce_unique_primary = true;
+  for (Probe& probe : probes) {
+    LoadProbe(&catalog, dataset, probe.n);
+    auto target = catalog.GetTable("PTGT");
+    for (int r = 0; r < reps; ++r) {
+      (*target)->Truncate();
+      common::Stopwatch watch;
+      auto result = executor.Execute(*probe.stmt, options);
+      probe.ms.push_back(watch.ElapsedSeconds() * 1e3);
+      if (!result.ok() || result->rows_inserted != probe.expect_inserted ||
+          result->rows_scanned != probe.n) {
+        std::fprintf(stderr, "probe %s at N=%zu: %s (inserted %" PRIu64 ", scanned %" PRIu64
+                     ")\n",
+                     probe.name.c_str(), probe.n,
+                     result.ok() ? "wrong counts" : result.status().ToString().c_str(),
+                     result.ok() ? result->rows_inserted : 0,
+                     result.ok() ? result->rows_scanned : 0);
+        *ok = false;
+      }
+    }
+  }
+  std::vector<ProbeRun> out;
+  for (Probe& probe : probes) out.push_back({probe.name, probe.n, Summarize(probe.ms)});
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -199,10 +332,7 @@ int main(int argc, char** argv) {
   }
   std::vector<std::vector<Timing>> timings(shapes.size());  // [statement][size]
   for (size_t s = 0; s < shapes.size(); ++s) {
-    for (std::vector<double>& runs : ms[s]) {
-      std::sort(runs.begin(), runs.end());
-      timings[s].push_back(Timing{runs.front(), runs[runs.size() / 2]});
-    }
+    for (std::vector<double>& runs : ms[s]) timings[s].push_back(Summarize(std::move(runs)));
   }
 
   workload::ReportTable table(
@@ -235,6 +365,16 @@ int main(int argc, char** argv) {
   std::printf("doubling ratios <= %.1fx (linear, not quadratic): %s\n", kMaxDoublingRatio,
               linear ? "YES" : "NO");
 
+  std::printf("\n=== Section 7 probe: fig7 INSERT...SELECT over a staging table of N rows ===\n");
+  const std::vector<ProbeRun> probes = RunProbes(reps, &ok);
+  workload::ReportTable probe_table({"probe", "N", "median ms", "min ms", "ns/scanned row"});
+  for (const ProbeRun& p : probes) {
+    probe_table.AddRow({p.name, std::to_string(p.n), fmt("%.3f", p.timing.median_ms),
+                        fmt("%.3f", p.timing.min_ms),
+                        fmt("%.1f", p.timing.median_ms * 1e6 / static_cast<double>(p.n))});
+  }
+  probe_table.Print();
+
   if (!json_path.empty()) {
     std::string json = "{\n  \"benchmark\": \"bench_dml_apply\",\n";
     json += "  \"reps\": " + std::to_string(reps) + ",\n  \"results\": {\n";
@@ -250,6 +390,15 @@ int main(int argc, char** argv) {
         json += (i > 0 ? ", " : "") + fmt("%.2f", ratios[s][i]);
       }
       json += std::string("]\n    }") + (s + 1 < shapes.size() ? "," : "") + "\n";
+    }
+    json += "  },\n  \"PROBE\": {\n";
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const ProbeRun& p = probes[i];
+      json += "    \"" + p.name + "_" + std::to_string(p.n) + "\": {\"median_ms\": " +
+              fmt("%.3f", p.timing.median_ms) + ", \"min_ms\": " + fmt("%.3f", p.timing.min_ms) +
+              ", \"ns_per_scanned_row\": " +
+              fmt("%.1f", p.timing.median_ms * 1e6 / static_cast<double>(p.n)) + "}" +
+              (i + 1 < probes.size() ? "," : "") + "\n";
     }
     json += "  }\n}\n";
     std::ofstream file(json_path, std::ios::binary | std::ios::trunc);

@@ -26,6 +26,7 @@ CdwServer::CdwServer(cloud::ObjectStore* store, CdwServerOptions options)
     copy_csv_bytes_total_ = options_.metrics->GetCounter("hyperq_copy_csv_bytes_total");
     join_hash_total_ = options_.metrics->GetCounter("cdw_join_hash_total");
     join_nested_loop_total_ = options_.metrics->GetCounter("cdw_join_nested_loop_total");
+    rows_scanned_total_ = options_.metrics->GetCounter("cdw_rows_scanned_total");
   }
 }
 
@@ -33,8 +34,11 @@ void CdwServer::PayStartupCost(int64_t micros) const {
   if (micros > 0) std::this_thread::sleep_for(std::chrono::microseconds(micros));
 }
 
-void CdwServer::CountJoinPath(const Result<ExecResult>& result) const {
-  if (!result.ok() || join_hash_total_ == nullptr) return;
+void CdwServer::CountStatement(const Result<ExecResult>& result) const {
+  if (rows_scanned_total_ == nullptr) return;
+  // Failed statements scanned rows too, up to their first failing row.
+  rows_scanned_total_->Increment(executor_.rows_scanned());
+  if (!result.ok()) return;
   if (result->join_path == JoinPath::kHash) join_hash_total_->Increment();
   if (result->join_path == JoinPath::kNestedLoop) join_nested_loop_total_->Increment();
 }
@@ -50,7 +54,7 @@ Result<ExecResult> CdwServer::ExecuteSql(std::string_view sql, const ExecOptions
   common::MutexLock lock(&mu_);
   ++statements_executed_;
   Result<ExecResult> result = executor_.ExecuteSql(sql, options);
-  CountJoinPath(result);
+  CountStatement(result);
   return result;
 }
 
@@ -62,7 +66,7 @@ Result<ExecResult> CdwServer::Execute(const sql::Statement& stmt, const ExecOpti
   common::MutexLock lock(&mu_);
   ++statements_executed_;
   Result<ExecResult> result = executor_.Execute(stmt, options);
-  CountJoinPath(result);
+  CountStatement(result);
   return result;
 }
 

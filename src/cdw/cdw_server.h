@@ -28,9 +28,11 @@ struct CdwServerOptions {
   /// Fixed cost added to every COPY, microseconds.
   int64_t copy_startup_micros = 0;
   /// Optional telemetry registry (cdw_statement_seconds/cdw_copy_seconds
-  /// histograms, statement/COPY/row counters, and cdw_join_hash_total /
+  /// histograms, statement/COPY/row counters, cdw_join_hash_total /
   /// cdw_join_nested_loop_total: successful join DML statements by the path
-  /// that paired their rows). Must outlive the server.
+  /// that paired their rows, and cdw_rows_scanned_total: table rows every
+  /// statement's scans visited, failed statements included). Must outlive
+  /// the server.
   obs::MetricsRegistry* metrics = nullptr;
   /// Cap on a table's COPY idempotence ledger; 0 = unbounded. When a COPY
   /// pushes the ledger past the cap, the lexicographically smallest keys are
@@ -84,7 +86,8 @@ class CdwServer {
 
  private:
   void PayStartupCost(int64_t micros) const;
-  void CountJoinPath(const common::Result<ExecResult>& result) const;
+  /// Adds a finished statement to the rows-scanned and join-path counters.
+  void CountStatement(const common::Result<ExecResult>& result) const HQ_REQUIRES(mu_);
 
   cloud::ObjectStore* store_;
   CdwServerOptions options_;
@@ -114,6 +117,7 @@ class CdwServer {
   obs::Counter* copy_csv_bytes_total_ = nullptr;
   obs::Counter* join_hash_total_ = nullptr;
   obs::Counter* join_nested_loop_total_ = nullptr;
+  obs::Counter* rows_scanned_total_ = nullptr;
 };
 
 }  // namespace hyperq::cdw

@@ -1,10 +1,11 @@
 #include "cdw/executor.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <set>
+#include <span>
 
+#include "cdw/compiled_expr.h"
 #include "cdw/join_dml.h"
 #include "common/string_util.h"
 #include "sql/parser.h"
@@ -23,28 +24,21 @@ using types::Value;
 
 namespace {
 
-/// A scan source: table plus the alias it is visible under.
-struct Source {
-  std::string alias;
-  TablePtr table;
-};
-
-Result<Source> BindSource(Catalog* catalog, const sql::TableRef& ref) {
+/// Resolves a table reference to the table and the alias it is visible under.
+Result<ScanBinding> BindSource(Catalog* catalog, const sql::TableRef& ref,
+                               std::vector<TablePtr>* held) {
   HQ_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(ref.name));
-  Source src;
-  src.alias = ref.alias.empty() ? ref.name : ref.alias;
-  src.table = std::move(table);
-  return src;
+  held->push_back(table);
+  return ScanBinding{ref.alias.empty() ? ref.name : ref.alias, table.get()};
 }
 
-/// Binds an EvalContext to a combined row given as one row index per
-/// source, in order; a shorter tuple binds only the leading sources.
-EvalContext MakeContext(const std::vector<Source>& sources, const std::vector<size_t>& rows) {
-  EvalContext ctx;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    ctx.AddBinding(sources[i].alias, sources[i].table.get(), rows[i]);
-  }
-  return ctx;
+/// Compiles each expression of a list against the same bindings.
+std::vector<CompiledExpr> CompileAll(const std::vector<sql::ExprPtr>& exprs,
+                                     std::span<const ScanBinding> bindings) {
+  std::vector<CompiledExpr> out;
+  out.reserve(exprs.size());
+  for (const auto& e : exprs) out.push_back(CompiledExpr::Compile(*e, bindings));
+  return out;
 }
 
 /// Validates + coerces a row against a table schema (set-oriented: any error
@@ -69,21 +63,41 @@ Result<Row> CoerceRowToTable(const Table& table, const Row& row) {
   return out;
 }
 
-/// Reorders an insert row according to an explicit column list; absent
-/// columns become NULL.
-Result<Row> ApplyColumnList(const Table& table, const std::vector<std::string>& columns,
-                            Row values) {
-  if (columns.empty()) return values;
-  if (values.size() != columns.size()) {
-    return Status::Invalid("value count does not match column list");
+/// An INSERT's explicit column list, resolved once per statement. An unknown
+/// column fails the first row, after its value count is checked, so a
+/// statement that inserts no row still succeeds.
+class ColumnList {
+ public:
+  ColumnList(const Table& table, const std::vector<std::string>& columns)
+      : table_(table), columns_(columns) {
+    for (const auto& name : columns) {
+      Result<size_t> idx = table.schema().RequireFieldIndex(name);
+      if (!idx.ok()) {
+        missing_ = idx.status();
+        break;
+      }
+      positions_.push_back(*idx);
+    }
   }
-  Row out(table.schema().num_fields(), Value::Null());
-  for (size_t i = 0; i < columns.size(); ++i) {
-    HQ_ASSIGN_OR_RETURN(size_t idx, table.schema().RequireFieldIndex(columns[i]));
-    out[idx] = std::move(values[i]);
+
+  /// Reorders an insert row by the column list; absent columns become NULL.
+  Result<Row> Apply(Row values) const {
+    if (columns_.empty()) return values;
+    if (values.size() != columns_.size()) {
+      return Status::Invalid("value count does not match column list");
+    }
+    HQ_RETURN_NOT_OK(missing_);
+    Row out(table_.schema().num_fields(), Value::Null());
+    for (size_t i = 0; i < positions_.size(); ++i) out[positions_[i]] = std::move(values[i]);
+    return out;
   }
-  return out;
-}
+
+ private:
+  const Table& table_;
+  const std::vector<std::string>& columns_;
+  std::vector<size_t> positions_;
+  Status missing_;
+};
 
 /// Uniqueness emulation: verifies declared unique PK over existing + staged
 /// rows. Aborts with a chunk-level ConstraintViolation, no tuple identified.
@@ -111,17 +125,16 @@ Status CheckUniqueness(const Table& table, const std::vector<Row>& staged_rows,
   return Status::OK();
 }
 
-/// A copy of stored row `row` with SET `assignments` applied: each value is
-/// evaluated in `ctx`, cast to its column (`columns[i]`) type and checked
-/// against NOT NULL. This copy is the staged replacement row.
-Result<Row> AssignRow(const Table& table, size_t row,
-                      const std::vector<sql::Assignment>& assignments,
-                      const std::vector<size_t>& columns, const EvalContext& ctx) {
+/// A copy of stored row `row` with SET values applied: `values[i]`,
+/// evaluated at combined row `rows`, is cast to column `columns[i]`'s type
+/// and checked against NOT NULL. This copy is the staged replacement row.
+Result<Row> AssignRow(const Table& table, size_t row, const std::vector<CompiledExpr>& values,
+                      const std::vector<size_t>& columns, const size_t* rows) {
   Row out = table.GetRow(row);
-  for (size_t i = 0; i < assignments.size(); ++i) {
-    HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*assignments[i].value, ctx));
+  for (size_t i = 0; i < values.size(); ++i) {
+    HQ_ASSIGN_OR_RETURN(const Value* v, values[i].Eval(rows));
     const types::Field& field = table.schema().field(columns[i]);
-    HQ_ASSIGN_OR_RETURN(Value coerced, types::CastValue(v, field.type));
+    HQ_ASSIGN_OR_RETURN(Value coerced, types::CastValue(*v, field.type));
     if (coerced.is_null() && !field.nullable) {
       return Status::ConversionError("NULL value in NOT NULL column " + field.name);
     }
@@ -130,9 +143,25 @@ Result<Row> AssignRow(const Table& table, size_t row,
   return out;
 }
 
+/// Compiles SET values in assignment order.
+std::vector<CompiledExpr> CompileAssignments(const std::vector<sql::Assignment>& assignments,
+                                             std::span<const ScanBinding> bindings) {
+  std::vector<CompiledExpr> out;
+  out.reserve(assignments.size());
+  for (const auto& a : assignments) out.push_back(CompiledExpr::Compile(*a.value, bindings));
+  return out;
+}
+
 }  // namespace
 
 Result<ExecResult> Executor::Execute(const sql::Statement& stmt, const ExecOptions& options) {
+  rows_scanned_ = 0;
+  Result<ExecResult> result = Dispatch(stmt, options);
+  if (result.ok()) result->rows_scanned = rows_scanned_;
+  return result;
+}
+
+Result<ExecResult> Executor::Dispatch(const sql::Statement& stmt, const ExecOptions& options) {
   switch (stmt.kind) {
     case sql::StatementKind::kSelect:
       return ExecuteSelect(static_cast<const SelectStmt&>(stmt));
@@ -153,6 +182,7 @@ Result<ExecResult> Executor::Execute(const sql::Statement& stmt, const ExecOptio
 }
 
 Result<ExecResult> Executor::ExecuteSql(std::string_view sql, const ExecOptions& options) {
+  rows_scanned_ = 0;
   HQ_ASSIGN_OR_RETURN(sql::StatementPtr stmt, sql::ParseStatement(sql));
   return Execute(*stmt, options);
 }
@@ -162,7 +192,7 @@ Result<ExecResult> Executor::ExecuteSql(std::string_view sql, const ExecOptions&
 namespace {
 
 /// Static output-type inference; falls back to VARCHAR for computed items.
-TypeDesc InferItemType(const sql::Expr& expr, const std::vector<Source>& sources) {
+TypeDesc InferItemType(const sql::Expr& expr, const std::vector<ScanBinding>& sources) {
   if (expr.kind == ExprKind::kColumnRef) {
     const auto& col = static_cast<const sql::ColumnRefExpr&>(expr);
     for (const auto& src : sources) {
@@ -192,123 +222,12 @@ TypeDesc InferItemType(const sql::Expr& expr, const std::vector<Source>& sources
   return TypeDesc::Varchar(0);
 }
 
-std::string ItemName(const sql::SelectItem& item, size_t index) {
-  if (!item.alias.empty()) return item.alias;
-  if (item.expr->kind == ExprKind::kColumnRef) {
-    return static_cast<const sql::ColumnRefExpr&>(*item.expr).column;
+std::string ItemName(const sql::Expr& expr, const std::string& alias, size_t index) {
+  if (!alias.empty()) return alias;
+  if (expr.kind == ExprKind::kColumnRef) {
+    return static_cast<const sql::ColumnRefExpr&>(expr).column;
   }
   return "EXPR_" + std::to_string(index + 1);
-}
-
-/// Evaluates an expression in aggregate context: aggregate calls compute over
-/// the group's combined rows (index tuples); other column refs bind to the
-/// group's first row.
-Result<Value> EvaluateWithAggregates(const sql::Expr& expr, const std::vector<Source>& sources,
-                                     const std::vector<std::vector<size_t>>& group_rows) {
-  if (expr.kind == ExprKind::kFunction) {
-    const auto& fn = static_cast<const sql::FunctionExpr&>(expr);
-    if (IsAggregateFunction(fn.name)) {
-      const bool is_count = EqualsIgnoreCase(fn.name, "COUNT");
-      const bool count_star =
-          is_count && fn.args.size() == 1 && fn.args[0]->kind == ExprKind::kStar;
-      if (fn.args.size() != 1) return Status::Invalid(fn.name + " takes one argument");
-      std::vector<Value> inputs;
-      inputs.reserve(group_rows.size());
-      std::set<Row, RowLess> distinct_seen;
-      for (const auto& combined : group_rows) {
-        if (count_star) {
-          inputs.push_back(Value::Int(1));
-          continue;
-        }
-        EvalContext ctx = MakeContext(sources, combined);
-        HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*fn.args[0], ctx));
-        if (v.is_null()) continue;  // aggregates skip NULLs
-        if (fn.distinct) {
-          Row key{v};
-          if (!distinct_seen.insert(key).second) continue;
-        }
-        inputs.push_back(std::move(v));
-      }
-      if (is_count) return Value::Int(static_cast<int64_t>(inputs.size()));
-      if (inputs.empty()) return Value::Null();
-      if (EqualsIgnoreCase(fn.name, "MIN") || EqualsIgnoreCase(fn.name, "MAX")) {
-        const bool want_max = EqualsIgnoreCase(fn.name, "MAX");
-        Value best = inputs[0];
-        for (size_t i = 1; i < inputs.size(); ++i) {
-          int c = inputs[i].Compare(best);
-          if ((want_max && c > 0) || (!want_max && c < 0)) best = inputs[i];
-        }
-        return best;
-      }
-      // SUM / AVG.
-      double total = 0;
-      bool all_int = true;
-      int64_t int_total = 0;
-      for (const auto& v : inputs) {
-        if (v.is_int()) {
-          int_total += v.int_value();
-          total += static_cast<double>(v.int_value());
-        } else if (v.is_float()) {
-          all_int = false;
-          total += v.float_value();
-        } else if (v.is_decimal()) {
-          all_int = false;
-          total += v.decimal_value().ToDouble();
-        } else {
-          return Status::TypeError(fn.name + " over non-numeric values");
-        }
-      }
-      if (EqualsIgnoreCase(fn.name, "SUM")) {
-        return all_int ? Value::Int(int_total) : Value::Float(total);
-      }
-      return Value::Float(total / static_cast<double>(inputs.size()));
-    }
-    // Non-aggregate function: recurse so nested aggregates work.
-    auto copy = std::make_unique<sql::FunctionExpr>();
-    copy->name = fn.name;
-    copy->distinct = fn.distinct;
-    for (const auto& a : fn.args) {
-      HQ_ASSIGN_OR_RETURN(Value v, EvaluateWithAggregates(*a, sources, group_rows));
-      copy->args.push_back(std::make_unique<sql::LiteralExpr>(std::move(v)));
-    }
-    EvalContext empty;
-    return EvaluateExpr(*copy, empty);
-  }
-  if (!ContainsAggregate(expr)) {
-    if (group_rows.empty()) return Value::Null();
-    EvalContext ctx = MakeContext(sources, group_rows[0]);
-    return EvaluateExpr(expr, ctx);
-  }
-  // Composite expression containing aggregates: rebuild with aggregate
-  // results folded in as literals. Only the composite kinds are rebuilt;
-  // every leaf kind is handled by the single-row evaluation below.
-  switch (expr.kind) {  // hqcheck:allow(enum-switch)
-    case ExprKind::kUnary: {
-      const auto& u = static_cast<const sql::UnaryExpr&>(expr);
-      HQ_ASSIGN_OR_RETURN(Value v, EvaluateWithAggregates(*u.operand, sources, group_rows));
-      sql::UnaryExpr lifted(u.op, std::make_unique<sql::LiteralExpr>(std::move(v)));
-      EvalContext empty;
-      return EvaluateExpr(lifted, empty);
-    }
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const sql::BinaryExpr&>(expr);
-      HQ_ASSIGN_OR_RETURN(Value l, EvaluateWithAggregates(*b.left, sources, group_rows));
-      HQ_ASSIGN_OR_RETURN(Value r, EvaluateWithAggregates(*b.right, sources, group_rows));
-      sql::BinaryExpr lifted(b.op, std::make_unique<sql::LiteralExpr>(std::move(l)),
-                             std::make_unique<sql::LiteralExpr>(std::move(r)));
-      EvalContext empty;
-      return EvaluateExpr(lifted, empty);
-    }
-    case ExprKind::kCast: {
-      const auto& c = static_cast<const sql::CastExpr&>(expr);
-      HQ_ASSIGN_OR_RETURN(Value v, EvaluateWithAggregates(*c.operand, sources, group_rows));
-      sql::CastExpr lifted(std::make_unique<sql::LiteralExpr>(std::move(v)), c.target, c.format);
-      EvalContext empty;
-      return EvaluateExpr(lifted, empty);
-    }
-    default:
-      return Status::NotImplemented("aggregate inside this expression form");
-  }
 }
 
 /// DISTINCT / ORDER BY / LIMIT tail of every SELECT.
@@ -378,119 +297,117 @@ Status FinishSelect(const SelectStmt& stmt, ExecResult* result_out) {
 }  // namespace
 
 Result<ExecResult> Executor::ExecuteSelect(const SelectStmt& stmt) {
-  // FROM-less SELECT: evaluate items once against an empty context.
-  std::vector<Source> sources;
+  // FROM-less SELECT: evaluate items once against no table.
+  std::vector<TablePtr> held;
+  std::vector<ScanBinding> sources;
   if (stmt.has_from) {
-    HQ_ASSIGN_OR_RETURN(Source src, BindSource(catalog_, stmt.from));
+    HQ_ASSIGN_OR_RETURN(ScanBinding src, BindSource(catalog_, stmt.from, &held));
     sources.push_back(std::move(src));
     for (const auto& join : stmt.joins) {
-      HQ_ASSIGN_OR_RETURN(Source jsrc, BindSource(catalog_, join.table));
+      HQ_ASSIGN_OR_RETURN(ScanBinding jsrc, BindSource(catalog_, join.table, &held));
       sources.push_back(std::move(jsrc));
-    }
-  }
-
-  // Expand stars into per-column items.
-  std::vector<sql::SelectItem> items;
-  for (const auto& item : stmt.items) {
-    if (item.expr->kind == ExprKind::kStar) {
-      if (sources.empty()) return Status::Invalid("SELECT * requires a FROM clause");
-      for (const auto& src : sources) {
-        for (const auto& f : src.table->schema().fields()) {
-          sql::SelectItem expanded;
-          expanded.expr = std::make_unique<sql::ColumnRefExpr>(src.alias, f.name);
-          expanded.alias = f.name;
-          items.push_back(std::move(expanded));
-        }
-      }
-    } else {
-      sql::SelectItem copy;
-      copy.expr = item.expr->Clone();
-      copy.alias = item.alias;
-      items.push_back(std::move(copy));
     }
   }
 
   ExecResult result;
   bool has_aggregates = !stmt.group_by.empty();
-  for (const auto& item : items) has_aggregates |= ContainsAggregate(*item.expr);
-
-  // Output schema.
-  for (size_t i = 0; i < items.size(); ++i) {
+  for (const auto& item : stmt.items) has_aggregates |= ContainsAggregate(*item.expr);
+  // Output schema and compiled items; stars expand into per-column items.
+  std::vector<CompiledExpr> items;
+  auto add_item = [&](const sql::Expr& expr, const std::string& alias) {
     result.schema.AddField(
-        types::Field(ItemName(items[i], i), InferItemType(*items[i].expr, sources)));
+        types::Field(ItemName(expr, alias, items.size()), InferItemType(expr, sources)));
+    items.push_back(has_aggregates ? CompiledExpr::CompileGrouped(expr, sources)
+                                   : CompiledExpr::Compile(expr, sources));
+  };
+  for (const auto& item : stmt.items) {
+    if (item.expr->kind != ExprKind::kStar) {
+      add_item(*item.expr, item.alias);
+      continue;
+    }
+    if (sources.empty()) return Status::Invalid("SELECT * requires a FROM clause");
+    for (const auto& src : sources) {
+      for (const auto& f : src.table->schema().fields()) {
+        add_item(sql::ColumnRefExpr(src.alias, f.name), f.name);
+      }
+    }
   }
+  // Each JOIN's ON sees only the tables to its left.
+  std::vector<CompiledExpr> ons;
+  for (size_t j = 0; j < stmt.joins.size(); ++j) {
+    ons.push_back(CompiledExpr::CompilePredicate(stmt.joins[j].on.get(),
+                                                 std::span(sources).first(j + 2)));
+  }
+  const CompiledExpr where = CompiledExpr::CompilePredicate(stmt.where.get(), sources);
 
   // One loop over the join tree, depth first in FROM/JOIN order, reading
-  // rows in place. contexts[k] binds sources 0..k, so each JOIN's ON sees
-  // only the tables to its left. A combined row is checked against its ONs
-  // while it is built, then WHERE, then projected; with aggregates its index
-  // tuple is kept for grouping instead. A FROM-less SELECT is the one empty
-  // tuple.
-  std::vector<EvalContext> contexts;
-  for (size_t k = 0; k < sources.size(); ++k) {
-    contexts.push_back(MakeContext(sources, std::vector<size_t>(k + 1)));
-  }
-  if (contexts.empty()) contexts.emplace_back();
-  std::vector<size_t> tuple(sources.size());
-  std::vector<std::vector<size_t>> kept;
-  std::function<Status(size_t)> descend = [&](size_t level) -> Status {
-    if (level == sources.size()) {
-      const EvalContext& ctx = contexts.back();
-      HQ_ASSIGN_OR_RETURN(bool keep, PredicateTrue(stmt.where.get(), ctx));
-      if (!keep) return Status::OK();
-      if (has_aggregates) {
-        kept.push_back(tuple);
-        return Status::OK();
-      }
-      Row out;
-      out.reserve(items.size());
-      for (const auto& item : items) {
-        HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*item.expr, ctx));
-        out.push_back(std::move(v));
-      }
-      result.rows.push_back(std::move(out));
+  // rows in place: `rows` holds one row index per source. A combined row is
+  // checked against its ONs while it is built, then WHERE, then projected;
+  // with aggregates its index tuple is kept for grouping instead. The last
+  // source's loop is flat, so a single-source SELECT is one loop, and a
+  // FROM-less SELECT is the one empty tuple.
+  std::vector<size_t> rows(sources.size());
+  GroupRows kept;
+  auto emit = [&]() -> Status {
+    HQ_ASSIGN_OR_RETURN(bool keep, where.Test(rows.data()));
+    if (!keep) return Status::OK();
+    if (has_aggregates) {
+      kept.push_back(rows);
       return Status::OK();
     }
-    for (size_t r = 0; r < sources[level].table->num_rows(); ++r) {
-      tuple[level] = r;
-      for (size_t k = level; k < contexts.size(); ++k) contexts[k].SetRow(level, r);
+    Row out;
+    out.reserve(items.size());
+    for (const CompiledExpr& item : items) {
+      HQ_ASSIGN_OR_RETURN(const Value* v, item.Eval(rows.data()));
+      out.push_back(*v);
+    }
+    result.rows.push_back(std::move(out));
+    return Status::OK();
+  };
+  auto descend = [&](auto& self, size_t level) -> Status {
+    const size_t num_rows = sources[level].table->num_rows();
+    const bool last = level + 1 == sources.size();
+    for (size_t r = 0; r < num_rows; ++r) {
+      rows[level] = r;
+      ++rows_scanned_;
       if (level > 0) {
-        const sql::Expr* on = stmt.joins[level - 1].on.get();
-        HQ_ASSIGN_OR_RETURN(bool joined, PredicateTrue(on, contexts[level]));
+        HQ_ASSIGN_OR_RETURN(bool joined, ons[level - 1].Test(rows.data()));
         if (!joined) continue;
       }
-      HQ_RETURN_NOT_OK(descend(level + 1));
+      HQ_RETURN_NOT_OK(last ? emit() : self(self, level + 1));
     }
     return Status::OK();
   };
-  HQ_RETURN_NOT_OK(descend(0));
+  HQ_RETURN_NOT_OK(sources.empty() ? emit() : descend(descend, 0));
 
   if (has_aggregates) {
-    std::map<Row, std::vector<std::vector<size_t>>, RowLess> groups;
+    std::map<Row, GroupRows, RowLess> groups;
     if (stmt.group_by.empty()) {
       groups[Row{}] = std::move(kept);
     } else {
+      const std::vector<CompiledExpr> keys = CompileAll(stmt.group_by, sources);
       for (auto& combined : kept) {
-        EvalContext ctx = MakeContext(sources, combined);
         Row key;
-        key.reserve(stmt.group_by.size());
-        for (const auto& g : stmt.group_by) {
-          HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*g, ctx));
-          key.push_back(std::move(v));
+        key.reserve(keys.size());
+        for (const CompiledExpr& k : keys) {
+          HQ_ASSIGN_OR_RETURN(const Value* v, k.Eval(combined.data()));
+          key.push_back(*v);
         }
         groups[std::move(key)].push_back(std::move(combined));
       }
     }
+    const CompiledExpr having =
+        stmt.having ? CompiledExpr::CompileGrouped(*stmt.having, sources) : CompiledExpr();
     for (const auto& [key, group_rows] : groups) {
       if (stmt.having) {
-        HQ_ASSIGN_OR_RETURN(Value h, EvaluateWithAggregates(*stmt.having, sources, group_rows));
-        if (!(h.is_boolean() && h.boolean())) continue;
+        HQ_ASSIGN_OR_RETURN(const Value* h, having.EvalGroup(group_rows));
+        if (!(h->is_boolean() && h->boolean())) continue;
       }
       Row out;
       out.reserve(items.size());
-      for (const auto& item : items) {
-        HQ_ASSIGN_OR_RETURN(Value v, EvaluateWithAggregates(*item.expr, sources, group_rows));
-        out.push_back(std::move(v));
+      for (const CompiledExpr& item : items) {
+        HQ_ASSIGN_OR_RETURN(const Value* v, item.EvalGroup(group_rows));
+        out.push_back(*v);
       }
       result.rows.push_back(std::move(out));
     }
@@ -505,26 +422,27 @@ Result<ExecResult> Executor::ExecuteSelect(const SelectStmt& stmt) {
 Result<ExecResult> Executor::ExecuteInsert(const sql::InsertStmt& stmt,
                                            const ExecOptions& options) {
   HQ_ASSIGN_OR_RETURN(TablePtr table, catalog_->GetTable(stmt.table));
+  const ColumnList columns(*table, stmt.columns);
   std::vector<Row> staged;
 
   if (stmt.select) {
     HQ_ASSIGN_OR_RETURN(ExecResult select_result, ExecuteSelect(*stmt.select));
     staged.reserve(select_result.rows.size());
     for (auto& row : select_result.rows) {
-      HQ_ASSIGN_OR_RETURN(Row positioned, ApplyColumnList(*table, stmt.columns, std::move(row)));
+      HQ_ASSIGN_OR_RETURN(Row positioned, columns.Apply(std::move(row)));
       HQ_ASSIGN_OR_RETURN(Row coerced, CoerceRowToTable(*table, positioned));
       staged.push_back(std::move(coerced));
     }
   } else {
-    EvalContext empty;
     for (const auto& exprs : stmt.rows) {
       Row values;
       values.reserve(exprs.size());
       for (const auto& e : exprs) {
-        HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, empty));
-        values.push_back(std::move(v));
+        const CompiledExpr value = CompiledExpr::Compile(*e, {});
+        HQ_ASSIGN_OR_RETURN(const Value* v, value.Eval(nullptr));
+        values.push_back(*v);
       }
-      HQ_ASSIGN_OR_RETURN(Row positioned, ApplyColumnList(*table, stmt.columns, std::move(values)));
+      HQ_ASSIGN_OR_RETURN(Row positioned, columns.Apply(std::move(values)));
       HQ_ASSIGN_OR_RETURN(Row coerced, CoerceRowToTable(*table, positioned));
       staged.push_back(std::move(coerced));
     }
@@ -567,25 +485,30 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
   }
 
   // With FROM, `matcher` pairs each target row with its first matching
-  // source row; without, the WHERE sees the target row alone.
+  // source row; without, the WHERE sees the target row alone. SET values
+  // see the target row, then the source row.
+  std::vector<ScanBinding> bindings{{target_alias, table.get()}};
+  if (from_table) bindings.push_back({from_alias, from_table.get()});
+  const std::vector<CompiledExpr> values = CompileAssignments(stmt.assignments, bindings);
+  const CompiledExpr where =
+      from_table ? CompiledExpr() : CompiledExpr::CompilePredicate(stmt.where.get(), bindings);
   auto run = [&](JoinMatcher* matcher) -> Result<ExecResult> {
     // Stage: row index -> new full row.
     std::vector<std::pair<size_t, Row>> staged;
     std::vector<size_t> touched_rows;
-    EvalContext ctx;
-    ctx.AddBinding(target_alias, table.get(), 0);
-    if (matcher != nullptr) ctx.AddBinding(from_alias, from_table.get(), 0);
+    size_t rows[2] = {0, 0};
     for (size_t r = 0; r < table->num_rows(); ++r) {
-      ctx.SetRow(0, r);
+      rows[0] = r;
+      ++rows_scanned_;
       if (matcher != nullptr) {
         HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher->Match(r, /*want_unique=*/false));
         if (match.row < 0) continue;
-        ctx.SetRow(1, static_cast<size_t>(match.row));
+        rows[1] = static_cast<size_t>(match.row);
       } else {
-        HQ_ASSIGN_OR_RETURN(bool ok, PredicateTrue(stmt.where.get(), ctx));
+        HQ_ASSIGN_OR_RETURN(bool ok, where.Test(rows));
         if (!ok) continue;
       }
-      HQ_ASSIGN_OR_RETURN(Row new_row, AssignRow(*table, r, stmt.assignments, assign_cols, ctx));
+      HQ_ASSIGN_OR_RETURN(Row new_row, AssignRow(*table, r, values, assign_cols, rows));
       staged.emplace_back(r, std::move(new_row));
       touched_rows.push_back(r);
     }
@@ -607,7 +530,8 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
   if (!from_table) return run(nullptr);
   JoinSides sides{table.get(), target_alias, from_table.get(), from_alias, stmt.where.get(),
                   /*drive_source=*/false};
-  return RunJoinDml(sides, hash_join_, [&](JoinMatcher& matcher) { return run(&matcher); });
+  return RunJoinDml(sides, hash_join_, &rows_scanned_,
+                    [&](JoinMatcher& matcher) { return run(&matcher); });
 }
 
 // --- DELETE -----------------------------------------------------------------
@@ -625,18 +549,20 @@ Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt) {
 
   // With USING, a target row goes when `matcher` pairs it with any source
   // row; without, when the WHERE holds on it alone.
+  const ScanBinding target{target_alias, table.get()};
+  const CompiledExpr where =
+      using_table ? CompiledExpr()
+                  : CompiledExpr::CompilePredicate(stmt.where.get(), std::span(&target, 1));
   auto run = [&](JoinMatcher* matcher) -> Result<ExecResult> {
     std::vector<size_t> doomed;
-    EvalContext ctx;
-    ctx.AddBinding(target_alias, table.get(), 0);
     for (size_t r = 0; r < table->num_rows(); ++r) {
+      ++rows_scanned_;
       bool matched = false;
       if (matcher != nullptr) {
         HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher->Match(r, /*want_unique=*/false));
         matched = match.row >= 0;
       } else {
-        ctx.SetRow(0, r);
-        HQ_ASSIGN_OR_RETURN(matched, PredicateTrue(stmt.where.get(), ctx));
+        HQ_ASSIGN_OR_RETURN(matched, where.Test(&r));
       }
       if (matched) doomed.push_back(r);
     }
@@ -648,7 +574,8 @@ Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt) {
   if (!using_table) return run(nullptr);
   JoinSides sides{table.get(), target_alias, using_table.get(), using_alias, stmt.where.get(),
                   /*drive_source=*/false};
-  return RunJoinDml(sides, hash_join_, [&](JoinMatcher& matcher) { return run(&matcher); });
+  return RunJoinDml(sides, hash_join_, &rows_scanned_,
+                    [&](JoinMatcher& matcher) { return run(&matcher); });
 }
 
 // --- MERGE ------------------------------------------------------------------
@@ -665,49 +592,51 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
     update_cols.push_back(idx);
   }
 
+  // The filter and WHEN NOT MATCHED see the source row; WHEN MATCHED sees
+  // the target row, then the source row.
+  const std::vector<ScanBinding> pair{{target_alias, target.get()}, {source_alias, source.get()}};
+  const std::span<const ScanBinding> source_only = std::span(pair).last(1);
+  const CompiledExpr filter =
+      CompiledExpr::CompilePredicate(stmt.source_filter.get(), source_only);
+  const std::vector<CompiledExpr> update_values = CompileAssignments(stmt.matched_update, pair);
+  const std::vector<CompiledExpr> insert_values = CompileAll(stmt.insert_values, source_only);
+  const ColumnList insert_columns(*target, stmt.insert_columns);
+
   // The matcher pairs source rows with the pre-statement target: nothing is
   // written until every source row has been matched.
   JoinSides sides{target.get(), target_alias, source.get(), source_alias, stmt.on.get(),
                   /*drive_source=*/true};
-  return RunJoinDml(sides, hash_join_, [&](JoinMatcher& matcher) -> Result<ExecResult> {
+  return RunJoinDml(sides, hash_join_, &rows_scanned_,
+                    [&](JoinMatcher& matcher) -> Result<ExecResult> {
     std::vector<std::pair<size_t, Row>> staged_updates;
     std::vector<size_t> touched_rows;
     std::vector<Row> staged_inserts;
-    // The filter and WHEN NOT MATCHED see the source row; WHEN MATCHED sees
-    // the target row, then the source row.
-    EvalContext source_ctx;
-    source_ctx.AddBinding(source_alias, source.get(), 0);
-    EvalContext pair_ctx;
-    pair_ctx.AddBinding(target_alias, target.get(), 0);
-    pair_ctx.AddBinding(source_alias, source.get(), 0);
+    size_t pair_rows[2] = {0, 0};  // target row, source row
 
     for (size_t s = 0; s < source->num_rows(); ++s) {
-      source_ctx.SetRow(0, s);
-      if (stmt.source_filter) {
-        HQ_ASSIGN_OR_RETURN(bool pass, PredicateTrue(stmt.source_filter.get(), source_ctx));
-        if (!pass) continue;
-      }
+      ++rows_scanned_;
+      HQ_ASSIGN_OR_RETURN(bool pass, filter.Test(&s));
+      if (!pass) continue;
       HQ_ASSIGN_OR_RETURN(JoinMatch match, matcher.Match(s, /*want_unique=*/true));
       if (match.multiple) return Status::Invalid("MERGE source row matches multiple target rows");
       if (match.row >= 0) {
         if (stmt.matched_update.empty()) continue;
         const auto matched_target = static_cast<size_t>(match.row);
-        pair_ctx.SetRow(0, matched_target);
-        pair_ctx.SetRow(1, s);
-        HQ_ASSIGN_OR_RETURN(Row new_row, AssignRow(*target, matched_target, stmt.matched_update,
-                                                   update_cols, pair_ctx));
+        pair_rows[0] = matched_target;
+        pair_rows[1] = s;
+        HQ_ASSIGN_OR_RETURN(Row new_row, AssignRow(*target, matched_target, update_values,
+                                                   update_cols, pair_rows));
         staged_updates.emplace_back(matched_target, std::move(new_row));
         touched_rows.push_back(matched_target);
       } else {
-        if (stmt.insert_values.empty()) continue;
+        if (insert_values.empty()) continue;
         Row values;
-        values.reserve(stmt.insert_values.size());
-        for (const auto& e : stmt.insert_values) {
-          HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, source_ctx));
-          values.push_back(std::move(v));
+        values.reserve(insert_values.size());
+        for (const CompiledExpr& e : insert_values) {
+          HQ_ASSIGN_OR_RETURN(const Value* v, e.Eval(&s));
+          values.push_back(*v);
         }
-        HQ_ASSIGN_OR_RETURN(Row positioned,
-                            ApplyColumnList(*target, stmt.insert_columns, std::move(values)));
+        HQ_ASSIGN_OR_RETURN(Row positioned, insert_columns.Apply(std::move(values)));
         HQ_ASSIGN_OR_RETURN(Row coerced, CoerceRowToTable(*target, positioned));
         staged_inserts.push_back(std::move(coerced));
       }

@@ -28,6 +28,10 @@ struct ExecResult {
   uint64_t rows_updated = 0;
   uint64_t rows_deleted = 0;
   JoinPath join_path = JoinPath::kNone;
+  /// Table rows the statement's scan loops visited: every SELECT level, the
+  /// UPDATE/DELETE/MERGE driving loop, and the join matcher's index build
+  /// or nested loop (both runs when the hash path falls back).
+  uint64_t rows_scanned = 0;
   types::Schema schema;          ///< non-empty for SELECT
   std::vector<types::Row> rows;  ///< SELECT result rows
 
@@ -52,7 +56,11 @@ class Executor {
   /// Parses and executes one statement of SQL text (CDW dialect).
   common::Result<ExecResult> ExecuteSql(std::string_view sql, const ExecOptions& options = {});
 
+  /// ExecResult::rows_scanned of the last statement, also when it failed.
+  uint64_t rows_scanned() const { return rows_scanned_; }
+
  private:
+  common::Result<ExecResult> Dispatch(const sql::Statement& stmt, const ExecOptions& options);
   common::Result<ExecResult> ExecuteSelect(const sql::SelectStmt& stmt);
   common::Result<ExecResult> ExecuteInsert(const sql::InsertStmt& stmt,
                                            const ExecOptions& options);
@@ -70,6 +78,8 @@ class Executor {
   Catalog* catalog_;
   /// Lets the join planner choose the hash path (see join_dml.h).
   bool hash_join_ = true;
+  /// Scan rows visited by the running (or last) statement.
+  uint64_t rows_scanned_ = 0;
 };
 
 }  // namespace hyperq::cdw

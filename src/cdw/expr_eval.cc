@@ -148,29 +148,6 @@ double AsDouble(const Value& v) {
   return v.decimal_value().ToDouble();
 }
 
-/// Implicit coercion for comparisons: strings parse toward the other side's
-/// family (legacy-compatible behaviour preserved by the CDW).
-Result<int> CompareValues(const Value& a, const Value& b) {
-  if (a.is_null() || b.is_null()) return Status::Internal("null in CompareValues");
-  if (a.is_string() && IsNumericValue(b)) {
-    HQ_ASSIGN_OR_RETURN(Value parsed, types::CastValue(a, TypeDesc::Float64()));
-    return CompareValues(parsed, b);
-  }
-  if (IsNumericValue(a) && b.is_string()) {
-    HQ_ASSIGN_OR_RETURN(Value parsed, types::CastValue(b, TypeDesc::Float64()));
-    return CompareValues(a, parsed);
-  }
-  if (a.is_string() && b.is_date()) {
-    HQ_ASSIGN_OR_RETURN(Value parsed, types::CastValue(a, TypeDesc::Date()));
-    return CompareValues(parsed, b);
-  }
-  if (a.is_date() && b.is_string()) {
-    HQ_ASSIGN_OR_RETURN(Value parsed, types::CastValue(b, TypeDesc::Date()));
-    return CompareValues(a, parsed);
-  }
-  return a.Compare(b);
-}
-
 Result<Value> EvalComparison(BinaryOp op, const Value& left, const Value& right) {
   if (left.is_null() || right.is_null()) return Value::Null();
   if (op == BinaryOp::kLike) {
@@ -277,23 +254,375 @@ Result<Value> EvalArithmetic(BinaryOp op, const Value& left, const Value& right)
   }
 }
 
-std::string ToText(const Value& v) {
+/// A value's text: a string in place, anything else rendered into `buf`.
+std::string_view TextOf(const Value& v, std::string* buf) {
   if (v.is_string()) return v.string_value();
-  return types::ValueToCdwText(v);
+  *buf = types::ValueToCdwText(v);
+  return *buf;
 }
 
+std::string ToText(const Value& v) {
+  std::string buf;
+  return std::string(TextOf(v, &buf));
+}
+
+constexpr std::pair<std::string_view, ScalarFn> kScalarFns[] = {
+    {"TRIM", ScalarFn::kTrim},           {"LTRIM", ScalarFn::kLtrim},
+    {"RTRIM", ScalarFn::kRtrim},         {"UPPER", ScalarFn::kUpper},
+    {"LOWER", ScalarFn::kLower},         {"LENGTH", ScalarFn::kLength},
+    {"SUBSTR", ScalarFn::kSubstr},       {"POSITION", ScalarFn::kPosition},
+    {"COALESCE", ScalarFn::kCoalesce},   {"NULLIF", ScalarFn::kNullif},
+    {"ABS", ScalarFn::kAbs},             {"ROUND", ScalarFn::kRound},
+    {"FLOOR", ScalarFn::kFloor},         {"CEIL", ScalarFn::kCeil},
+    {"CEILING", ScalarFn::kCeil},        {"POWER", ScalarFn::kPower},
+    {"MOD", ScalarFn::kMod},             {"TO_DATE", ScalarFn::kToDate},
+    {"TO_TIMESTAMP", ScalarFn::kToTimestamp}, {"EXTRACT", ScalarFn::kExtract},
+    {"ADD_MONTHS", ScalarFn::kAddMonths}, {"LAST_DAY", ScalarFn::kLastDay},
+    {"TO_CHAR", ScalarFn::kToChar},
+};
+
+}  // namespace
+
+Result<int> CompareValues(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return Status::Internal("null in CompareValues");
+  if (a.is_string() && IsNumericValue(b)) {
+    HQ_ASSIGN_OR_RETURN(Value parsed, types::CastValue(a, TypeDesc::Float64()));
+    return CompareValues(parsed, b);
+  }
+  if (IsNumericValue(a) && b.is_string()) {
+    HQ_ASSIGN_OR_RETURN(Value parsed, types::CastValue(b, TypeDesc::Float64()));
+    return CompareValues(a, parsed);
+  }
+  if (a.is_string() && b.is_date()) {
+    HQ_ASSIGN_OR_RETURN(Value parsed, types::CastValue(a, TypeDesc::Date()));
+    return CompareValues(parsed, b);
+  }
+  if (a.is_date() && b.is_string()) {
+    HQ_ASSIGN_OR_RETURN(Value parsed, types::CastValue(b, TypeDesc::Date()));
+    return CompareValues(a, parsed);
+  }
+  return a.Compare(b);
+}
+
+ScalarFn LookupScalarFn(std::string_view name) {
+  for (const auto& [spelling, fn] : kScalarFns) {
+    if (EqualsIgnoreCase(name, spelling)) return fn;
+  }
+  return ScalarFn::kUnknown;
+}
+
+bool IsLegacyFunction(std::string_view name) {
+  return EqualsIgnoreCase(name, "ZEROIFNULL") || EqualsIgnoreCase(name, "NULLIFZERO") ||
+         EqualsIgnoreCase(name, "INDEX") || EqualsIgnoreCase(name, "CHARACTERS");
+}
+
+Status AggregateInScalarContext(const std::string& name) {
+  return Status::Invalid("aggregate function " + name + " is not allowed in this context");
+}
+
+Status LegacyFunctionCall(const std::string& name) {
+  return Status::NotImplemented("function " + name +
+                                " is a legacy-EDW construct the CDW does not support "
+                                "(requires Hyper-Q transpilation)");
+}
+
+Status LegacyPowerOperator() {
+  return Status::NotImplemented(
+      "'**' is a legacy-EDW operator the CDW does not support (requires Hyper-Q "
+      "transpilation)");
+}
+
+Status LegacyFormatCast() {
+  return Status::NotImplemented(
+      "CAST ... FORMAT is a legacy-EDW construct the CDW does not support (requires "
+      "Hyper-Q transpilation)");
+}
+
+Status PlaceholderInCdw() {
+  return Status::Invalid(
+      ":placeholders cannot execute in the CDW; Hyper-Q must bind them to staging columns");
+}
+
+Result<Value> ToDate(const Value& text, const types::DateFormat& format) {
+  if (text.is_null()) return Value::Null();
+  std::string buf;
+  HQ_ASSIGN_OR_RETURN(types::DateDays days, types::ParseDate(TextOf(text, &buf), format));
+  return Value::Date(days);
+}
+
+Result<Value> ApplyScalarFn(ScalarFn fn, const std::string& name,
+                            std::span<const Value* const> args) {
+  auto arg = [&](size_t i) -> const Value& { return *args[i]; };
+  auto need_args = [&](size_t lo, size_t hi) -> Status {
+    if (args.size() < lo || args.size() > hi) {
+      return Status::Invalid(name + ": wrong argument count");
+    }
+    return Status::OK();
+  };
+  std::string buf;
+  switch (fn) {
+    case ScalarFn::kTrim:
+    case ScalarFn::kLtrim:
+    case ScalarFn::kRtrim: {
+      HQ_RETURN_NOT_OK(need_args(1, 1));
+      if (arg(0).is_null()) return Value::Null();
+      std::string_view s = TextOf(arg(0), &buf);
+      size_t b = 0;
+      size_t e = s.size();
+      if (fn != ScalarFn::kRtrim) {
+        while (b < e && s[b] == ' ') ++b;
+      }
+      if (fn != ScalarFn::kLtrim) {
+        while (e > b && s[e - 1] == ' ') --e;
+      }
+      return Value::String(std::string(s.substr(b, e - b)));
+    }
+    case ScalarFn::kUpper:
+      HQ_RETURN_NOT_OK(need_args(1, 1));
+      if (arg(0).is_null()) return Value::Null();
+      return Value::String(common::ToUpper(TextOf(arg(0), &buf)));
+    case ScalarFn::kLower:
+      HQ_RETURN_NOT_OK(need_args(1, 1));
+      if (arg(0).is_null()) return Value::Null();
+      return Value::String(common::ToLower(TextOf(arg(0), &buf)));
+    case ScalarFn::kLength:
+      HQ_RETURN_NOT_OK(need_args(1, 1));
+      if (arg(0).is_null()) return Value::Null();
+      return Value::Int(static_cast<int64_t>(TextOf(arg(0), &buf).size()));
+    case ScalarFn::kSubstr: {
+      HQ_RETURN_NOT_OK(need_args(2, 3));
+      if (arg(0).is_null() || arg(1).is_null()) return Value::Null();
+      std::string_view s = TextOf(arg(0), &buf);
+      HQ_ASSIGN_OR_RETURN(Value start_v, types::CastValue(arg(1), TypeDesc::Int64()));
+      int64_t start = start_v.int_value();
+      int64_t len = static_cast<int64_t>(s.size());
+      if (args.size() == 3) {
+        if (arg(2).is_null()) return Value::Null();
+        HQ_ASSIGN_OR_RETURN(Value len_v, types::CastValue(arg(2), TypeDesc::Int64()));
+        len = len_v.int_value();
+      }
+      if (len < 0) return Status::Invalid("SUBSTR: negative length");
+      // 1-based; positions before 1 shrink the window (SQL semantics). The
+      // 1 - start characters before position 1 are counted unsigned, which
+      // holds them exactly even for start = INT64_MIN.
+      if (start < 1) {
+        const uint64_t before = uint64_t{1} - static_cast<uint64_t>(start);
+        len = static_cast<uint64_t>(len) <= before ? 0 : len - static_cast<int64_t>(before);
+        start = 1;
+      }
+      const int64_t begin = start - 1;
+      if (begin >= static_cast<int64_t>(s.size()) || len <= 0) return Value::String("");
+      len = std::min<int64_t>(len, static_cast<int64_t>(s.size()) - begin);
+      return Value::String(std::string(s.substr(static_cast<size_t>(begin),
+                                                static_cast<size_t>(len))));
+    }
+    case ScalarFn::kPosition: {
+      HQ_RETURN_NOT_OK(need_args(2, 2));
+      if (arg(0).is_null() || arg(1).is_null()) return Value::Null();
+      std::string hay_buf;
+      std::string_view needle = TextOf(arg(0), &buf);
+      std::string_view hay = TextOf(arg(1), &hay_buf);
+      size_t pos = hay.find(needle);
+      return Value::Int(pos == std::string_view::npos ? 0 : static_cast<int64_t>(pos) + 1);
+    }
+    case ScalarFn::kCoalesce:
+      if (args.empty()) return Status::Invalid("COALESCE needs arguments");
+      for (const Value* a : args) {
+        if (!a->is_null()) return *a;
+      }
+      return Value::Null();
+    case ScalarFn::kNullif: {
+      HQ_RETURN_NOT_OK(need_args(2, 2));
+      if (arg(0).is_null()) return Value::Null();
+      if (arg(1).is_null()) return arg(0);
+      HQ_ASSIGN_OR_RETURN(int cmp, CompareValues(arg(0), arg(1)));
+      return cmp == 0 ? Value::Null() : arg(0);
+    }
+    case ScalarFn::kAbs:
+      HQ_RETURN_NOT_OK(need_args(1, 1));
+      if (arg(0).is_null()) return Value::Null();
+      if (arg(0).is_int()) {
+        HQ_ASSIGN_OR_RETURN(int64_t x, Abs(arg(0).int_value()));
+        return Value::Int(x);
+      }
+      if (arg(0).is_decimal()) {
+        const Decimal& d = arg(0).decimal_value();
+        HQ_ASSIGN_OR_RETURN(int64_t unscaled, Abs(d.unscaled()));
+        return Value::Dec(Decimal(unscaled, d.scale()));
+      }
+      if (arg(0).is_float()) return Value::Float(std::fabs(arg(0).float_value()));
+      return Status::TypeError("ABS on non-numeric value");
+    case ScalarFn::kRound: {
+      HQ_RETURN_NOT_OK(need_args(1, 2));
+      if (arg(0).is_null()) return Value::Null();
+      int64_t digits = 0;
+      if (args.size() == 2) {
+        if (arg(1).is_null()) return Value::Null();
+        HQ_ASSIGN_OR_RETURN(Value d, types::CastValue(arg(1), TypeDesc::Int64()));
+        digits = d.int_value();
+      }
+      if (arg(0).is_decimal()) {
+        HQ_ASSIGN_OR_RETURN(Decimal r, arg(0).decimal_value().Rescale(
+                                           static_cast<int32_t>(std::max<int64_t>(0, digits))));
+        return Value::Dec(r);
+      }
+      double scale = std::pow(10.0, static_cast<double>(digits));
+      HQ_ASSIGN_OR_RETURN(Value x, types::CastValue(arg(0), TypeDesc::Float64()));
+      return Value::Float(std::round(x.float_value() * scale) / scale);
+    }
+    case ScalarFn::kFloor:
+    case ScalarFn::kCeil: {
+      HQ_RETURN_NOT_OK(need_args(1, 1));
+      if (arg(0).is_null()) return Value::Null();
+      HQ_ASSIGN_OR_RETURN(Value x, types::CastValue(arg(0), TypeDesc::Float64()));
+      double v = x.float_value();
+      return Value::Float(fn == ScalarFn::kFloor ? std::floor(v) : std::ceil(v));
+    }
+    case ScalarFn::kPower: {
+      HQ_RETURN_NOT_OK(need_args(2, 2));
+      if (arg(0).is_null() || arg(1).is_null()) return Value::Null();
+      HQ_ASSIGN_OR_RETURN(Value a, types::CastValue(arg(0), TypeDesc::Float64()));
+      HQ_ASSIGN_OR_RETURN(Value b, types::CastValue(arg(1), TypeDesc::Float64()));
+      return Value::Float(std::pow(a.float_value(), b.float_value()));
+    }
+    case ScalarFn::kMod:
+      HQ_RETURN_NOT_OK(need_args(2, 2));
+      return EvalArithmetic(BinaryOp::kMod, arg(0), arg(1));
+    case ScalarFn::kToDate:
+      HQ_RETURN_NOT_OK(need_args(2, 2));
+      if (arg(0).is_null()) return Value::Null();
+      if (!arg(1).is_string()) return Status::TypeError("TO_DATE format must be a string");
+      return ToDate(arg(0), types::DateFormat(arg(1).string_value()));
+    case ScalarFn::kToTimestamp: {
+      HQ_RETURN_NOT_OK(need_args(1, 2));
+      if (arg(0).is_null()) return Value::Null();
+      HQ_ASSIGN_OR_RETURN(types::TimestampMicros ts,
+                          types::ParseTimestampIso(TextOf(arg(0), &buf)));
+      return Value::Timestamp(ts);
+    }
+    case ScalarFn::kExtract: {
+      HQ_RETURN_NOT_OK(need_args(2, 2));
+      if (!arg(0).is_string()) return Status::TypeError("EXTRACT unit must be a string");
+      if (arg(1).is_null()) return Value::Null();
+      HQ_ASSIGN_OR_RETURN(Value d, types::CastValue(arg(1), TypeDesc::Date()));
+      types::YearMonthDay ymd = types::YmdFromDays(d.date_days());
+      const std::string& unit = arg(0).string_value();
+      if (EqualsIgnoreCase(unit, "YEAR")) return Value::Int(ymd.year);
+      if (EqualsIgnoreCase(unit, "MONTH")) return Value::Int(ymd.month);
+      if (EqualsIgnoreCase(unit, "DAY")) return Value::Int(ymd.day);
+      return Status::Invalid("unsupported EXTRACT unit: " + unit);
+    }
+    case ScalarFn::kAddMonths: {
+      HQ_RETURN_NOT_OK(need_args(2, 2));
+      if (arg(0).is_null() || arg(1).is_null()) return Value::Null();
+      HQ_ASSIGN_OR_RETURN(Value d, types::CastValue(arg(0), TypeDesc::Date()));
+      HQ_ASSIGN_OR_RETURN(Value n, types::CastValue(arg(1), TypeDesc::Int64()));
+      types::YearMonthDay ymd = types::YmdFromDays(d.date_days());
+      int64_t months;
+      if (__builtin_add_overflow(int64_t{ymd.year} * 12 + ymd.month - 1, n.int_value(),
+                                 &months) ||
+          months / 12 > std::numeric_limits<int32_t>::max() ||
+          months / 12 < std::numeric_limits<int32_t>::min()) {
+        return Status::ConversionError("integer overflow");
+      }
+      int32_t year = static_cast<int32_t>(months / 12);
+      int32_t month = static_cast<int32_t>(months % 12) + 1;
+      // Clamp to the target month's last day (Oracle/Teradata semantics).
+      int32_t day = ymd.day;
+      while (day > 28 && !types::IsValidDate(year, month, day)) --day;
+      HQ_ASSIGN_OR_RETURN(types::DateDays out, types::DaysFromYmd(year, month, day));
+      return Value::Date(out);
+    }
+    case ScalarFn::kLastDay: {
+      HQ_RETURN_NOT_OK(need_args(1, 1));
+      if (arg(0).is_null()) return Value::Null();
+      HQ_ASSIGN_OR_RETURN(Value d, types::CastValue(arg(0), TypeDesc::Date()));
+      types::YearMonthDay ymd = types::YmdFromDays(d.date_days());
+      int32_t day = 31;
+      while (!types::IsValidDate(ymd.year, ymd.month, day)) --day;
+      HQ_ASSIGN_OR_RETURN(types::DateDays out, types::DaysFromYmd(ymd.year, ymd.month, day));
+      return Value::Date(out);
+    }
+    case ScalarFn::kToChar:
+      HQ_RETURN_NOT_OK(need_args(1, 2));
+      if (arg(0).is_null()) return Value::Null();
+      if (args.size() == 1) return Value::String(ToText(arg(0)));
+      if (!arg(1).is_string()) return Status::TypeError("TO_CHAR format must be a string");
+      if (arg(0).is_date()) {
+        HQ_ASSIGN_OR_RETURN(std::string out,
+                            types::FormatDate(arg(0).date_days(), arg(1).string_value()));
+        return Value::String(out);
+      }
+      return Value::String(ToText(arg(0)));
+    case ScalarFn::kUnknown:
+      break;
+  }
+  return Status::NotImplemented("unknown function: " + name);
+}
+
+Result<Value> ApplyUnary(sql::UnaryOp op, const Value& v) {
+  if (v.is_null()) return Value::Null();
+  if (op == sql::UnaryOp::kNot) {
+    if (!v.is_boolean()) return Status::TypeError("NOT on non-boolean");
+    return Value::Boolean(!v.boolean());
+  }
+  // Negation.
+  if (v.is_int()) {
+    HQ_ASSIGN_OR_RETURN(int64_t x, Negate(v.int_value()));
+    return Value::Int(x);
+  }
+  if (v.is_float()) return Value::Float(-v.float_value());
+  if (v.is_decimal()) {
+    HQ_ASSIGN_OR_RETURN(int64_t unscaled, Negate(v.decimal_value().unscaled()));
+    return Value::Dec(Decimal(unscaled, v.decimal_value().scale()));
+  }
+  return Status::TypeError("negation of non-numeric value");
+}
+
+Result<Value> ApplyLogical(BinaryOp op, const Value& l, const Value& r) {
+  // Three-valued logic.
+  auto truth = [](const Value& v) -> Result<int> {
+    if (v.is_null()) return -1;
+    if (!v.is_boolean()) return Status::TypeError("boolean operand expected");
+    return v.boolean() ? 1 : 0;
+  };
+  HQ_ASSIGN_OR_RETURN(int lt, truth(l));
+  HQ_ASSIGN_OR_RETURN(int rt, truth(r));
+  if (op == BinaryOp::kAnd) {
+    if (lt == 0 || rt == 0) return Value::Boolean(false);
+    if (lt == -1 || rt == -1) return Value::Null();
+    return Value::Boolean(true);
+  }
+  if (lt == 1 || rt == 1) return Value::Boolean(true);
+  if (lt == -1 || rt == -1) return Value::Null();
+  return Value::Boolean(false);
+}
+
+Result<Value> ApplyBinary(BinaryOp op, const Value& left, const Value& right) {
+  // Routing switch: arithmetic vs comparison groups; the grouped helpers own
+  // full coverage of their subsets.
+  switch (op) {  // hqcheck:allow(enum-switch)
+    case BinaryOp::kAdd:
+    case BinaryOp::kSub:
+    case BinaryOp::kMul:
+    case BinaryOp::kDiv:
+    case BinaryOp::kMod:
+      return EvalArithmetic(op, left, right);
+    case BinaryOp::kConcat: {
+      if (left.is_null() || right.is_null()) return Value::Null();
+      return Value::String(ToText(left) + ToText(right));
+    }
+    default:
+      return EvalComparison(op, left, right);
+  }
+}
+
+namespace {
+
 Result<Value> EvalFunction(const sql::FunctionExpr& fn, const EvalContext& ctx) {
-  if (IsAggregateFunction(fn.name)) {
-    return Status::Invalid("aggregate function " + fn.name +
-                           " is not allowed in this context");
-  }
+  if (IsAggregateFunction(fn.name)) return AggregateInScalarContext(fn.name);
   // Legacy-only functions must have been transpiled away.
-  if (EqualsIgnoreCase(fn.name, "ZEROIFNULL") || EqualsIgnoreCase(fn.name, "NULLIFZERO") ||
-      EqualsIgnoreCase(fn.name, "INDEX") || EqualsIgnoreCase(fn.name, "CHARACTERS")) {
-    return Status::NotImplemented("function " + fn.name +
-                                  " is a legacy-EDW construct the CDW does not support "
-                                  "(requires Hyper-Q transpilation)");
-  }
+  if (IsLegacyFunction(fn.name)) return LegacyFunctionCall(fn.name);
 
   std::vector<Value> args;
   args.reserve(fn.args.size());
@@ -301,204 +630,10 @@ Result<Value> EvalFunction(const sql::FunctionExpr& fn, const EvalContext& ctx) 
     HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*a, ctx));
     args.push_back(std::move(v));
   }
-  auto need_args = [&](size_t lo, size_t hi) -> Status {
-    if (args.size() < lo || args.size() > hi) {
-      return Status::Invalid(fn.name + ": wrong argument count");
-    }
-    return Status::OK();
-  };
-
-  if (EqualsIgnoreCase(fn.name, "TRIM") || EqualsIgnoreCase(fn.name, "LTRIM") ||
-      EqualsIgnoreCase(fn.name, "RTRIM")) {
-    HQ_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].is_null()) return Value::Null();
-    std::string s = ToText(args[0]);
-    size_t b = 0;
-    size_t e = s.size();
-    if (!EqualsIgnoreCase(fn.name, "RTRIM")) {
-      while (b < e && s[b] == ' ') ++b;
-    }
-    if (!EqualsIgnoreCase(fn.name, "LTRIM")) {
-      while (e > b && s[e - 1] == ' ') --e;
-    }
-    return Value::String(s.substr(b, e - b));
-  }
-  if (EqualsIgnoreCase(fn.name, "UPPER")) {
-    HQ_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].is_null()) return Value::Null();
-    return Value::String(common::ToUpper(ToText(args[0])));
-  }
-  if (EqualsIgnoreCase(fn.name, "LOWER")) {
-    HQ_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].is_null()) return Value::Null();
-    return Value::String(common::ToLower(ToText(args[0])));
-  }
-  if (EqualsIgnoreCase(fn.name, "LENGTH")) {
-    HQ_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].is_null()) return Value::Null();
-    return Value::Int(static_cast<int64_t>(ToText(args[0]).size()));
-  }
-  if (EqualsIgnoreCase(fn.name, "SUBSTR")) {
-    HQ_RETURN_NOT_OK(need_args(2, 3));
-    if (args[0].is_null() || args[1].is_null()) return Value::Null();
-    std::string s = ToText(args[0]);
-    HQ_ASSIGN_OR_RETURN(Value start_v, types::CastValue(args[1], TypeDesc::Int64()));
-    int64_t start = start_v.int_value();
-    int64_t len = static_cast<int64_t>(s.size());
-    if (args.size() == 3) {
-      if (args[2].is_null()) return Value::Null();
-      HQ_ASSIGN_OR_RETURN(Value len_v, types::CastValue(args[2], TypeDesc::Int64()));
-      len = len_v.int_value();
-    }
-    if (len < 0) return Status::Invalid("SUBSTR: negative length");
-    // 1-based; positions before 1 shrink the window (SQL semantics).
-    int64_t begin = start - 1;
-    if (begin < 0) {
-      len += begin;
-      begin = 0;
-    }
-    if (begin >= static_cast<int64_t>(s.size()) || len <= 0) return Value::String("");
-    len = std::min<int64_t>(len, static_cast<int64_t>(s.size()) - begin);
-    return Value::String(s.substr(static_cast<size_t>(begin), static_cast<size_t>(len)));
-  }
-  if (EqualsIgnoreCase(fn.name, "POSITION")) {
-    HQ_RETURN_NOT_OK(need_args(2, 2));
-    if (args[0].is_null() || args[1].is_null()) return Value::Null();
-    std::string needle = ToText(args[0]);
-    std::string hay = ToText(args[1]);
-    size_t pos = hay.find(needle);
-    return Value::Int(pos == std::string::npos ? 0 : static_cast<int64_t>(pos) + 1);
-  }
-  if (EqualsIgnoreCase(fn.name, "COALESCE")) {
-    if (args.empty()) return Status::Invalid("COALESCE needs arguments");
-    for (const auto& a : args) {
-      if (!a.is_null()) return a;
-    }
-    return Value::Null();
-  }
-  if (EqualsIgnoreCase(fn.name, "NULLIF")) {
-    HQ_RETURN_NOT_OK(need_args(2, 2));
-    if (args[0].is_null()) return Value::Null();
-    if (args[1].is_null()) return args[0];
-    HQ_ASSIGN_OR_RETURN(int cmp, CompareValues(args[0], args[1]));
-    return cmp == 0 ? Value::Null() : args[0];
-  }
-  if (EqualsIgnoreCase(fn.name, "ABS")) {
-    HQ_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].is_null()) return Value::Null();
-    if (args[0].is_int()) {
-      HQ_ASSIGN_OR_RETURN(int64_t x, Abs(args[0].int_value()));
-      return Value::Int(x);
-    }
-    if (args[0].is_decimal()) {
-      const Decimal& d = args[0].decimal_value();
-      HQ_ASSIGN_OR_RETURN(int64_t unscaled, Abs(d.unscaled()));
-      return Value::Dec(Decimal(unscaled, d.scale()));
-    }
-    if (args[0].is_float()) return Value::Float(std::fabs(args[0].float_value()));
-    return Status::TypeError("ABS on non-numeric value");
-  }
-  if (EqualsIgnoreCase(fn.name, "ROUND")) {
-    HQ_RETURN_NOT_OK(need_args(1, 2));
-    if (args[0].is_null()) return Value::Null();
-    int64_t digits = 0;
-    if (args.size() == 2) {
-      if (args[1].is_null()) return Value::Null();
-      HQ_ASSIGN_OR_RETURN(Value d, types::CastValue(args[1], TypeDesc::Int64()));
-      digits = d.int_value();
-    }
-    if (args[0].is_decimal()) {
-      HQ_ASSIGN_OR_RETURN(Decimal r, args[0].decimal_value().Rescale(
-                                          static_cast<int32_t>(std::max<int64_t>(0, digits))));
-      return Value::Dec(r);
-    }
-    double scale = std::pow(10.0, static_cast<double>(digits));
-    HQ_ASSIGN_OR_RETURN(Value x, types::CastValue(args[0], TypeDesc::Float64()));
-    return Value::Float(std::round(x.float_value() * scale) / scale);
-  }
-  if (EqualsIgnoreCase(fn.name, "FLOOR") || EqualsIgnoreCase(fn.name, "CEIL") ||
-      EqualsIgnoreCase(fn.name, "CEILING")) {
-    HQ_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].is_null()) return Value::Null();
-    HQ_ASSIGN_OR_RETURN(Value x, types::CastValue(args[0], TypeDesc::Float64()));
-    double v = x.float_value();
-    return Value::Float(EqualsIgnoreCase(fn.name, "FLOOR") ? std::floor(v) : std::ceil(v));
-  }
-  if (EqualsIgnoreCase(fn.name, "POWER")) {
-    HQ_RETURN_NOT_OK(need_args(2, 2));
-    if (args[0].is_null() || args[1].is_null()) return Value::Null();
-    HQ_ASSIGN_OR_RETURN(Value a, types::CastValue(args[0], TypeDesc::Float64()));
-    HQ_ASSIGN_OR_RETURN(Value b, types::CastValue(args[1], TypeDesc::Float64()));
-    return Value::Float(std::pow(a.float_value(), b.float_value()));
-  }
-  if (EqualsIgnoreCase(fn.name, "MOD")) {
-    HQ_RETURN_NOT_OK(need_args(2, 2));
-    return EvalArithmetic(BinaryOp::kMod, args[0], args[1]);
-  }
-  if (EqualsIgnoreCase(fn.name, "TO_DATE")) {
-    HQ_RETURN_NOT_OK(need_args(2, 2));
-    if (args[0].is_null()) return Value::Null();
-    if (!args[1].is_string()) return Status::TypeError("TO_DATE format must be a string");
-    HQ_ASSIGN_OR_RETURN(types::DateDays days,
-                        types::ParseDate(ToText(args[0]), args[1].string_value()));
-    return Value::Date(days);
-  }
-  if (EqualsIgnoreCase(fn.name, "TO_TIMESTAMP")) {
-    HQ_RETURN_NOT_OK(need_args(1, 2));
-    if (args[0].is_null()) return Value::Null();
-    HQ_ASSIGN_OR_RETURN(types::TimestampMicros ts, types::ParseTimestampIso(ToText(args[0])));
-    return Value::Timestamp(ts);
-  }
-  if (EqualsIgnoreCase(fn.name, "EXTRACT")) {
-    HQ_RETURN_NOT_OK(need_args(2, 2));
-    if (!args[0].is_string()) return Status::TypeError("EXTRACT unit must be a string");
-    if (args[1].is_null()) return Value::Null();
-    HQ_ASSIGN_OR_RETURN(Value d, types::CastValue(args[1], TypeDesc::Date()));
-    types::YearMonthDay ymd = types::YmdFromDays(d.date_days());
-    const std::string& unit = args[0].string_value();
-    if (EqualsIgnoreCase(unit, "YEAR")) return Value::Int(ymd.year);
-    if (EqualsIgnoreCase(unit, "MONTH")) return Value::Int(ymd.month);
-    if (EqualsIgnoreCase(unit, "DAY")) return Value::Int(ymd.day);
-    return Status::Invalid("unsupported EXTRACT unit: " + unit);
-  }
-  if (EqualsIgnoreCase(fn.name, "ADD_MONTHS")) {
-    HQ_RETURN_NOT_OK(need_args(2, 2));
-    if (args[0].is_null() || args[1].is_null()) return Value::Null();
-    HQ_ASSIGN_OR_RETURN(Value d, types::CastValue(args[0], TypeDesc::Date()));
-    HQ_ASSIGN_OR_RETURN(Value n, types::CastValue(args[1], TypeDesc::Int64()));
-    types::YearMonthDay ymd = types::YmdFromDays(d.date_days());
-    int64_t months = (ymd.year * 12 + ymd.month - 1) + n.int_value();
-    int32_t year = static_cast<int32_t>(months / 12);
-    int32_t month = static_cast<int32_t>(months % 12) + 1;
-    // Clamp to the target month's last day (Oracle/Teradata semantics).
-    int32_t day = ymd.day;
-    while (day > 28 && !types::IsValidDate(year, month, day)) --day;
-    HQ_ASSIGN_OR_RETURN(types::DateDays out, types::DaysFromYmd(year, month, day));
-    return Value::Date(out);
-  }
-  if (EqualsIgnoreCase(fn.name, "LAST_DAY")) {
-    HQ_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].is_null()) return Value::Null();
-    HQ_ASSIGN_OR_RETURN(Value d, types::CastValue(args[0], TypeDesc::Date()));
-    types::YearMonthDay ymd = types::YmdFromDays(d.date_days());
-    int32_t day = 31;
-    while (!types::IsValidDate(ymd.year, ymd.month, day)) --day;
-    HQ_ASSIGN_OR_RETURN(types::DateDays out, types::DaysFromYmd(ymd.year, ymd.month, day));
-    return Value::Date(out);
-  }
-  if (EqualsIgnoreCase(fn.name, "TO_CHAR")) {
-    HQ_RETURN_NOT_OK(need_args(1, 2));
-    if (args[0].is_null()) return Value::Null();
-    if (args.size() == 1) return Value::String(ToText(args[0]));
-    if (!args[1].is_string()) return Status::TypeError("TO_CHAR format must be a string");
-    if (args[0].is_date()) {
-      HQ_ASSIGN_OR_RETURN(std::string out,
-                          types::FormatDate(args[0].date_days(), args[1].string_value()));
-      return Value::String(out);
-    }
-    return Value::String(ToText(args[0]));
-  }
-  return Status::NotImplemented("unknown function: " + fn.name);
+  std::vector<const Value*> arg_ptrs;
+  arg_ptrs.reserve(args.size());
+  for (const Value& v : args) arg_ptrs.push_back(&v);
+  return ApplyScalarFn(LookupScalarFn(fn.name), fn.name, arg_ptrs);
 }
 
 }  // namespace
@@ -512,85 +647,27 @@ Result<Value> EvaluateExpr(const Expr& expr, const EvalContext& ctx) {
       return ctx.ResolveColumn(col.table, col.column);
     }
     case ExprKind::kPlaceholder:
-      return Status::Invalid(
-          ":placeholders cannot execute in the CDW; Hyper-Q must bind them to staging columns");
+      return PlaceholderInCdw();
     case ExprKind::kStar:
       return Status::Invalid("'*' is not a scalar expression");
     case ExprKind::kUnary: {
       const auto& u = static_cast<const sql::UnaryExpr&>(expr);
       HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*u.operand, ctx));
-      if (v.is_null()) return Value::Null();
-      if (u.op == sql::UnaryOp::kNot) {
-        if (!v.is_boolean()) return Status::TypeError("NOT on non-boolean");
-        return Value::Boolean(!v.boolean());
-      }
-      // Negation.
-      if (v.is_int()) {
-        HQ_ASSIGN_OR_RETURN(int64_t x, Negate(v.int_value()));
-        return Value::Int(x);
-      }
-      if (v.is_float()) return Value::Float(-v.float_value());
-      if (v.is_decimal()) {
-        HQ_ASSIGN_OR_RETURN(int64_t unscaled, Negate(v.decimal_value().unscaled()));
-        return Value::Dec(Decimal(unscaled, v.decimal_value().scale()));
-      }
-      return Status::TypeError("negation of non-numeric value");
+      return ApplyUnary(u.op, v);
     }
     case ExprKind::kBinary: {
       const auto& b = static_cast<const sql::BinaryExpr&>(expr);
-      if (b.op == BinaryOp::kPow) {
-        return Status::NotImplemented(
-            "'**' is a legacy-EDW operator the CDW does not support (requires Hyper-Q "
-            "transpilation)");
-      }
-      if (b.op == BinaryOp::kAnd || b.op == BinaryOp::kOr) {
-        HQ_ASSIGN_OR_RETURN(Value l, EvaluateExpr(*b.left, ctx));
-        HQ_ASSIGN_OR_RETURN(Value r, EvaluateExpr(*b.right, ctx));
-        // Three-valued logic.
-        auto truth = [](const Value& v) -> Result<int> {
-          if (v.is_null()) return -1;
-          if (!v.is_boolean()) return Status::TypeError("boolean operand expected");
-          return v.boolean() ? 1 : 0;
-        };
-        HQ_ASSIGN_OR_RETURN(int lt, truth(l));
-        HQ_ASSIGN_OR_RETURN(int rt, truth(r));
-        if (b.op == BinaryOp::kAnd) {
-          if (lt == 0 || rt == 0) return Value::Boolean(false);
-          if (lt == -1 || rt == -1) return Value::Null();
-          return Value::Boolean(true);
-        }
-        if (lt == 1 || rt == 1) return Value::Boolean(true);
-        if (lt == -1 || rt == -1) return Value::Null();
-        return Value::Boolean(false);
-      }
+      if (b.op == BinaryOp::kPow) return LegacyPowerOperator();
       HQ_ASSIGN_OR_RETURN(Value left, EvaluateExpr(*b.left, ctx));
       HQ_ASSIGN_OR_RETURN(Value right, EvaluateExpr(*b.right, ctx));
-      // Routing switch: arithmetic vs comparison vs logical groups; the
-      // grouped helpers own full coverage of their subsets.
-      switch (b.op) {  // hqcheck:allow(enum-switch)
-        case BinaryOp::kAdd:
-        case BinaryOp::kSub:
-        case BinaryOp::kMul:
-        case BinaryOp::kDiv:
-        case BinaryOp::kMod:
-          return EvalArithmetic(b.op, left, right);
-        case BinaryOp::kConcat: {
-          if (left.is_null() || right.is_null()) return Value::Null();
-          return Value::String(ToText(left) + ToText(right));
-        }
-        default:
-          return EvalComparison(b.op, left, right);
-      }
+      if (b.op == BinaryOp::kAnd || b.op == BinaryOp::kOr) return ApplyLogical(b.op, left, right);
+      return ApplyBinary(b.op, left, right);
     }
     case ExprKind::kFunction:
       return EvalFunction(static_cast<const sql::FunctionExpr&>(expr), ctx);
     case ExprKind::kCast: {
       const auto& cast = static_cast<const sql::CastExpr&>(expr);
-      if (!cast.format.empty()) {
-        return Status::NotImplemented(
-            "CAST ... FORMAT is a legacy-EDW construct the CDW does not support (requires "
-            "Hyper-Q transpilation)");
-      }
+      if (!cast.format.empty()) return LegacyFormatCast();
       HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*cast.operand, ctx));
       return types::CastValue(v, cast.target);
     }

@@ -1,18 +1,23 @@
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "sql/ast.h"
+#include "types/date.h"
 #include "types/schema.h"
 
 /// \file expr_eval.h
-/// Row-at-a-time expression evaluation over one or more bound table rows
-/// (target table, staging table, join sides), read in place. This evaluator
-/// implements the *CDW* dialect: legacy-only constructs (CAST ... FORMAT,
-/// ZEROIFNULL, '**', :placeholders) are rejected — running them requires the
-/// Hyper-Q transpiler first, which is the point of the paper.
+/// Expression semantics of the *CDW* dialect: legacy-only constructs (CAST
+/// ... FORMAT, ZEROIFNULL, '**', :placeholders) are rejected — running them
+/// requires the Hyper-Q transpiler first, which is the point of the paper.
+///
+/// Statements evaluate through the compiler (compiled_expr.h). The
+/// row-at-a-time EvaluateExpr/PredicateTrue walk over an EvalContext is kept
+/// only as the oracle of the compiler's seeded differential
+/// (tests/cdw/expr_compile_diff_test.cc) and is due for deletion.
 
 namespace hyperq::cdw {
 
@@ -55,6 +60,80 @@ common::Result<bool> PredicateTrue(const sql::Expr* where, const EvalContext& ct
 
 /// True for COUNT/SUM/MIN/MAX/AVG.
 bool IsAggregateFunction(std::string_view name);
+
+// --- Value-level operations ---------------------------------------------------
+// One copy of the dialect's semantics over already-evaluated operands, shared
+// by the EvaluateExpr walk above and the statement compiler
+// (compiled_expr.h), which differ only in how they reach the operands.
+
+/// The scalar functions, resolved from their name once per statement.
+enum class ScalarFn : uint8_t {
+  kTrim,
+  kLtrim,
+  kRtrim,
+  kUpper,
+  kLower,
+  kLength,
+  kSubstr,
+  kPosition,
+  kCoalesce,
+  kNullif,
+  kAbs,
+  kRound,
+  kFloor,
+  kCeil,
+  kPower,
+  kMod,
+  kToDate,
+  kToTimestamp,
+  kExtract,
+  kAddMonths,
+  kLastDay,
+  kToChar,
+  kUnknown,  ///< fails with "unknown function" once its arguments are evaluated
+};
+
+/// Case-insensitive name lookup; kUnknown when the CDW has no such function.
+ScalarFn LookupScalarFn(std::string_view name);
+
+/// True for the legacy-only functions (ZEROIFNULL, NULLIFZERO, INDEX,
+/// CHARACTERS) that must be transpiled away before the CDW sees them.
+bool IsLegacyFunction(std::string_view name);
+
+/// The Status a call of aggregate `name` returns in a scalar context.
+common::Status AggregateInScalarContext(const std::string& name);
+/// The Status a call of legacy function `name` returns.
+common::Status LegacyFunctionCall(const std::string& name);
+
+/// Applies scalar function `fn` (spelled `name`, for messages) to evaluated
+/// arguments, which may point at stored cells or literals.
+common::Result<types::Value> ApplyScalarFn(ScalarFn fn, const std::string& name,
+                                           std::span<const types::Value* const> args);
+
+/// TO_DATE with a format parsed once (see types::DateFormat).
+common::Result<types::Value> ToDate(const types::Value& text, const types::DateFormat& format);
+
+/// NOT and unary minus.
+common::Result<types::Value> ApplyUnary(sql::UnaryOp op, const types::Value& v);
+
+/// AND / OR in three-valued logic.
+common::Result<types::Value> ApplyLogical(sql::BinaryOp op, const types::Value& left,
+                                          const types::Value& right);
+
+/// Arithmetic, || and the comparisons (LIKE included); not AND, OR or '**'.
+common::Result<types::Value> ApplyBinary(sql::BinaryOp op, const types::Value& left,
+                                         const types::Value& right);
+
+/// The Status of the legacy '**' operator.
+common::Status LegacyPowerOperator();
+/// The Status of a legacy CAST ... FORMAT.
+common::Status LegacyFormatCast();
+/// The Status of a :placeholder reaching the CDW.
+common::Status PlaceholderInCdw();
+
+/// Three-way comparison with the dialect's implicit coercions (strings parse
+/// toward the other side's family); both sides non-NULL.
+common::Result<int> CompareValues(const types::Value& a, const types::Value& b);
 
 /// True if the expression tree contains an aggregate call.
 bool ContainsAggregate(const sql::Expr& expr);

@@ -31,7 +31,7 @@ void SplitConjuncts(const sql::Expr* expr, std::vector<const sql::Expr*>* out) {
 }
 
 /// The side (kTargetSide/kSourceSide) and column a reference binds to under
-/// EvalContext::ResolveColumn's rules, or 0 when it is ambiguous or
+/// the compiler's column resolution, or 0 when it is ambiguous or
 /// unresolved.
 unsigned ResolveSide(const JoinSides& sides, const sql::ColumnRefExpr& col, size_t* column) {
   unsigned found = 0;
@@ -108,7 +108,12 @@ bool CollectSides(const sql::Expr& expr, const JoinSides& sides, unsigned* mask)
 
 JoinMatcher::JoinMatcher(const JoinSides& sides, bool allow_hash) : sides_(sides) {
   hash_ = allow_hash && Plan() && BuildIndex();
-  if (!hash_) index_.clear();
+  if (!hash_) {
+    index_.clear();
+    const ScanBinding pair[] = {{sides_.target_alias, sides_.target},
+                                {sides_.source_alias, sides_.source}};
+    predicate_ = CompiledExpr::CompilePredicate(sides_.predicate, pair);
+  }
 }
 
 bool JoinMatcher::Plan() {
@@ -168,7 +173,12 @@ bool JoinMatcher::Plan() {
     if (mask == (kTargetSide | kSourceSide)) return false;
     // A constant conjunct rides with the driving side.
     const unsigned driving_side = sides_.drive_source ? kSourceSide : kTargetSide;
-    (mask == 0 || mask == driving_side ? driving_residuals_ : other_residuals_).push_back(conjunct);
+    const bool on_driving = mask == 0 || mask == driving_side;
+    const bool on_source = on_driving == sides_.drive_source;
+    const ScanBinding side = on_source ? ScanBinding{sides_.source_alias, sides_.source}
+                                       : ScanBinding{sides_.target_alias, sides_.target};
+    (on_driving ? driving_residuals_ : other_residuals_)
+        .push_back(CompiledExpr::Compile(*conjunct, std::span(&side, 1)));
   }
   return !driving_keys_.empty();
 }
@@ -177,7 +187,8 @@ bool JoinMatcher::BuildIndex() {
   const Table& table = other();
   index_.reserve(table.num_rows());
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    int pass = other_residuals_.empty() ? 1 : Residuals(other_residuals_, !sides_.drive_source, r);
+    ++rows_scanned_;
+    int pass = other_residuals_.empty() ? 1 : Residuals(other_residuals_, r);
     if (pass < 0) return false;
     KeyStatus key = EncodeKey(other_keys_, table, r);
     if (key == KeyStatus::kUndecidable) return false;
@@ -188,22 +199,19 @@ bool JoinMatcher::BuildIndex() {
   return true;
 }
 
-int JoinMatcher::Residuals(const std::vector<const sql::Expr*>& residuals, bool source_side,
-                           size_t row) const {
-  EvalContext ctx;
-  ctx.AddBinding(source_side ? sides_.source_alias : sides_.target_alias,
-                 source_side ? sides_.source : sides_.target, row);
+int JoinMatcher::Residuals(const std::vector<CompiledExpr>& residuals, size_t row) const {
   // Every conjunct is evaluated, as the AND in the pair context would: a
   // later one's error must surface even after an earlier one is false.
   int pass = 1;
-  for (const sql::Expr* residual : residuals) {
-    Result<Value> v = EvaluateExpr(*residual, ctx);
+  for (const CompiledExpr& residual : residuals) {
+    Result<const Value*> v = residual.Eval(&row);
     if (!v.ok()) return -1;
-    if (v->is_null()) {
+    const Value& value = **v;
+    if (value.is_null()) {
       pass = 0;
-    } else if (!v->is_boolean()) {
+    } else if (!value.is_boolean()) {
       return -1;
-    } else if (!v->boolean()) {
+    } else if (!value.boolean()) {
       pass = 0;
     }
   }
@@ -248,8 +256,7 @@ JoinMatcher::KeyStatus JoinMatcher::EncodeKey(const std::vector<size_t>& columns
 
 Result<JoinMatch> JoinMatcher::Match(size_t row, bool want_unique) {
   if (!hash_) return NestedLoopMatch(row, want_unique);
-  int pass =
-      driving_residuals_.empty() ? 1 : Residuals(driving_residuals_, sides_.drive_source, row);
+  int pass = driving_residuals_.empty() ? 1 : Residuals(driving_residuals_, row);
   KeyStatus key = pass < 0 ? KeyStatus::kUndecidable : EncodeKey(driving_keys_, driving(), row);
   if (key == KeyStatus::kUndecidable) {
     fell_back_ = true;
@@ -263,16 +270,15 @@ Result<JoinMatch> JoinMatcher::Match(size_t row, bool want_unique) {
 // The nested loop: the whole predicate per (driving, other) pair, in the
 // other side's row order. It is the reference semantics the hash path must
 // reproduce, and the only path for predicates the planner cannot split.
-Result<JoinMatch> JoinMatcher::NestedLoopMatch(size_t row, bool want_unique) const {
+Result<JoinMatch> JoinMatcher::NestedLoopMatch(size_t row, bool want_unique) {
   JoinMatch match;
   const Table& table = other();
   const size_t other_binding = sides_.drive_source ? 0 : 1;
-  EvalContext ctx;
-  ctx.AddBinding(sides_.target_alias, sides_.target, row);
-  ctx.AddBinding(sides_.source_alias, sides_.source, row);
+  size_t rows[2] = {row, row};  // target row, source row
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    ctx.SetRow(other_binding, r);
-    HQ_ASSIGN_OR_RETURN(bool on, PredicateTrue(sides_.predicate, ctx));
+    rows[other_binding] = r;
+    ++rows_scanned_;
+    HQ_ASSIGN_OR_RETURN(bool on, predicate_.Test(rows));
     if (!on) continue;
     if (match.row >= 0) {
       match.multiple = true;
@@ -284,16 +290,18 @@ Result<JoinMatch> JoinMatcher::NestedLoopMatch(size_t row, bool want_unique) con
   return match;
 }
 
-Result<ExecResult> RunJoinDml(const JoinSides& sides, bool allow_hash,
+Result<ExecResult> RunJoinDml(const JoinSides& sides, bool allow_hash, uint64_t* rows_scanned,
                               const std::function<Result<ExecResult>(JoinMatcher&)>& body) {
   JoinMatcher matcher(sides, allow_hash);
   Result<ExecResult> result = body(matcher);
+  *rows_scanned += matcher.rows_scanned();
   JoinPath path = matcher.path();
   if (matcher.fell_back()) {
     // A residual error or an off-kind stored value: re-run on the nested
     // loop so the outcome, error Status included, is the oracle's.
     JoinMatcher nested_loop(sides, /*allow_hash=*/false);
     result = body(nested_loop);
+    *rows_scanned += nested_loop.rows_scanned();
     path = JoinPath::kNestedLoop;
   }
   if (result.ok()) result->join_path = path;

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cdw/compiled_expr.h"
 #include "cdw/executor.h"
 #include "cdw/table.h"
 
@@ -62,6 +63,9 @@ class JoinMatcher {
   /// caller must discard and re-run the statement on the nested loop.
   bool fell_back() const { return fell_back_; }
 
+  /// Other-side rows visited: the index build, or every nested-loop pass.
+  uint64_t rows_scanned() const { return rows_scanned_; }
+
  private:
   enum class KeyFamily : uint8_t { kString, kInt, kDate };
   enum class KeyStatus : uint8_t { kKey, kNull, kUndecidable };
@@ -70,11 +74,10 @@ class JoinMatcher {
   bool BuildIndex();
   /// Evaluates one side's residuals on a row: 1 all true, 0 some false or
   /// NULL, -1 undecidable (an error or a non-boolean value).
-  int Residuals(const std::vector<const sql::Expr*>& residuals, bool source_side,
-                size_t row) const;
+  int Residuals(const std::vector<CompiledExpr>& residuals, size_t row) const;
   /// Encodes a stored row's equi-key into key_.
   KeyStatus EncodeKey(const std::vector<size_t>& columns, const Table& table, size_t row);
-  common::Result<JoinMatch> NestedLoopMatch(size_t row, bool want_unique) const;
+  common::Result<JoinMatch> NestedLoopMatch(size_t row, bool want_unique);
 
   const Table& driving() const { return *(sides_.drive_source ? sides_.source : sides_.target); }
   const Table& other() const { return *(sides_.drive_source ? sides_.target : sides_.source); }
@@ -82,12 +85,16 @@ class JoinMatcher {
   JoinSides sides_;
   bool hash_ = false;
   bool fell_back_ = false;
+  uint64_t rows_scanned_ = 0;
   // Hash plan: equi-key columns per side (pairwise), key families, residuals.
   std::vector<size_t> driving_keys_;
   std::vector<size_t> other_keys_;
   std::vector<KeyFamily> families_;
-  std::vector<const sql::Expr*> driving_residuals_;
-  std::vector<const sql::Expr*> other_residuals_;
+  // Residuals, each compiled against its own side alone.
+  std::vector<CompiledExpr> driving_residuals_;
+  std::vector<CompiledExpr> other_residuals_;
+  /// The nested loop's whole predicate, over (target, source).
+  CompiledExpr predicate_;
   /// Encoded key -> first other-side row with that key (and whether more).
   std::unordered_map<std::string, JoinMatch> index_;
   std::string key_;
@@ -96,9 +103,11 @@ class JoinMatcher {
 /// Runs a join DML statement body against a matcher, re-running it on the
 /// nested loop when the hash path falls back mid-statement. The body must
 /// stage all effects and commit only after its last Match call. Stamps the
-/// path that produced the result into it.
-common::Result<ExecResult> RunJoinDml(const JoinSides& sides, bool allow_hash,
-                                      const std::function<common::Result<ExecResult>(JoinMatcher&)>& body);
+/// path that produced the result into it, and adds every matcher's scanned
+/// rows to `*rows_scanned`.
+common::Result<ExecResult> RunJoinDml(
+    const JoinSides& sides, bool allow_hash, uint64_t* rows_scanned,
+    const std::function<common::Result<ExecResult>(JoinMatcher&)>& body);
 
 /// Executes `stmt` with the hash path disabled: the nested-loop oracle the
 /// differential compares the planner's choice against.

@@ -74,56 +74,70 @@ int ExpandTwoDigitYear(int yy) { return yy < 30 ? 2000 + yy : 1900 + yy; }
 }  // namespace
 
 Result<DateDays> ParseDate(std::string_view text, std::string_view format) {
+  return ParseDate(text, DateFormat(format));
+}
+
+DateFormat::DateFormat(std::string_view format) : pattern_(format) {
   std::string fmt = common::ToUpper(format);
-  std::string_view t = common::TrimView(text);
   size_t fi = 0;
+  while (fi < fmt.size()) {
+    if (fmt.compare(fi, 4, "YYYY") == 0) {
+      steps_.push_back({Token::kYear4, 0});
+      fi += 4;
+    } else if (fmt.compare(fi, 2, "YY") == 0) {
+      steps_.push_back({Token::kYear2, 0});
+      fi += 2;
+    } else if (fmt.compare(fi, 2, "MM") == 0) {
+      steps_.push_back({Token::kMonth, 0});
+      fi += 2;
+    } else if (fmt.compare(fi, 2, "DD") == 0) {
+      steps_.push_back({Token::kDay, 0});
+      fi += 2;
+    } else {
+      steps_.push_back({Token::kLiteral, fmt[fi++]});
+    }
+  }
+}
+
+Result<DateDays> ParseDate(std::string_view text, const DateFormat& format) {
+  using Token = DateFormat::Token;
+  std::string_view t = common::TrimView(text);
   size_t ti = 0;
   int y = -1;
   int m = -1;
   int d = -1;
-  while (fi < fmt.size()) {
-    if (fmt.compare(fi, 4, "YYYY") == 0) {
-      y = ReadDigits(t, &ti, 4);
-      if (y < 0) {
-        return Status::ConversionError("DATE conversion failed for '" + std::string(text) +
-                                       "' with format '" + std::string(format) + "'");
+  bool ok = true;
+  for (const DateFormat::Step& step : format.steps_) {
+    switch (step.token) {
+      case Token::kYear4:
+        y = ReadDigits(t, &ti, 4);
+        ok = y >= 0;
+        break;
+      case Token::kYear2: {
+        int yy = ReadDigits(t, &ti, 2);
+        ok = yy >= 0;
+        if (ok) y = ExpandTwoDigitYear(yy);
+        break;
       }
-      fi += 4;
-    } else if (fmt.compare(fi, 2, "YY") == 0) {
-      int yy = ReadDigits(t, &ti, 2);
-      if (yy < 0) {
-        return Status::ConversionError("DATE conversion failed for '" + std::string(text) +
-                                       "' with format '" + std::string(format) + "'");
-      }
-      y = ExpandTwoDigitYear(yy);
-      fi += 2;
-    } else if (fmt.compare(fi, 2, "MM") == 0) {
-      m = ReadDigits(t, &ti, 2);
-      fi += 2;
-      if (m < 0) {
-        return Status::ConversionError("DATE conversion failed for '" + std::string(text) +
-                                       "' with format '" + std::string(format) + "'");
-      }
-    } else if (fmt.compare(fi, 2, "DD") == 0) {
-      d = ReadDigits(t, &ti, 2);
-      fi += 2;
-      if (d < 0) {
-        return Status::ConversionError("DATE conversion failed for '" + std::string(text) +
-                                       "' with format '" + std::string(format) + "'");
-      }
-    } else {
-      // Literal separator must match exactly.
-      if (ti >= t.size() || t[ti] != fmt[fi]) {
-        return Status::ConversionError("DATE conversion failed for '" + std::string(text) +
-                                       "' with format '" + std::string(format) + "'");
-      }
-      ++ti;
-      ++fi;
+      case Token::kMonth:
+        m = ReadDigits(t, &ti, 2);
+        ok = m >= 0;
+        break;
+      case Token::kDay:
+        d = ReadDigits(t, &ti, 2);
+        ok = d >= 0;
+        break;
+      case Token::kLiteral:
+        // Literal separator must match exactly.
+        ok = ti < t.size() && t[ti] == step.literal;
+        ++ti;
+        break;
     }
+    if (!ok) break;
   }
-  if (ti != t.size() || y < 0 || m < 0 || d < 0) {
+  if (!ok || ti != t.size() || y < 0 || m < 0 || d < 0) {
     return Status::ConversionError("DATE conversion failed for '" + std::string(text) +
-                                   "' with format '" + std::string(format) + "'");
+                                   "' with format '" + format.pattern_ + "'");
   }
   return DaysFromYmd(y, m, d);
 }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 
@@ -41,6 +42,26 @@ YearMonthDay YmdFromDays(DateDays days);
 /// pattern without separators (e.g. YYYYMMDD) is positional. Two-digit years
 /// are interpreted as 1930..2029 (legacy EDW century window).
 common::Result<DateDays> ParseDate(std::string_view text, std::string_view format);
+
+/// A FORMAT pattern split into its tokens once, for callers that parse many
+/// texts against one pattern. ParseDate(text, DateFormat(f)) returns exactly
+/// what ParseDate(text, f) returns, error messages included.
+class DateFormat {
+ public:
+  explicit DateFormat(std::string_view format);
+
+ private:
+  friend common::Result<DateDays> ParseDate(std::string_view text, const DateFormat& format);
+  enum class Token : uint8_t { kYear4, kYear2, kMonth, kDay, kLiteral };
+  struct Step {
+    Token token;
+    char literal;  ///< the upper-cased separator a kLiteral step must match
+  };
+  std::string pattern_;  ///< as written, for error messages
+  std::vector<Step> steps_;
+};
+
+common::Result<DateDays> ParseDate(std::string_view text, const DateFormat& format);
 
 /// Formats epoch days according to a legacy FORMAT pattern.
 common::Result<std::string> FormatDate(DateDays days, std::string_view format);

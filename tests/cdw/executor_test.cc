@@ -519,6 +519,173 @@ TEST_F(ExecutorTest, UpdateSetOrientedAbortOnBadAssignment) {
             0);  // original dates untouched
 }
 
+// --- Evaluation order: what the statement compiler must keep --------------
+
+TEST_F(ExecutorTest, FalseAndStillEvaluatesItsRightSide) {
+  SeedCustomers();
+  // AND evaluates both sides: a false left does not hide the right's error.
+  EXPECT_TRUE(ExecError("SELECT ID FROM CUSTOMERS WHERE 1 = 0 AND "
+                        "TO_DATE(NAME, 'YYYY-MM-DD') IS NULL")
+                  .IsConversionError());
+  EXPECT_TRUE(ExecError("DELETE FROM CUSTOMERS WHERE ID = 0 AND CAST(NAME AS INTEGER) = 1")
+                  .IsConversionError());
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM CUSTOMERS").rows[0][0].int_value(), 3);
+}
+
+TEST_F(ExecutorTest, CaseEvaluatesOnlyTheBranchItTakes) {
+  SeedCustomers();
+  auto result = Exec(
+      "SELECT CASE WHEN ID > 0 THEN 'ok' ELSE TO_DATE(NAME, 'YYYY-MM-DD') END, "
+      "CASE ID WHEN 2 THEN ID / 0 ELSE ID END FROM CUSTOMERS WHERE ID <> 2 ORDER BY 2");
+  ASSERT_EQ(result.rows.size(), 2u);
+  EXPECT_EQ(result.rows[0][0].string_value(), "ok");
+  EXPECT_EQ(result.rows[1][1].int_value(), 3);
+  // The branch taken does run.
+  EXPECT_TRUE(ExecError("SELECT CASE WHEN ID = 2 THEN ID / 0 END FROM CUSTOMERS")
+                  .IsConversionError());
+}
+
+TEST_F(ExecutorTest, ArgumentErrorSurfacesBeforeUnknownFunction) {
+  // No row evaluates the call, so neither error is raised.
+  EXPECT_TRUE(Exec("SELECT FROBNICATE(TO_DATE(NAME, 'YYYY-MM-DD')) FROM CUSTOMERS").rows.empty());
+  SeedCustomers();
+  EXPECT_TRUE(ExecError("SELECT FROBNICATE(TO_DATE(NAME, 'YYYY-MM-DD')) FROM CUSTOMERS")
+                  .IsConversionError());
+  auto unknown = ExecError("SELECT FROBNICATE(NAME) FROM CUSTOMERS");
+  EXPECT_EQ(unknown.code(), common::StatusCode::kNotImplemented);
+  EXPECT_EQ(unknown.message(), "unknown function: FROBNICATE");
+}
+
+TEST_F(ExecutorTest, MissingColumnOverEmptyTableIsNotAnError) {
+  EXPECT_TRUE(Exec("SELECT NOPE FROM CUSTOMERS").rows.empty());
+  EXPECT_TRUE(Exec("SELECT ID FROM CUSTOMERS WHERE C.NOPE = 1").rows.empty());
+  EXPECT_EQ(Exec("UPDATE CUSTOMERS SET NAME = NOPE WHERE NOPE = 1").rows_updated, 0u);
+  EXPECT_EQ(Exec("DELETE FROM CUSTOMERS WHERE NOPE = 1").rows_deleted, 0u);
+  EXPECT_EQ(Exec("INSERT INTO CUSTOMERS (NOPE) SELECT ID FROM CUSTOMERS").rows_inserted, 0u);
+  SeedCustomers();
+  auto missing = ExecError("SELECT NOPE FROM CUSTOMERS");
+  EXPECT_TRUE(missing.IsNotFound());
+  EXPECT_EQ(missing.message(), "column not found: NOPE");
+  EXPECT_EQ(ExecError("SELECT ID FROM CUSTOMERS WHERE C.NOPE = 1").message(),
+            "column not found: C.NOPE");
+  EXPECT_TRUE(ExecError("INSERT INTO CUSTOMERS (NOPE) SELECT ID FROM CUSTOMERS").IsNotFound());
+}
+
+TEST_F(ExecutorTest, UnqualifiedColumnInBothMergeSidesIsAmbiguous) {
+  SeedCustomers();
+  Schema stg;
+  stg.AddField(Field("ID", TypeDesc::Int64()));
+  stg.AddField(Field("NAME", TypeDesc::Varchar(20)));
+  catalog_.CreateTable("STG", stg).ok();
+  Exec("INSERT INTO STG VALUES (2, 'two'), (9, 'nine')");
+  // WHEN MATCHED sees both sides, so NAME is ambiguous there ...
+  auto ambiguous = ExecError(
+      "MERGE INTO CUSTOMERS T USING STG S ON T.ID = S.ID "
+      "WHEN MATCHED THEN UPDATE SET NAME = NAME");
+  EXPECT_TRUE(ambiguous.IsInvalid());
+  EXPECT_EQ(ambiguous.message(), "ambiguous column reference: NAME");
+  // ... while WHEN NOT MATCHED sees the source row alone.
+  auto inserted = Exec(
+      "MERGE INTO CUSTOMERS T USING STG S ON T.ID = S.ID "
+      "WHEN MATCHED THEN UPDATE SET NAME = S.NAME "
+      "WHEN NOT MATCHED THEN INSERT (ID, NAME) VALUES (ID, NAME)");
+  EXPECT_EQ(inserted.rows_updated, 1u);
+  EXPECT_EQ(inserted.rows_inserted, 1u);
+}
+
+TEST_F(ExecutorTest, AggregateContextEvaluatesAroundTheAggregates) {
+  SeedCustomers();
+  // A function or operator over aggregates applies to their values; a
+  // subexpression without one reads the group's first row.
+  auto values = Exec(
+      "SELECT COALESCE(MAX(ID), 5), -SUM(ID), CAST(COUNT(*) AS VARCHAR(5)), UPPER(NAME) "
+      "FROM CUSTOMERS WHERE ID >= 2");
+  ASSERT_EQ(values.rows.size(), 1u);
+  EXPECT_EQ(values.rows[0][0].int_value(), 3);
+  EXPECT_EQ(values.rows[0][1].int_value(), -5);
+  EXPECT_EQ(values.rows[0][2].string_value(), "2");
+  EXPECT_EQ(values.rows[0][3].string_value(), "BOB");
+  // Over no row, MAX is NULL, and so is every operand without an aggregate,
+  // a literal included: it is read at the empty group's first row.
+  auto empty = Exec(
+      "SELECT COALESCE(MAX(ID), 5), COALESCE(NAME, 'none'), COUNT(*) + 1 FROM CUSTOMERS "
+      "WHERE 1 = 0");
+  ASSERT_EQ(empty.rows.size(), 1u);
+  EXPECT_TRUE(empty.rows[0][0].is_null());
+  EXPECT_TRUE(empty.rows[0][1].is_null());
+  EXPECT_TRUE(empty.rows[0][2].is_null());
+  // Errors: the forms an aggregate cannot sit in, legacy constructs after
+  // their operands, and aggregate argument checks.
+  EXPECT_EQ(ExecError("SELECT CASE WHEN COUNT(*) > 0 THEN 1 END FROM CUSTOMERS").message(),
+            "aggregate inside this expression form");
+  EXPECT_EQ(ExecError("SELECT ZEROIFNULL(COUNT(*)) FROM CUSTOMERS").code(),
+            common::StatusCode::kNotImplemented);
+  EXPECT_EQ(ExecError("SELECT SUM(ID) ** 2 FROM CUSTOMERS").code(),
+            common::StatusCode::kNotImplemented);
+  EXPECT_TRUE(ExecError("SELECT ZEROIFNULL(SUM(TO_DATE(NAME, 'YYYY-MM-DD'))) FROM CUSTOMERS")
+                  .IsConversionError());
+  EXPECT_EQ(ExecError("SELECT COUNT(ID, NAME) FROM CUSTOMERS").message(),
+            "COUNT takes one argument");
+  EXPECT_EQ(ExecError("SELECT SUM(COUNT(ID)) FROM CUSTOMERS").message(),
+            "aggregate function COUNT is not allowed in this context");
+  EXPECT_TRUE(ExecError("SELECT SUM(NAME) FROM CUSTOMERS").IsTypeError());
+  // With GROUP BY and no row there is no group, so no error either.
+  EXPECT_TRUE(
+      Exec("SELECT CASE WHEN COUNT(*) > 0 THEN 1 END FROM CUSTOMERS WHERE 1 = 0 GROUP BY NAME")
+          .rows.empty());
+}
+
+// --- Integer overflow in functions and aggregates ---------------------------
+
+TEST_F(ExecutorTest, SumOverflowIsConversionError) {
+  Exec("CREATE TABLE BIG (X BIGINT, Y FLOAT)");
+  Exec("INSERT INTO BIG VALUES (9223372036854775807, 1), (9223372036854775807, 1)");
+  auto s = ExecError("SELECT SUM(X) FROM BIG");
+  EXPECT_TRUE(s.IsConversionError());
+  EXPECT_EQ(s.message(), "integer overflow");
+  // AVG and a mixed-kind SUM work in floating point and do not overflow.
+  EXPECT_DOUBLE_EQ(Exec("SELECT AVG(X) FROM BIG").rows[0][0].float_value(),
+                   9223372036854775807.0);
+  EXPECT_EQ(Exec("SELECT SUM(X - 1) FROM BIG WHERE Y = 2").rows[0][0], Value::Null());
+}
+
+TEST_F(ExecutorTest, AddMonthsAndSubstrExtremesInStatements) {
+  SeedCustomers();
+  auto s = ExecError("SELECT ADD_MONTHS(JOINED, 9223372036854775807) FROM CUSTOMERS");
+  EXPECT_TRUE(s.IsConversionError());
+  EXPECT_EQ(s.message(), "integer overflow");
+  auto result = Exec("SELECT SUBSTR(NAME, -9223372036854775807 - 1) FROM CUSTOMERS");
+  ASSERT_EQ(result.rows.size(), 3u);
+  for (const auto& row : result.rows) EXPECT_EQ(row[0].string_value(), "");
+}
+
+// --- Rows scanned -------------------------------------------------------------
+
+TEST_F(ExecutorTest, RowsScannedCountsEveryScanLoop) {
+  SeedCustomers();
+  EXPECT_EQ(Exec("SELECT ID FROM CUSTOMERS WHERE ID = 2").rows_scanned, 3u);
+  EXPECT_EQ(Exec("SELECT 1").rows_scanned, 0u);
+  // A two-table join visits 3 outer rows and 3 inner rows per outer row.
+  EXPECT_EQ(Exec("SELECT A.ID FROM CUSTOMERS A JOIN CUSTOMERS B ON A.ID = B.ID").rows_scanned,
+            12u);
+  EXPECT_EQ(Exec("INSERT INTO CUSTOMERS SELECT ID + 10, NAME, JOINED FROM CUSTOMERS")
+                .rows_scanned,
+            3u);
+  EXPECT_EQ(Exec("UPDATE CUSTOMERS SET NAME = 'x' WHERE ID > 10").rows_scanned, 6u);
+  // A failed statement reports the rows it visited up to its first error.
+  EXPECT_TRUE(
+      ExecError("SELECT TO_DATE(NAME, 'YYYY-MM-DD') FROM CUSTOMERS").IsConversionError());
+  EXPECT_EQ(executor_.rows_scanned(), 1u);
+  // Join DML: the driving loop plus the matcher's index build.
+  Schema stg;
+  stg.AddField(Field("ID", TypeDesc::Int64()));
+  catalog_.CreateTable("STG", stg).ok();
+  Exec("INSERT INTO STG VALUES (1), (2)");
+  auto merged = Exec("DELETE FROM CUSTOMERS T USING STG S WHERE T.ID = S.ID");
+  EXPECT_EQ(merged.join_path, JoinPath::kHash);
+  EXPECT_EQ(merged.rows_scanned, 6u + 2u);
+}
+
 TEST_F(ExecutorTest, WherePredicateMustBeBoolean) {
   SeedCustomers();
   EXPECT_TRUE(ExecError("SELECT * FROM CUSTOMERS WHERE ID + 1").IsTypeError() ||

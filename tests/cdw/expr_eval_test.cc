@@ -85,6 +85,31 @@ TEST_F(ExprEvalTest, IntegerOverflowCaught) {
   EXPECT_TRUE(Eval("9223372036854775807 + 1").status().IsConversionError());
 }
 
+// ADD_MONTHS adds to a month count and narrows it to a year: both overflow
+// like `+` instead of wrapping into a nonsense "invalid date".
+TEST_F(ExprEvalTest, AddMonthsOverflowCaught) {
+  auto s = Eval("ADD_MONTHS(D, 9223372036854775807)").status();
+  EXPECT_TRUE(s.IsConversionError());
+  EXPECT_EQ(s.message(), "integer overflow");
+  s = Eval("ADD_MONTHS(D, -9223372036854775807 - 1)").status();
+  EXPECT_TRUE(s.IsConversionError());
+  EXPECT_EQ(s.message(), "integer overflow");
+  s = Eval("ADD_MONTHS(D, 9223372036854775807 / 2)").status();
+  EXPECT_EQ(s.message(), "integer overflow");  // a year past INT32
+  EXPECT_TRUE(Eval("ADD_MONTHS(D, 120000)").status().IsConversionError());  // year 12020
+}
+
+// A start position before 1 shrinks the window without computing
+// start - 1, which INT64_MIN cannot hold.
+TEST_F(ExprEvalTest, SubstrInt64MinStartClamps) {
+  const std::string kMin = "(-9223372036854775807 - 1)";
+  EXPECT_EQ(MustEval("SUBSTR(B, " + kMin + ")").string_value(), "");
+  EXPECT_EQ(MustEval("SUBSTR(B, " + kMin + ", 9223372036854775807)").string_value(), "");
+  EXPECT_EQ(MustEval("SUBSTR(B, -1, 4)").string_value(), "he");
+  EXPECT_EQ(MustEval("SUBSTR(B, -9223372036854775807, 9223372036854775807)").string_value(),
+            "");
+}
+
 // INT64_MIN has no positive counterpart: its division and remainder by -1
 // trap in hardware and its negation wraps, so all three are overflow errors.
 TEST_F(ExprEvalTest, Int64MinOverflowCaught) {

@@ -51,11 +51,14 @@ class ObservabilityE2eTest : public ::testing::Test {
   }
 
   /// Loads `rows` generated rows into a fresh PROD.CUSTOMER through `dml`
-  /// (default: a plain insert).
+  /// (default: a plain insert). Every bad_date_every_-th row, when set, has a
+  /// JOIN_DATE the DML cannot convert; script_settings_ goes before the load.
   common::Result<etlscript::RunResult> RunImport(int rows, const std::string& dml = kInsertDml) {
     std::string data;
     for (int i = 1; i <= rows; ++i) {
-      data += std::to_string(i) + "|Name" + std::to_string(i) + "|2012-01-01\n";
+      const bool bad = bad_date_every_ > 0 && i % bad_date_every_ == 0;
+      data += std::to_string(i) + "|Name" + std::to_string(i) +
+              (bad ? "|2012-13-45\n" : "|2012-01-01\n");
     }
     auto w =
         cloud::WriteFileBytes(work_dir_ + "/input.txt", common::Slice(std::string_view(data)));
@@ -70,7 +73,7 @@ class ObservabilityE2eTest : public ::testing::Test {
       return t;
     };
     etlscript::EtlClient client(client_options);
-    const std::string script = R"(.logon hq/u,p;
+    const std::string script = ".logon hq/u,p;\n" + script_settings_ + R"(
 create table PROD.CUSTOMER (
   CUST_ID varchar(5) not null,
   CUST_NAME varchar(50),
@@ -94,6 +97,8 @@ create table PROD.CUSTOMER (
   trim(:CUST_ID), trim(:CUST_NAME),
   cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'));)";
 
+  int bad_date_every_ = 0;
+  std::string script_settings_;
   std::string work_dir_;
   obs::MetricsRegistry registry_;
   obs::Tracer tracer_;
@@ -155,6 +160,35 @@ TEST_F(ObservabilityE2eTest, UpsertImportCountsHashJoinPath) {
   obs::MetricsSnapshot snap = node_->MetricsSnapshot();
   EXPECT_GE(snap.counters.at("cdw_join_hash_total"), 1u);
   EXPECT_EQ(snap.counters.at("cdw_join_nested_loop_total"), 0u);
+}
+
+TEST_F(ObservabilityE2eTest, ErrorIsolationReportsRowsScanned) {
+  // §7 isolates bad dates by re-running the insert over HQ_ROWNUM halves;
+  // each statement still scans the whole staging table.
+  constexpr int kRows = 400;
+  bad_date_every_ = 50;
+  script_settings_ = ".set max_errors 4;\n";
+  StartNode();
+  auto run = RunImport(kRows);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  std::vector<std::string> jobs = tracer_.job_ids();
+  ASSERT_EQ(jobs.size(), 1u);
+  auto dml = node_->JobDmlResult(jobs[0]);
+  ASSERT_TRUE(dml.ok()) << dml.status().ToString();
+  EXPECT_GT(dml->range_errors, 0u);  // max_errors cut the search short
+
+  // statements_issued counts one ET insert per ET row; the rest are apply
+  // statements. Those form a binary split tree: a failing one records one
+  // ET row (a singleton or a 9057 range) or splits into two. So
+  // (apply + 1) / 2 - ET rows of them succeeded, and a statement that
+  // succeeds scans every staging row.
+  const uint64_t apply = dml->statements_issued - dml->et_errors;
+  ASSERT_EQ(apply % 2, 1u);
+  const uint64_t succeeded = (apply + 1) / 2 - dml->et_errors;
+  ASSERT_GT(succeeded, 0u);
+  obs::MetricsSnapshot snap = node_->MetricsSnapshot();
+  EXPECT_GE(snap.counters.at("cdw_rows_scanned_total"), succeeded * kRows);
+  EXPECT_GE(snap.counters.at("cdw_statements_total"), dml->statements_issued);
 }
 
 TEST_F(ObservabilityE2eTest, FailedImportEndsTheJobAsFailed) {
