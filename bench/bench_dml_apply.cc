@@ -110,18 +110,20 @@ void Load(cdw::Catalog* catalog, size_t n) {
     std::fprintf(stderr, "table setup failed\n");
     std::exit(1);
   }
-  std::vector<types::Row> target_rows;
-  std::vector<types::Row> staging_rows;
+  std::vector<std::vector<types::Value>> target_cols(3);
+  std::vector<std::vector<types::Value>> staging_cols(4);
   for (size_t k = 1; k <= n; ++k) {
-    target_rows.push_back({types::Value::String(Key(k)), types::Value::String("name"),
-                           types::Value::Int(static_cast<int64_t>(k))});
+    target_cols[0].push_back(types::Value::String(Key(k)));
+    target_cols[1].push_back(types::Value::String("name"));
+    target_cols[2].push_back(types::Value::Int(static_cast<int64_t>(k)));
     const size_t key = k % 2 == 1 ? k : n + k;
-    staging_rows.push_back({types::Value::String(Key(key)), types::Value::String(" new name "),
-                            types::Value::String(std::to_string(k * 7)),
-                            types::Value::Int(static_cast<int64_t>(k))});
+    staging_cols[0].push_back(types::Value::String(Key(key)));
+    staging_cols[1].push_back(types::Value::String(" new name "));
+    staging_cols[2].push_back(types::Value::String(std::to_string(k * 7)));
+    staging_cols[3].push_back(types::Value::Int(static_cast<int64_t>(k)));
   }
-  if (!(*tgt)->AppendRows(std::move(target_rows)).ok() ||
-      !(*stg)->AppendRows(std::move(staging_rows)).ok()) {
+  if (!(*tgt)->AppendColumns(std::move(target_cols)).ok() ||
+      !(*stg)->AppendColumns(std::move(staging_cols)).ok()) {
     std::fprintf(stderr, "table load failed\n");
     std::exit(1);
   }
@@ -164,16 +166,17 @@ void LoadProbe(cdw::Catalog* catalog, const workload::CustomerDataset& dataset, 
     std::fprintf(stderr, "probe table setup failed\n");
     std::exit(1);
   }
-  std::vector<types::Row> rows;
+  std::vector<std::vector<types::Value>> columns(staging.num_fields());
+  bool laid_out = true;
   for (size_t i = 0; i < n; ++i) {
-    types::Row row;
-    for (const std::string& field : common::Split(dataset.MakeLine(i), '|')) {
-      row.push_back(types::Value::String(field));
+    const std::vector<std::string> fields = common::Split(dataset.MakeLine(i), '|');
+    laid_out &= fields.size() + 1 == columns.size();
+    for (size_t c = 0; c < fields.size() && c + 1 < columns.size(); ++c) {
+      columns[c].push_back(types::Value::String(fields[c]));
     }
-    row.push_back(types::Value::Int(static_cast<int64_t>(i + 1)));
-    rows.push_back(std::move(row));
+    columns.back().push_back(types::Value::Int(static_cast<int64_t>(i + 1)));
   }
-  if (!(*stg)->AppendRows(std::move(rows)).ok()) {
+  if (!laid_out || !(*stg)->AppendColumns(std::move(columns)).ok()) {
     std::fprintf(stderr, "probe table load failed\n");
     std::exit(1);
   }

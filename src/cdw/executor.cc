@@ -41,88 +41,125 @@ std::vector<CompiledExpr> CompileAll(const std::vector<sql::ExprPtr>& exprs,
   return out;
 }
 
-/// Validates + coerces a row against a table schema (set-oriented: any error
-/// aborts the caller's statement). NOTE: the error message intentionally
-/// carries no row identification — cloud warehouses report bulk failures at
-/// statement granularity.
-Result<Row> CoerceRowToTable(const Table& table, const Row& row) {
-  if (row.size() != table.schema().num_fields()) {
-    return Status::Invalid("value count does not match column count of " + table.name());
+/// Appends column `name`'s index to `columns`: NotFound if the table has no
+/// such column, Invalid if `columns` already holds it.
+Status AddColumn(const Table& table, const std::string& name, std::vector<size_t>* columns) {
+  HQ_ASSIGN_OR_RETURN(size_t idx, table.schema().RequireFieldIndex(name));
+  if (std::find(columns->begin(), columns->end(), idx) != columns->end()) {
+    return Status::Invalid("column " + name + " is listed more than once");
   }
-  Row out;
-  out.reserve(row.size());
-  for (size_t c = 0; c < row.size(); ++c) {
-    const types::Field& field = table.schema().field(c);
-    HQ_ASSIGN_OR_RETURN(Value v, types::CastValue(row[c], field.type));
-    if (v.is_null() && !field.nullable) {
-      return Status::ConversionError("NULL value in NOT NULL column " + field.name + " of " +
-                                     table.name());
-    }
-    out.push_back(std::move(v));
-  }
-  return out;
+  columns->push_back(idx);
+  return Status::OK();
 }
 
-/// An INSERT's explicit column list, resolved once per statement. An unknown
-/// column fails the first row, after its value count is checked, so a
-/// statement that inserts no row still succeeds.
-class ColumnList {
+/// Stages the rows of an INSERT, or of a MERGE's WHEN NOT MATCHED, as one
+/// value vector per target column for Table::AppendColumns. The column list
+/// is resolved once. Each row's value count is checked first, then the list
+/// (its first unknown or repeated name fails the first staged row, so a
+/// statement that inserts no row still succeeds), then every target column
+/// in table order is cast and checked against NOT NULL. NOTE: the messages
+/// intentionally carry no row identification — cloud warehouses report bulk
+/// failures at statement granularity.
+class InsertStager {
  public:
-  ColumnList(const Table& table, const std::vector<std::string>& columns)
-      : table_(table), columns_(columns) {
+  InsertStager(const Table& table, const std::vector<std::string>& columns)
+      : table_(table), value_count_(columns.empty() ? table.num_columns() : columns.size()),
+        has_list_(!columns.empty()), columns_(table.num_columns()) {
+    std::vector<size_t> listed;
     for (const auto& name : columns) {
-      Result<size_t> idx = table.schema().RequireFieldIndex(name);
-      if (!idx.ok()) {
-        missing_ = idx.status();
-        break;
+      list_error_ = AddColumn(table, name, &listed);
+      if (!list_error_.ok()) break;
+    }
+    source_.resize(table.num_columns());
+    for (size_t c = 0; c < source_.size(); ++c) source_[c] = has_list_ ? kAbsent : c;
+    for (size_t i = 0; i < listed.size(); ++i) source_[listed[i]] = i;
+  }
+
+  /// Stages one row: values[i] is the i-th listed column's value (the i-th
+  /// table column's without a list). An absent column is NULL.
+  Status Stage(std::span<const Value* const> values) {
+    if (values.size() != value_count_) {
+      return Status::Invalid(has_list_ ? "value count does not match column list"
+                                       : "value count does not match column count of " +
+                                             table_.name());
+    }
+    HQ_RETURN_NOT_OK(list_error_);
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      const types::Field& field = table_.schema().field(c);
+      Value v;
+      if (source_[c] != kAbsent) {
+        HQ_ASSIGN_OR_RETURN(v, types::CastValue(*values[source_[c]], field.type));
       }
-      positions_.push_back(*idx);
+      if (v.is_null() && !field.nullable) {
+        return Status::ConversionError("NULL value in NOT NULL column " + field.name + " of " +
+                                       table_.name());
+      }
+      columns_[c].push_back(std::move(v));
+    }
+    ++num_rows_;
+    return Status::OK();
+  }
+
+  void Reserve(size_t rows) {
+    for (auto& column : columns_) column.reserve(rows);
+  }
+
+  size_t num_rows() const { return num_rows_; }
+
+  /// The primary-key tuple of every staged row.
+  void AddKeys(std::vector<Row>* keys) const {
+    for (size_t r = 0; r < num_rows_; ++r) {
+      keys->push_back(table_.KeyOf([&](size_t c) { return columns_[c][r]; }));
     }
   }
 
-  /// Reorders an insert row by the column list; absent columns become NULL.
-  Result<Row> Apply(Row values) const {
-    if (columns_.empty()) return values;
-    if (values.size() != columns_.size()) {
-      return Status::Invalid("value count does not match column list");
-    }
-    HQ_RETURN_NOT_OK(missing_);
-    Row out(table_.schema().num_fields(), Value::Null());
-    for (size_t i = 0; i < positions_.size(); ++i) out[positions_[i]] = std::move(values[i]);
-    return out;
-  }
+  /// The staged columns, for Table::AppendColumns.
+  std::vector<std::vector<Value>> Take() { return std::move(columns_); }
 
  private:
+  static constexpr size_t kAbsent = static_cast<size_t>(-1);
+
   const Table& table_;
-  const std::vector<std::string>& columns_;
-  std::vector<size_t> positions_;
-  Status missing_;
+  const size_t value_count_;
+  const bool has_list_;
+  Status list_error_;
+  /// For each table column, the index of the value that feeds it.
+  std::vector<size_t> source_;
+  std::vector<std::vector<Value>> columns_;
+  size_t num_rows_ = 0;
 };
 
-/// Uniqueness emulation: verifies declared unique PK over existing + staged
-/// rows. Aborts with a chunk-level ConstraintViolation, no tuple identified.
-Status CheckUniqueness(const Table& table, const std::vector<Row>& staged_rows,
-                       const std::vector<size_t>* replaced_rows = nullptr) {
+/// Uniqueness emulation: verifies the declared unique PK over the stored
+/// keys and `staged_keys`, the key tuples a statement writes. Keys of the
+/// `freed_rows` it rewrites don't count as conflicts. Aborts with a
+/// chunk-level ConstraintViolation, no tuple identified.
+Status CheckUniqueness(const Table& table, std::vector<Row> staged_keys,
+                       const std::vector<size_t>& freed_rows = {}) {
   if (!table.unique_primary() || table.primary_key_indexes().empty()) return Status::OK();
-  // Keys freed by rows this statement is rewriting don't count as conflicts.
   std::map<Row, size_t, RowLess> freed;
-  if (replaced_rows != nullptr) {
-    for (size_t r : *replaced_rows) ++freed[table.KeyOf([&](size_t c) { return table.At(r, c); })];
-  }
-  std::set<Row, RowLess> staged_keys;
-  for (const auto& row : staged_rows) {
-    Row key = table.KeyOf([&](size_t c) { return row[c]; });
+  for (size_t r : freed_rows) ++freed[table.KeyOf([&](size_t c) { return table.At(r, c); })];
+  std::set<Row, RowLess> seen;
+  for (Row& key : staged_keys) {
     bool key_has_null = false;
     for (const auto& v : key) key_has_null |= v.is_null();
     if (key_has_null) continue;  // NULL keys never collide (SQL semantics)
     size_t stored = table.PrimaryKeyCount(key);
     auto it = freed.find(key);
     if (it != freed.end()) stored -= std::min(stored, it->second);
-    if (stored != 0 || !staged_keys.insert(std::move(key)).second) {
+    if (stored != 0 || !seen.insert(std::move(key)).second) {
       return Status::ConstraintViolation("duplicate unique primary key in table " + table.name());
     }
   }
   return Status::OK();
+}
+
+/// The key tuples and rows of a statement's staged replacement rows.
+void AddReplacedKeys(const Table& table, const std::vector<std::pair<size_t, Row>>& replaced,
+                     std::vector<Row>* keys, std::vector<size_t>* rows) {
+  for (const auto& [r, row] : replaced) {
+    keys->push_back(table.KeyOf([&](size_t c) { return row[c]; }));
+    rows->push_back(r);
+  }
 }
 
 /// A copy of stored row `row` with SET values applied: `values[i]`,
@@ -422,39 +459,40 @@ Result<ExecResult> Executor::ExecuteSelect(const SelectStmt& stmt) {
 Result<ExecResult> Executor::ExecuteInsert(const sql::InsertStmt& stmt,
                                            const ExecOptions& options) {
   HQ_ASSIGN_OR_RETURN(TablePtr table, catalog_->GetTable(stmt.table));
-  const ColumnList columns(*table, stmt.columns);
-  std::vector<Row> staged;
-
+  InsertStager stager(*table, stmt.columns);
+  std::vector<const Value*> values;
   if (stmt.select) {
+    // The SELECT runs to its end before any row is staged, so its errors
+    // win over any row's cast error. A staged row is released at once, so
+    // the result and the staged columns never both hold every cell.
     HQ_ASSIGN_OR_RETURN(ExecResult select_result, ExecuteSelect(*stmt.select));
-    staged.reserve(select_result.rows.size());
-    for (auto& row : select_result.rows) {
-      HQ_ASSIGN_OR_RETURN(Row positioned, columns.Apply(std::move(row)));
-      HQ_ASSIGN_OR_RETURN(Row coerced, CoerceRowToTable(*table, positioned));
-      staged.push_back(std::move(coerced));
+    stager.Reserve(select_result.rows.size());
+    for (Row& row : select_result.rows) {
+      values.clear();
+      for (const Value& v : row) values.push_back(&v);
+      HQ_RETURN_NOT_OK(stager.Stage(values));
+      Row().swap(row);
     }
   } else {
     for (const auto& exprs : stmt.rows) {
-      Row values;
-      values.reserve(exprs.size());
-      for (const auto& e : exprs) {
-        const CompiledExpr value = CompiledExpr::Compile(*e, {});
-        HQ_ASSIGN_OR_RETURN(const Value* v, value.Eval(nullptr));
-        values.push_back(*v);
+      const std::vector<CompiledExpr> row = CompileAll(exprs, {});
+      values.clear();
+      for (const CompiledExpr& e : row) {
+        HQ_ASSIGN_OR_RETURN(const Value* v, e.Eval(nullptr));
+        values.push_back(v);
       }
-      HQ_ASSIGN_OR_RETURN(Row positioned, columns.Apply(std::move(values)));
-      HQ_ASSIGN_OR_RETURN(Row coerced, CoerceRowToTable(*table, positioned));
-      staged.push_back(std::move(coerced));
+      HQ_RETURN_NOT_OK(stager.Stage(values));
     }
   }
 
-  if (options.enforce_unique_primary) {
-    HQ_RETURN_NOT_OK(CheckUniqueness(*table, staged));
+  if (options.enforce_unique_primary && table->unique_primary()) {
+    std::vector<Row> keys;
+    stager.AddKeys(&keys);
+    HQ_RETURN_NOT_OK(CheckUniqueness(*table, std::move(keys)));
   }
-  size_t count = staged.size();
-  HQ_RETURN_NOT_OK(table->AppendRows(std::move(staged)));
   ExecResult result;
-  result.rows_inserted = count;
+  result.rows_inserted = stager.num_rows();
+  HQ_RETURN_NOT_OK(table->AppendColumns(stager.Take()));
   return result;
 }
 
@@ -477,11 +515,9 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
     from_alias = stmt.from.alias.empty() ? stmt.from.name : stmt.from.alias;
   }
 
-  // Resolve assignment targets.
   std::vector<size_t> assign_cols;
   for (const auto& a : stmt.assignments) {
-    HQ_ASSIGN_OR_RETURN(size_t idx, table->schema().RequireFieldIndex(a.column));
-    assign_cols.push_back(idx);
+    HQ_RETURN_NOT_OK(AddColumn(*table, a.column, &assign_cols));
   }
 
   // With FROM, `matcher` pairs each target row with its first matching
@@ -495,7 +531,6 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
   auto run = [&](JoinMatcher* matcher) -> Result<ExecResult> {
     // Stage: row index -> new full row.
     std::vector<std::pair<size_t, Row>> staged;
-    std::vector<size_t> touched_rows;
     size_t rows[2] = {0, 0};
     for (size_t r = 0; r < table->num_rows(); ++r) {
       rows[0] = r;
@@ -510,14 +545,13 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
       }
       HQ_ASSIGN_OR_RETURN(Row new_row, AssignRow(*table, r, values, assign_cols, rows));
       staged.emplace_back(r, std::move(new_row));
-      touched_rows.push_back(r);
     }
 
     if (options.enforce_unique_primary && table->unique_primary()) {
-      std::vector<Row> new_rows;
-      new_rows.reserve(staged.size());
-      for (const auto& [r, row] : staged) new_rows.push_back(row);
-      HQ_RETURN_NOT_OK(CheckUniqueness(*table, new_rows, &touched_rows));
+      std::vector<Row> keys;
+      std::vector<size_t> replaced;
+      AddReplacedKeys(*table, staged, &keys, &replaced);
+      HQ_RETURN_NOT_OK(CheckUniqueness(*table, std::move(keys), replaced));
     }
 
     for (auto& [r, row] : staged) {
@@ -588,8 +622,7 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
 
   std::vector<size_t> update_cols;
   for (const auto& a : stmt.matched_update) {
-    HQ_ASSIGN_OR_RETURN(size_t idx, target->schema().RequireFieldIndex(a.column));
-    update_cols.push_back(idx);
+    HQ_RETURN_NOT_OK(AddColumn(*target, a.column, &update_cols));
   }
 
   // The filter and WHEN NOT MATCHED see the source row; WHEN MATCHED sees
@@ -600,7 +633,6 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
       CompiledExpr::CompilePredicate(stmt.source_filter.get(), source_only);
   const std::vector<CompiledExpr> update_values = CompileAssignments(stmt.matched_update, pair);
   const std::vector<CompiledExpr> insert_values = CompileAll(stmt.insert_values, source_only);
-  const ColumnList insert_columns(*target, stmt.insert_columns);
 
   // The matcher pairs source rows with the pre-statement target: nothing is
   // written until every source row has been matched.
@@ -609,8 +641,8 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
   return RunJoinDml(sides, hash_join_, &rows_scanned_,
                     [&](JoinMatcher& matcher) -> Result<ExecResult> {
     std::vector<std::pair<size_t, Row>> staged_updates;
-    std::vector<size_t> touched_rows;
-    std::vector<Row> staged_inserts;
+    InsertStager inserts(*target, stmt.insert_columns);
+    std::vector<const Value*> values;
     size_t pair_rows[2] = {0, 0};  // target row, source row
 
     for (size_t s = 0; s < source->num_rows(); ++s) {
@@ -627,38 +659,32 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
         HQ_ASSIGN_OR_RETURN(Row new_row, AssignRow(*target, matched_target, update_values,
                                                    update_cols, pair_rows));
         staged_updates.emplace_back(matched_target, std::move(new_row));
-        touched_rows.push_back(matched_target);
       } else {
         if (insert_values.empty()) continue;
-        Row values;
-        values.reserve(insert_values.size());
+        values.clear();
         for (const CompiledExpr& e : insert_values) {
           HQ_ASSIGN_OR_RETURN(const Value* v, e.Eval(&s));
-          values.push_back(*v);
+          values.push_back(v);
         }
-        HQ_ASSIGN_OR_RETURN(Row positioned, insert_columns.Apply(std::move(values)));
-        HQ_ASSIGN_OR_RETURN(Row coerced, CoerceRowToTable(*target, positioned));
-        staged_inserts.push_back(std::move(coerced));
+        HQ_RETURN_NOT_OK(inserts.Stage(values));
       }
     }
 
     if (options.enforce_unique_primary && target->unique_primary()) {
-      std::vector<Row> all_new;
-      for (const auto& [r, row] : staged_updates) all_new.push_back(row);
-      for (const auto& row : staged_inserts) all_new.push_back(row);
-      std::sort(touched_rows.begin(), touched_rows.end());
-      HQ_RETURN_NOT_OK(CheckUniqueness(*target, all_new, &touched_rows));
+      std::vector<Row> keys;
+      std::vector<size_t> replaced;
+      AddReplacedKeys(*target, staged_updates, &keys, &replaced);
+      inserts.AddKeys(&keys);
+      HQ_RETURN_NOT_OK(CheckUniqueness(*target, std::move(keys), replaced));
     }
 
     for (auto& [r, row] : staged_updates) {
       HQ_RETURN_NOT_OK(target->ReplaceRow(r, std::move(row)));
     }
-    size_t inserted = staged_inserts.size();
-    HQ_RETURN_NOT_OK(target->AppendRows(std::move(staged_inserts)));
-
     ExecResult result;
     result.rows_updated = staged_updates.size();
-    result.rows_inserted = inserted;
+    result.rows_inserted = inserts.num_rows();
+    HQ_RETURN_NOT_OK(target->AppendColumns(inserts.Take()));
     return result;
   });
 }

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "cdw/table.h"
 #include "common/string_util.h"
 #include "types/date.h"
 
@@ -17,37 +16,7 @@ using sql::Expr;
 using sql::ExprKind;
 using types::Decimal;
 using types::TypeDesc;
-using types::TypeId;
 using types::Value;
-
-Result<Value> EvalContext::ResolveColumn(const std::string& qualifier,
-                                         const std::string& name) const {
-  const RowBinding* found = nullptr;
-  size_t column = 0;
-  for (const auto& binding : bindings_) {
-    if (!qualifier.empty() && !EqualsIgnoreCase(binding.alias, qualifier)) continue;
-    int idx = binding.table->schema().FieldIndex(name);
-    if (idx < 0) continue;
-    if (found != nullptr) {
-      return Status::Invalid("ambiguous column reference: " + name);
-    }
-    found = &binding;
-    column = static_cast<size_t>(idx);
-  }
-  if (found == nullptr) {
-    std::string full = qualifier.empty() ? name : qualifier + "." + name;
-    return Status::NotFound("column not found: " + full);
-  }
-  return found->table->At(found->row, column);
-}
-
-Result<bool> PredicateTrue(const sql::Expr* where, const EvalContext& ctx) {
-  if (where == nullptr) return true;
-  HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*where, ctx));
-  if (v.is_null()) return false;
-  if (!v.is_boolean()) return Status::TypeError("WHERE predicate is not boolean");
-  return v.boolean();
-}
 
 bool IsAggregateFunction(std::string_view name) {
   return EqualsIgnoreCase(name, "COUNT") || EqualsIgnoreCase(name, "SUM") ||
@@ -615,120 +584,6 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& left, const Value& right) {
     default:
       return EvalComparison(op, left, right);
   }
-}
-
-namespace {
-
-Result<Value> EvalFunction(const sql::FunctionExpr& fn, const EvalContext& ctx) {
-  if (IsAggregateFunction(fn.name)) return AggregateInScalarContext(fn.name);
-  // Legacy-only functions must have been transpiled away.
-  if (IsLegacyFunction(fn.name)) return LegacyFunctionCall(fn.name);
-
-  std::vector<Value> args;
-  args.reserve(fn.args.size());
-  for (const auto& a : fn.args) {
-    HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*a, ctx));
-    args.push_back(std::move(v));
-  }
-  std::vector<const Value*> arg_ptrs;
-  arg_ptrs.reserve(args.size());
-  for (const Value& v : args) arg_ptrs.push_back(&v);
-  return ApplyScalarFn(LookupScalarFn(fn.name), fn.name, arg_ptrs);
-}
-
-}  // namespace
-
-Result<Value> EvaluateExpr(const Expr& expr, const EvalContext& ctx) {
-  switch (expr.kind) {
-    case ExprKind::kLiteral:
-      return static_cast<const sql::LiteralExpr&>(expr).value;
-    case ExprKind::kColumnRef: {
-      const auto& col = static_cast<const sql::ColumnRefExpr&>(expr);
-      return ctx.ResolveColumn(col.table, col.column);
-    }
-    case ExprKind::kPlaceholder:
-      return PlaceholderInCdw();
-    case ExprKind::kStar:
-      return Status::Invalid("'*' is not a scalar expression");
-    case ExprKind::kUnary: {
-      const auto& u = static_cast<const sql::UnaryExpr&>(expr);
-      HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*u.operand, ctx));
-      return ApplyUnary(u.op, v);
-    }
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const sql::BinaryExpr&>(expr);
-      if (b.op == BinaryOp::kPow) return LegacyPowerOperator();
-      HQ_ASSIGN_OR_RETURN(Value left, EvaluateExpr(*b.left, ctx));
-      HQ_ASSIGN_OR_RETURN(Value right, EvaluateExpr(*b.right, ctx));
-      if (b.op == BinaryOp::kAnd || b.op == BinaryOp::kOr) return ApplyLogical(b.op, left, right);
-      return ApplyBinary(b.op, left, right);
-    }
-    case ExprKind::kFunction:
-      return EvalFunction(static_cast<const sql::FunctionExpr&>(expr), ctx);
-    case ExprKind::kCast: {
-      const auto& cast = static_cast<const sql::CastExpr&>(expr);
-      if (!cast.format.empty()) return LegacyFormatCast();
-      HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*cast.operand, ctx));
-      return types::CastValue(v, cast.target);
-    }
-    case ExprKind::kCase: {
-      const auto& c = static_cast<const sql::CaseExpr&>(expr);
-      Value operand;
-      bool has_operand = static_cast<bool>(c.operand);
-      if (has_operand) {
-        HQ_ASSIGN_OR_RETURN(operand, EvaluateExpr(*c.operand, ctx));
-      }
-      for (const auto& [when, then] : c.whens) {
-        HQ_ASSIGN_OR_RETURN(Value w, EvaluateExpr(*when, ctx));
-        bool matched = false;
-        if (has_operand) {
-          if (!operand.is_null() && !w.is_null()) {
-            HQ_ASSIGN_OR_RETURN(int cmp, CompareValues(operand, w));
-            matched = cmp == 0;
-          }
-        } else {
-          matched = w.is_boolean() && w.boolean();
-        }
-        if (matched) return EvaluateExpr(*then, ctx);
-      }
-      if (c.else_expr) return EvaluateExpr(*c.else_expr, ctx);
-      return Value::Null();
-    }
-    case ExprKind::kIsNull: {
-      const auto& isn = static_cast<const sql::IsNullExpr&>(expr);
-      HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*isn.operand, ctx));
-      return Value::Boolean(isn.negated ? !v.is_null() : v.is_null());
-    }
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const sql::InListExpr&>(expr);
-      HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*in.operand, ctx));
-      if (v.is_null()) return Value::Null();
-      bool any_null = false;
-      for (const auto& e : in.list) {
-        HQ_ASSIGN_OR_RETURN(Value item, EvaluateExpr(*e, ctx));
-        if (item.is_null()) {
-          any_null = true;
-          continue;
-        }
-        HQ_ASSIGN_OR_RETURN(int cmp, CompareValues(v, item));
-        if (cmp == 0) return Value::Boolean(!in.negated);
-      }
-      if (any_null) return Value::Null();
-      return Value::Boolean(in.negated);
-    }
-    case ExprKind::kBetween: {
-      const auto& bt = static_cast<const sql::BetweenExpr&>(expr);
-      HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*bt.operand, ctx));
-      HQ_ASSIGN_OR_RETURN(Value lo, EvaluateExpr(*bt.low, ctx));
-      HQ_ASSIGN_OR_RETURN(Value hi, EvaluateExpr(*bt.high, ctx));
-      if (v.is_null() || lo.is_null() || hi.is_null()) return Value::Null();
-      HQ_ASSIGN_OR_RETURN(int cl, CompareValues(v, lo));
-      HQ_ASSIGN_OR_RETURN(int ch, CompareValues(v, hi));
-      bool inside = cl >= 0 && ch <= 0;
-      return Value::Boolean(bt.negated ? !inside : inside);
-    }
-  }
-  return Status::Internal("unknown expression kind");
 }
 
 }  // namespace hyperq::cdw

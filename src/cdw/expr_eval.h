@@ -2,69 +2,27 @@
 
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "sql/ast.h"
 #include "types/date.h"
-#include "types/schema.h"
+#include "types/value.h"
 
 /// \file expr_eval.h
 /// Expression semantics of the *CDW* dialect: legacy-only constructs (CAST
 /// ... FORMAT, ZEROIFNULL, '**', :placeholders) are rejected — running them
 /// requires the Hyper-Q transpiler first, which is the point of the paper.
 ///
-/// Statements evaluate through the compiler (compiled_expr.h). The
-/// row-at-a-time EvaluateExpr/PredicateTrue walk over an EvalContext is kept
-/// only as the oracle of the compiler's seeded differential
-/// (tests/cdw/expr_compile_diff_test.cc) and is due for deletion.
+/// These are the value-level operations over already-evaluated operands.
+/// Statements reach them through the compiler (compiled_expr.h), which owns
+/// column resolution and evaluation order. A conversion failure (e.g.
+/// TO_DATE on a malformed string) returns ConversionError, and the executor
+/// turns any error into a whole-statement abort (set-oriented semantics).
 
 namespace hyperq::cdw {
 
-class Table;
-
-/// One table row visible to column references under `alias`.
-struct RowBinding {
-  std::string alias;  ///< table alias or table name
-  const Table* table;
-  size_t row;
-};
-
-class EvalContext {
- public:
-  void AddBinding(std::string alias, const Table* table, size_t row) {
-    bindings_.push_back(RowBinding{std::move(alias), table, row});
-  }
-
-  /// Points binding `binding` (in AddBinding order) at another row of its
-  /// table, so a scan reuses one context for every row.
-  void SetRow(size_t binding, size_t row) { bindings_[binding].row = row; }
-
-  /// Resolves a (possibly qualified) column. Unqualified names matching more
-  /// than one binding are ambiguous.
-  common::Result<types::Value> ResolveColumn(const std::string& qualifier,
-                                             const std::string& name) const;
-
- private:
-  std::vector<RowBinding> bindings_;
-};
-
-/// Evaluates a scalar expression. Conversion failures (e.g. TO_DATE on a
-/// malformed string) return ConversionError — the executor turns that into a
-/// whole-statement abort (set-oriented semantics).
-common::Result<types::Value> EvaluateExpr(const sql::Expr& expr, const EvalContext& ctx);
-
-/// Evaluates a WHERE/ON predicate: NULL counts as false, a non-boolean value
-/// is a TypeError, and a null `where` is true.
-common::Result<bool> PredicateTrue(const sql::Expr* where, const EvalContext& ctx);
-
 /// True for COUNT/SUM/MIN/MAX/AVG.
 bool IsAggregateFunction(std::string_view name);
-
-// --- Value-level operations ---------------------------------------------------
-// One copy of the dialect's semantics over already-evaluated operands, shared
-// by the EvaluateExpr walk above and the statement compiler
-// (compiled_expr.h), which differ only in how they reach the operands.
 
 /// The scalar functions, resolved from their name once per statement.
 enum class ScalarFn : uint8_t {

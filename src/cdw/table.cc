@@ -62,13 +62,6 @@ Status Table::AppendRow(Row row) {
   return Status::OK();
 }
 
-Status Table::AppendRows(std::vector<Row> rows) {
-  for (auto& row : rows) {
-    HQ_RETURN_NOT_OK(AppendRow(std::move(row)));
-  }
-  return Status::OK();
-}
-
 Status Table::AppendColumns(std::vector<std::vector<Value>> values) {
   if (values.size() != columns_.size()) {
     return Status::Invalid("column arity " + std::to_string(values.size()) + " != table arity " +
@@ -86,6 +79,10 @@ Status Table::AppendColumns(std::vector<std::vector<Value>> values) {
   }
   for (size_t c = 0; c < columns_.size(); ++c) {
     auto& dst = columns_[c];
+    if (dst.empty()) {
+      dst = std::move(values[c]);  // an empty table adopts the batch
+      continue;
+    }
     dst.insert(dst.end(), std::make_move_iterator(values[c].begin()),
                std::make_move_iterator(values[c].end()));
   }

@@ -60,14 +60,14 @@ class Table {
   }
 
   /// Appends a pre-validated row (values must already match column types).
+  /// Tests build small tables with it; statements commit through
+  /// AppendColumns.
   common::Status AppendRow(types::Row row);
 
-  /// Appends many rows.
-  common::Status AppendRows(std::vector<types::Row> rows);
-
   /// Appends pre-validated columnar data (values[c] is column c, all columns
-  /// the same length). The columnar COPY commit path: one call appends an
-  /// entire batch with no per-row re-validation.
+  /// the same length). The commit path of COPY and of every INSERT and
+  /// MERGE insert: one call appends an entire batch with no per-row
+  /// re-validation.
   common::Status AppendColumns(std::vector<std::vector<types::Value>> values);
 
   /// Overwrites one row in place (used by committed updates).

@@ -1,9 +1,9 @@
-#include "cdw/expr_eval.h"
-
 #include <gtest/gtest.h>
 
 #include <limits>
 
+#include "cdw/compiled_expr.h"
+#include "cdw/expr_eval.h"
 #include "cdw/table.h"
 #include "sql/parser.h"
 #include "types/date.h"
@@ -34,10 +34,22 @@ class ExprEvalTest : public ::testing::Test {
     ctx_.AddBinding("T", &table_, 0);
   }
 
+  /// The tables an expression sees, each at one row.
+  struct Scope {
+    void AddBinding(std::string alias, const Table* table, size_t row) {
+      bindings.push_back({std::move(alias), table});
+      rows.push_back(row);
+    }
+    std::vector<ScanBinding> bindings;
+    std::vector<size_t> rows;
+  };
+
   common::Result<Value> Eval(const std::string& text) {
     auto expr = sql::ParseExpression(text);
     if (!expr.ok()) return expr.status();
-    return EvaluateExpr(**expr, ctx_);
+    const CompiledExpr compiled = CompiledExpr::Compile(**expr, ctx_.bindings);
+    HQ_ASSIGN_OR_RETURN(const Value* v, compiled.Eval(ctx_.rows.data()));
+    return *v;
   }
 
   Value MustEval(const std::string& text) {
@@ -48,7 +60,7 @@ class ExprEvalTest : public ::testing::Test {
 
   Table table_{"T", MakeSchema()};
   types::Row row_;
-  EvalContext ctx_;
+  Scope ctx_;
 };
 
 TEST_F(ExprEvalTest, ColumnResolution) {
