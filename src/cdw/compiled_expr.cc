@@ -169,9 +169,10 @@ class CompiledExpr::Compiler {
     return Fail(Status::Internal("unknown expression kind"));
   }
 
-  // Mirrors the interpreter's aggregate-context evaluation: a composite
-  // around an aggregate evaluates its operands first and then applies its
-  // operator to their values, so a legacy operator fails only after them.
+  // Aggregate context: a composite around an aggregate evaluates its
+  // operands first and then applies its operator to their values, so a
+  // legacy operator fails only after them; a subexpression without an
+  // aggregate reads the group's first row.
   const Node* Grouped(const Expr& expr) {
     if (expr.kind == ExprKind::kFunction) {
       const auto& fn = static_cast<const sql::FunctionExpr&>(expr);
@@ -227,7 +228,7 @@ class CompiledExpr::Compiler {
     return node;
   }
 
-  // EvalContext::ResolveColumn's rules, applied once: the qualifier picks
+  // Resolved once per statement: the qualifier (case-insensitive) picks
   // bindings by alias, a second match is ambiguous, none is not found.
   const Node* Column(const sql::ColumnRefExpr& col) {
     const ScanBinding* found = nullptr;

@@ -20,9 +20,12 @@
 ///     literal format parses that format once.
 /// Nothing fails at compile time. An unresolvable or ambiguous column, a
 /// legacy construct or an unknown function compiles to a node that returns
-/// the interpreter's Status when a row first evaluates it, in the
-/// interpreter's evaluation order (see DESIGN.md "Embedded CDW: compiled
-/// expressions").
+/// its Status when a row first evaluates it, so a statement that evaluates
+/// no row succeeds. AND and OR evaluate both sides, left first; CASE
+/// evaluates only up to the branch it takes; function arguments are
+/// evaluated left to right before the function is applied. DESIGN.md
+/// "Embedded CDW: compiled expressions" has the full rules and the golden
+/// table that pins them.
 
 namespace hyperq::cdw {
 
