@@ -62,6 +62,7 @@ struct CompiledExpr::Node {
   bool has_else = false;     // CASE ... ELSE: the last arg
   bool distinct = false;     // aggregate DISTINCT
   bool count_star = false;   // COUNT(*)
+  bool try_convert = false;  // TRY_TO_DATE, TRY_CAST: a ConversionError is NULL
   const Table* table = nullptr;
   size_t binding = 0;
   size_t column = 0;
@@ -118,10 +119,11 @@ class CompiledExpr::Compiler {
         std::vector<const Node*> args;
         for (const auto& a : fn.args) args.push_back(Scalar(*a));
         const ScalarFn kind = LookupScalarFn(fn.name);
-        if (kind == ScalarFn::kToDate && args.size() == 2 && args[1]->op == Op::kLiteral &&
-            args[1]->value.is_string()) {
+        if ((kind == ScalarFn::kToDate || kind == ScalarFn::kTryToDate) && args.size() == 2 &&
+            args[1]->op == Op::kLiteral && args[1]->value.is_string()) {
           Node* node = Add(Op::kToDate, std::move(args));
           node->date_format.emplace(node->args[1]->value.string_value());
+          node->try_convert = kind == ScalarFn::kTryToDate;
           return node;
         }
         return Function(fn, kind, std::move(args));
@@ -275,6 +277,7 @@ class CompiledExpr::Compiler {
   const Node* Cast(const sql::CastExpr& cast, const Node* operand) {
     Node* node = Add(Op::kCast, {operand});
     node->cast_target = cast.target;
+    node->try_convert = cast.try_cast;
     return node;
   }
 
@@ -428,11 +431,15 @@ const Value* CompiledExpr::EvalNode(const Node& node, const Frame& frame, Status
       return store(ApplyScalarFn(node.fn, node.name, node.arg_values));
     case Op::kToDate: {
       const Value* text = eval(0);
-      return text == nullptr ? nullptr : store(ToDate(*text, *node.date_format));
+      if (text == nullptr) return nullptr;
+      Result<Value> date = ToDate(*text, *node.date_format);
+      return store(node.try_convert ? NullOnConversionError(std::move(date)) : std::move(date));
     }
     case Op::kCast: {
       const Value* v = eval(0);
-      return v == nullptr ? nullptr : store(types::CastValue(*v, node.cast_target));
+      if (v == nullptr) return nullptr;
+      Result<Value> cast = types::CastValue(*v, node.cast_target);
+      return store(node.try_convert ? NullOnConversionError(std::move(cast)) : std::move(cast));
     }
     case Op::kCase: {
       // args: [operand] (when, then)* [else]. Only the branch taken runs.

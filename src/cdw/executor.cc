@@ -244,7 +244,9 @@ TypeDesc InferItemType(const sql::Expr& expr, const std::vector<ScanBinding>& so
   if (expr.kind == ExprKind::kFunction) {
     const auto& fn = static_cast<const sql::FunctionExpr&>(expr);
     if (EqualsIgnoreCase(fn.name, "COUNT")) return TypeDesc::Int64();
-    if (EqualsIgnoreCase(fn.name, "TO_DATE")) return TypeDesc::Date();
+    if (EqualsIgnoreCase(fn.name, "TO_DATE") || EqualsIgnoreCase(fn.name, "TRY_TO_DATE")) {
+      return TypeDesc::Date();
+    }
     if (EqualsIgnoreCase(fn.name, "LENGTH") || EqualsIgnoreCase(fn.name, "POSITION")) {
       return TypeDesc::Int64();
     }

@@ -247,7 +247,8 @@ constexpr std::pair<std::string_view, ScalarFn> kScalarFns[] = {
     {"MOD", ScalarFn::kMod},             {"TO_DATE", ScalarFn::kToDate},
     {"TO_TIMESTAMP", ScalarFn::kToTimestamp}, {"EXTRACT", ScalarFn::kExtract},
     {"ADD_MONTHS", ScalarFn::kAddMonths}, {"LAST_DAY", ScalarFn::kLastDay},
-    {"TO_CHAR", ScalarFn::kToChar},
+    {"TO_CHAR", ScalarFn::kToChar},     {"TRY_TO_DATE", ScalarFn::kTryToDate},
+    {"TRY_TO_TIMESTAMP", ScalarFn::kTryToTimestamp},
 };
 
 }  // namespace
@@ -317,6 +318,11 @@ Result<Value> ToDate(const Value& text, const types::DateFormat& format) {
   std::string buf;
   HQ_ASSIGN_OR_RETURN(types::DateDays days, types::ParseDate(TextOf(text, &buf), format));
   return Value::Date(days);
+}
+
+Result<Value> NullOnConversionError(Result<Value> result) {
+  if (!result.ok() && result.status().IsConversionError()) return Value::Null();
+  return result;
 }
 
 Result<Value> ApplyScalarFn(ScalarFn fn, const std::string& name,
@@ -462,6 +468,10 @@ Result<Value> ApplyScalarFn(ScalarFn fn, const std::string& name,
       if (arg(0).is_null()) return Value::Null();
       if (!arg(1).is_string()) return Status::TypeError("TO_DATE format must be a string");
       return ToDate(arg(0), types::DateFormat(arg(1).string_value()));
+    case ScalarFn::kTryToDate:
+      return NullOnConversionError(ApplyScalarFn(ScalarFn::kToDate, name, args));
+    case ScalarFn::kTryToTimestamp:
+      return NullOnConversionError(ApplyScalarFn(ScalarFn::kToTimestamp, name, args));
     case ScalarFn::kToTimestamp: {
       HQ_RETURN_NOT_OK(need_args(1, 2));
       if (arg(0).is_null()) return Value::Null();

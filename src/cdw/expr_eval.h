@@ -44,6 +44,8 @@ enum class ScalarFn : uint8_t {
   kMod,
   kToDate,
   kToTimestamp,
+  kTryToDate,       ///< TO_DATE with a ConversionError read as NULL
+  kTryToTimestamp,  ///< TO_TIMESTAMP with a ConversionError read as NULL
   kExtract,
   kAddMonths,
   kLastDay,
@@ -70,6 +72,10 @@ common::Result<types::Value> ApplyScalarFn(ScalarFn fn, const std::string& name,
 
 /// TO_DATE with a format parsed once (see types::DateFormat).
 common::Result<types::Value> ToDate(const types::Value& text, const types::DateFormat& format);
+
+/// The TRY_ forms (TRY_CAST, TRY_TO_DATE, TRY_TO_TIMESTAMP): a
+/// ConversionError of the plain form becomes NULL; every other Status stays.
+common::Result<types::Value> NullOnConversionError(common::Result<types::Value> result);
 
 /// NOT and unary minus.
 common::Result<types::Value> ApplyUnary(sql::UnaryOp op, const types::Value& v);

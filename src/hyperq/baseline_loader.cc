@@ -59,7 +59,8 @@ Result<ExprPtr> SubstitutePlaceholders(const Expr& expr, const types::Schema& la
     case ExprKind::kCast: {
       const auto& cast = static_cast<const sql::CastExpr&>(expr);
       HQ_ASSIGN_OR_RETURN(ExprPtr operand, SubstitutePlaceholders(*cast.operand, layout, record));
-      return ExprPtr(std::make_unique<sql::CastExpr>(std::move(operand), cast.target, cast.format));
+      return ExprPtr(std::make_unique<sql::CastExpr>(std::move(operand), cast.target, cast.format,
+                                                     cast.try_cast));
     }
     case ExprKind::kCase: {
       const auto& c = static_cast<const sql::CaseExpr&>(expr);

@@ -180,6 +180,8 @@ CommitTail::CommitTail(const JobKind& kind, const std::string& job_id, LoadTarge
   m_.compress_seconds = r->GetHistogram("hyperq_compress_seconds");
   m_.upload_seconds = r->GetHistogram("hyperq_upload_seconds");
   m_.apply_seconds = r->GetHistogram("hyperq_dml_apply_seconds");
+  m_.error_suspects = r->GetCounter("hyperq_error_suspects_total");
+  m_.error_plan_fallbacks = r->GetCounter("hyperq_error_plan_fallbacks_total");
   m_.jobs_active = r->GetGauge(jobs + "active");
   m_.staging_bytes_per_row = r->GetGauge("hyperq_staging_bytes_per_row");
   if (quality != nullptr) {
@@ -481,9 +483,15 @@ Result<DmlApplyResult> CommitTail::Apply(const sql::Statement* dml, SealedBatch*
   adaptive.max_retries = ctx_.options.max_retries;
   adaptive.enforce_uniqueness = ctx_.options.enforce_uniqueness;
   adaptive.io_retry = ctx_.options.io_retry;
+  adaptive.isolation = ctx_.options.error_isolation;
   AdaptiveDmlApplier applier(ctx_.cdw, dml, target_.layout, staging_table_, target_.target_table,
                              target_.error_table_et, target_.error_table_uv, adaptive);
-  return applier.Apply(batch->first_row, batch->last_row);
+  Result<DmlApplyResult> applied = applier.Apply(batch->first_row, batch->last_row);
+  if (applied.ok() && m_.error_suspects != nullptr) {
+    m_.error_suspects->Increment(applied->suspects);
+    m_.error_plan_fallbacks->Increment(applied->plan_fallbacks);
+  }
+  return applied;
 }
 
 QualityJobReport CommitTail::QualityReport(const QualityTotals& totals) const {

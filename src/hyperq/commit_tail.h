@@ -258,6 +258,10 @@ class CommitTail {
     obs::Counter* rows_copied = nullptr;
     obs::Counter* jobs_completed = nullptr;
     obs::Counter* jobs_failed = nullptr;
+    /// §7 planned isolation: predicted suspect rows, and applies whose plan
+    /// fell back to halving (one name for imports and streams).
+    obs::Counter* error_suspects = nullptr;
+    obs::Counter* error_plan_fallbacks = nullptr;
     obs::Histogram* convert_seconds = nullptr;
     obs::Histogram* write_seconds = nullptr;
     obs::Histogram* compress_seconds = nullptr;

@@ -1,5 +1,7 @@
 #include "hyperq/error_handler.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 #include "hyperq/data_converter.h"
 #include "legacy/errors.h"
@@ -83,38 +85,227 @@ bool AdaptiveDmlApplier::IsAbsorbableFailure(const Status& s) {
   return s.IsConversionError() || s.IsConstraintViolation();
 }
 
-common::RetryPolicy AdaptiveDmlApplier::ExecRetry() const {
-  common::RetryOptions options = options_.io_retry;
-  options.breaker = common::BreakerFor("cdw");
-  return common::RetryPolicy(std::move(options));
+bool AdaptiveDmlApplier::Cutoff(int depth) const {
+  return errors_recorded_ >= options_.max_errors || depth >= options_.max_retries;
 }
 
-Result<cdw::ExecResult> AdaptiveDmlApplier::ExecuteBound(uint64_t first, uint64_t last,
-                                                         DmlApplyResult* result) {
+Result<cdw::ExecResult> AdaptiveDmlApplier::ExecSql(const std::string& sql_text,
+                                                    const cdw::ExecOptions& exec) const {
+  common::RetryOptions options = options_.io_retry;
+  options.breaker = common::BreakerFor("cdw");
+  return common::RetryPolicy(std::move(options))
+      .RunResult<cdw::ExecResult>("cdw.exec", [&](const common::RetryAttempt&) {
+        return cdw_->ExecuteSql(sql_text, exec);
+      });
+}
+
+Result<sql::StatementPtr> AdaptiveDmlApplier::Bind(uint64_t first, uint64_t last) const {
   sql::BindOptions bind;
   bind.staging_table = staging_table_;
   bind.row_number_column = kRowNumColumn;
   bind.first_row = static_cast<int64_t>(first);
   bind.last_row = static_cast<int64_t>(last);
   HQ_ASSIGN_OR_RETURN(sql::StatementPtr bound, sql::BindDmlToStaging(*legacy_dml_, layout_, bind));
-  HQ_ASSIGN_OR_RETURN(sql::StatementPtr cdw_stmt, sql::TranspileStatement(*bound));
+  return sql::TranspileStatement(*bound);
+}
+
+Result<cdw::ExecResult> AdaptiveDmlApplier::ExecuteBound(uint64_t first, uint64_t last,
+                                                         DmlApplyResult* result) {
+  HQ_ASSIGN_OR_RETURN(sql::StatementPtr cdw_stmt, Bind(first, last));
   // Hyper-Q ships SQL text to the warehouse, so round-trip through the
   // printer exactly as the real system does.
   std::string sql_text = sql::PrintStatement(*cdw_stmt);
   cdw::ExecOptions exec;
   exec.enforce_unique_primary = options_.enforce_uniqueness;
   ++result->statements_issued;
-  // Tuple-level failures (conversion, constraint) are not retryable, so the
-  // policy passes them straight through to the adaptive splitter; only
-  // transient endpoint failures burn retry attempts here.
-  return ExecRetry().RunResult<cdw::ExecResult>(
-      "cdw.exec", [&](const common::RetryAttempt&) { return cdw_->ExecuteSql(sql_text, exec); });
+  return ExecSql(sql_text, exec);
+}
+
+namespace {
+
+void AddCounts(const cdw::ExecResult& applied, DmlApplyResult* result) {
+  result->rows_inserted += applied.rows_inserted;
+  result->rows_updated += applied.rows_updated;
+  result->rows_deleted += applied.rows_deleted;
+}
+
+// --- Suspect shapes -----------------------------------------------------------
+// The bound INSERT...SELECT reads staging through this alias.
+constexpr const char* kStagingAlias = "S";
+
+sql::ExprPtr IsNull(sql::ExprPtr e, bool negated = false) {
+  return std::make_unique<sql::IsNullExpr>(std::move(e), negated);
+}
+
+sql::ExprPtr Combine(sql::BinaryOp op, sql::ExprPtr a, sql::ExprPtr b) {
+  if (!a) return b;
+  if (!b) return a;
+  return std::make_unique<sql::BinaryExpr>(op, std::move(a), std::move(b));
+}
+
+/// The staging field `e` names, when it is a staging column reference.
+const types::Field* StagingField(const sql::Expr& e, const Schema& staging) {
+  if (e.kind != sql::ExprKind::kColumnRef) return nullptr;
+  const auto& col = static_cast<const sql::ColumnRefExpr&>(e);
+  if (!common::EqualsIgnoreCase(col.table, kStagingAlias)) return nullptr;
+  const int idx = staging.FieldIndex(col.column);
+  return idx < 0 ? nullptr : &staging.field(static_cast<size_t>(idx));
+}
+
+/// True when a transpiled select item cannot fail as an expression: a column
+/// reference, a literal, or TRIM/LTRIM/RTRIM/UPPER/LOWER of a string staging
+/// column. `*source`, when given, is the staging field it reads (or null).
+bool CannotFail(const sql::Expr& e, const Schema& staging,
+                const types::Field** source = nullptr) {
+  const types::Field* unused = nullptr;
+  if (source == nullptr) source = &unused;
+  *source = nullptr;
+  if (e.kind == sql::ExprKind::kLiteral) return true;
+  if (e.kind == sql::ExprKind::kColumnRef) {
+    *source = StagingField(e, staging);
+    return true;
+  }
+  if (e.kind != sql::ExprKind::kFunction) return false;
+  const auto& fn = static_cast<const sql::FunctionExpr&>(e);
+  if (fn.args.size() != 1) return false;
+  bool text_fn = false;
+  for (const char* name : {"TRIM", "LTRIM", "RTRIM", "UPPER", "LOWER"}) {
+    text_fn = text_fn || common::EqualsIgnoreCase(fn.name, name);
+  }
+  const types::Field* field = text_fn ? StagingField(*fn.args[0], staging) : nullptr;
+  if (field == nullptr || !types::IsString(field->type.id)) return false;
+  *source = field;
+  return true;
+}
+
+/// True when the target's implicit cast of a `from` string can fail.
+bool StringCastCanFail(const TypeDesc& from, const TypeDesc& to) {
+  if (!types::IsString(to.id)) return true;
+  return to.length > 0 && (from.length <= 0 || from.length > to.length);
+}
+
+/// The TRY_ form of TO_DATE/TO_TIMESTAMP(S.c, 'literal') or CAST(S.c AS T),
+/// with `*column` set to S.c; null for any other shape.
+sql::ExprPtr TryForm(const sql::Expr& e, const Schema& staging, const sql::Expr** column) {
+  if (e.kind == sql::ExprKind::kCast) {
+    const auto& cast = static_cast<const sql::CastExpr&>(e);
+    if (cast.try_cast || !cast.format.empty() || StagingField(*cast.operand, staging) == nullptr) {
+      return nullptr;
+    }
+    *column = cast.operand.get();
+    return std::make_unique<sql::CastExpr>(cast.operand->Clone(), cast.target, "", true);
+  }
+  if (e.kind != sql::ExprKind::kFunction) return nullptr;
+  const auto& fn = static_cast<const sql::FunctionExpr&>(e);
+  const bool conversion = common::EqualsIgnoreCase(fn.name, "TO_DATE") ||
+                          common::EqualsIgnoreCase(fn.name, "TO_TIMESTAMP");
+  if (!conversion || fn.args.size() != 2 || StagingField(*fn.args[0], staging) == nullptr ||
+      fn.args[1]->kind != sql::ExprKind::kLiteral) {
+    return nullptr;
+  }
+  *column = fn.args[0].get();
+  sql::ExprPtr copy = fn.Clone();
+  auto& try_fn = static_cast<sql::FunctionExpr&>(*copy);
+  try_fn.name = "TRY_" + common::ToUpper(fn.name);
+  return copy;
+}
+
+/// The predicate that holds on the rows where loading `item` into `target`
+/// fails; null when the shape is not recognised.
+sql::ExprPtr SuspectPredicate(const sql::Expr& item, const types::Field& target,
+                              const Schema& staging) {
+  const types::Field* source = nullptr;
+  if (CannotFail(item, staging, &source)) {
+    sql::ExprPtr p;
+    if (!target.nullable) p = IsNull(item.Clone());
+    if (source != nullptr && types::IsString(source->type.id) &&
+        StringCastCanFail(source->type, target.type)) {
+      sql::ExprPtr cast = std::make_unique<sql::CastExpr>(item.Clone(), target.type, "", true);
+      p = Combine(sql::BinaryOp::kOr, std::move(p),
+                  Combine(sql::BinaryOp::kAnd, IsNull(item.Clone(), /*negated=*/true),
+                          IsNull(std::move(cast))));
+    }
+    return p;
+  }
+  const sql::Expr* column = nullptr;
+  sql::ExprPtr converted = TryForm(item, staging, &column);
+  if (!converted) return nullptr;
+  // NULL input converts to NULL, which a NOT NULL target rejects too.
+  if (!target.nullable) return IsNull(std::move(converted));
+  return Combine(sql::BinaryOp::kAnd, IsNull(column->Clone(), /*negated=*/true),
+                 IsNull(std::move(converted)));
+}
+
+}  // namespace
+
+Result<std::vector<uint64_t>> AdaptiveDmlApplier::FindSuspects(uint64_t first, uint64_t last,
+                                                               DmlApplyResult* result) {
+  HQ_ASSIGN_OR_RETURN(sql::StatementPtr bound, Bind(first, last));
+  const auto& insert = static_cast<const sql::InsertStmt&>(*bound);
+  HQ_ASSIGN_OR_RETURN(cdw::TablePtr target, cdw_->catalog()->GetTable(insert.table));
+  HQ_ASSIGN_OR_RETURN(cdw::TablePtr staging, cdw_->catalog()->GetTable(staging_table_));
+  const Schema& target_schema = target->schema();
+  // The target column each select item loads, in select order.
+  const size_t ncolumns =
+      insert.columns.empty() ? target_schema.num_fields() : insert.columns.size();
+  std::vector<const types::Field*> columns;
+  for (size_t c = 0; c < ncolumns; ++c) {
+    const int idx = insert.columns.empty() ? static_cast<int>(c)
+                                           : target_schema.FieldIndex(insert.columns[c]);
+    if (idx < 0) return std::vector<uint64_t>{};
+    columns.push_back(&target_schema.field(static_cast<size_t>(idx)));
+  }
+  const sql::SelectStmt& select = *insert.select;
+  sql::ExprPtr any;
+  for (size_t i = 0; i < select.items.size() && i < columns.size(); ++i) {
+    any = Combine(sql::BinaryOp::kOr, std::move(any),
+                  SuspectPredicate(*select.items[i].expr, *columns[i], staging->schema()));
+  }
+  if (!any) return std::vector<uint64_t>{};
+
+  // SELECT S.HQ_ROWNUM FROM <staging> S WHERE <range> AND (p1 OR p2 ...)
+  sql::SelectStmt query;
+  query.items.push_back({std::make_unique<sql::ColumnRefExpr>(kStagingAlias, kRowNumColumn), ""});
+  query.has_from = true;
+  query.from = select.from;
+  query.where = Combine(sql::BinaryOp::kAnd, select.where->Clone(), std::move(any));
+  const std::string sql_text = sql::PrintStatement(query);
+  ++result->statements_issued;
+  HQ_ASSIGN_OR_RETURN(cdw::ExecResult rows, ExecSql(sql_text));
+  std::vector<uint64_t> suspects;
+  suspects.reserve(rows.rows.size());
+  for (const types::Row& row : rows.rows) {
+    suspects.push_back(static_cast<uint64_t>(row[0].int_value()));
+  }
+  std::sort(suspects.begin(), suspects.end());
+  return suspects;
 }
 
 Result<DmlApplyResult> AdaptiveDmlApplier::Apply(uint64_t first_row, uint64_t last_row) {
   DmlApplyResult result;
   if (last_row < first_row) return result;  // empty load
-  HQ_RETURN_NOT_OK(ApplyRange(first_row, last_row, 0, &result));
+  auto root = ExecuteBound(first_row, last_row, &result);
+  if (root.ok()) {
+    AddCounts(*root, &result);
+    return result;
+  }
+  if (!IsAbsorbableFailure(root.status())) return root.status();
+  // UPDATE, DELETE and MERGE keep halving: with repeated keys, applying two
+  // ranges in one statement is not the same as applying them one after the
+  // other.
+  const bool plain_insert = legacy_dml_->kind == sql::StatementKind::kInsert &&
+                            static_cast<const sql::InsertStmt&>(*legacy_dml_).rows.size() == 1;
+  if (options_.isolation == ErrorIsolation::kPlanned && plain_insert && first_row < last_row &&
+      !Cutoff(0)) {
+    Result<std::vector<uint64_t>> suspects = FindSuspects(first_row, last_row, &result);
+    if (suspects.ok() && !suspects->empty()) {
+      result.suspects = suspects->size();
+      HQ_RETURN_NOT_OK(ApplyPlanned(first_row, last_row, *suspects, &result));
+      return result;
+    }
+    ++result.plan_fallbacks;
+  }
+  HQ_RETURN_NOT_OK(IsolateFailedRange(first_row, last_row, 0, root.status(), &result));
   return result;
 }
 
@@ -122,18 +313,20 @@ Status AdaptiveDmlApplier::ApplyRange(uint64_t first, uint64_t last, int depth,
                                       DmlApplyResult* result) {
   auto attempt = ExecuteBound(first, last, result);
   if (attempt.ok()) {
-    result->rows_inserted += attempt->rows_inserted;
-    result->rows_updated += attempt->rows_updated;
-    result->rows_deleted += attempt->rows_deleted;
+    AddCounts(*attempt, result);
     return Status::OK();
   }
   const Status& failure = attempt.status();
   if (!IsAbsorbableFailure(failure)) return failure;
+  return IsolateFailedRange(first, last, depth, failure, result);
+}
 
+Status AdaptiveDmlApplier::IsolateFailedRange(uint64_t first, uint64_t last, int depth,
+                                              const Status& failure, DmlApplyResult* result) {
   if (first == last) {
     return RecordSingletonError(first, failure, result);
   }
-  if (errors_recorded_ >= options_.max_errors || depth >= options_.max_retries) {
+  if (Cutoff(depth)) {
     // Stop splitting: record the whole failing range (Figure 6's final row).
     return RecordRangeError(first, last, result);
   }
@@ -141,6 +334,81 @@ Status AdaptiveDmlApplier::ApplyRange(uint64_t first, uint64_t last, int depth,
   HQ_RETURN_NOT_OK(ApplyRange(first, mid, depth + 1, result));
   HQ_RETURN_NOT_OK(ApplyRange(mid + 1, last, depth + 1, result));
   return Status::OK();
+}
+
+Status AdaptiveDmlApplier::ApplyPlanned(uint64_t first, uint64_t last,
+                                        const std::vector<uint64_t>& suspects,
+                                        DmlApplyResult* result) {
+  // One node of the halving tree: a row range and its split depth.
+  struct Node {
+    uint64_t first;
+    uint64_t last;
+    int depth;
+  };
+  auto has_suspect = [&suspects](const Node& n) {
+    auto it = std::lower_bound(suspects.begin(), suspects.end(), n.first);
+    return it != suspects.end() && *it <= n.last;
+  };
+  // Depth-first, left half first: the order halving visits the tree in.
+  std::vector<Node> stack;
+  auto push_halves = [&stack](const Node& n) {
+    const uint64_t mid = n.first + (n.last - n.first) / 2;
+    stack.push_back({mid + 1, n.last, n.depth + 1});
+    stack.push_back({n.first, mid, n.depth + 1});
+  };
+  push_halves({first, last, 0});  // the root failed and holds suspects
+
+  // The pending run of predicted-clean nodes (contiguous rows), and the
+  // stack as it was when its first node was deferred.
+  bool pending = false;
+  Node run{0, 0, 0};
+  std::vector<Node> rewind;
+  // Applies the pending run in one statement. False when it failed: no
+  // statement ran since its first node was deferred, so halving resumes
+  // from there and finishes the search.
+  auto flush = [&]() -> Result<bool> {
+    if (!pending) return true;
+    pending = false;
+    auto attempt = ExecuteBound(run.first, run.last, result);
+    if (attempt.ok()) {
+      AddCounts(*attempt, result);
+      return true;
+    }
+    if (!IsAbsorbableFailure(attempt.status())) return attempt.status();
+    ++result->plan_fallbacks;
+    while (!rewind.empty()) {
+      const Node n = rewind.back();
+      rewind.pop_back();
+      HQ_RETURN_NOT_OK(ApplyRange(n.first, n.last, n.depth, result));
+    }
+    return false;
+  };
+
+  while (!stack.empty()) {
+    const Node node = stack.back();
+    stack.pop_back();
+    if (!has_suspect(node)) {
+      if (!pending) {
+        rewind = stack;
+        rewind.push_back(node);
+        run = node;
+        pending = true;
+      } else {
+        run.last = node.last;
+      }
+      continue;
+    }
+    if (node.first != node.last && !Cutoff(node.depth)) {
+      push_halves(node);
+      continue;
+    }
+    HQ_ASSIGN_OR_RETURN(bool clean, flush());
+    if (!clean) return Status::OK();
+    // Executed as halving would: a failure is recorded as a singleton or, at
+    // the cutoff, as a range; a mispredicted suspect just applies.
+    HQ_RETURN_NOT_OK(ApplyRange(node.first, node.last, node.depth, result));
+  }
+  return flush().status();
 }
 
 std::string AdaptiveDmlApplier::IdentifyErrorField(uint64_t row) {
@@ -158,29 +426,25 @@ std::string AdaptiveDmlApplier::IdentifyErrorField(uint64_t row) {
       for (const auto& f : (*table)->schema().fields()) column_names.push_back(f.name);
     }
   }
+  auto staging = cdw_->catalog()->GetTable(staging_table_);
+  auto bound = Bind(row, row);
+  if (!staging.ok() || !bound.ok()) return "";
+  const auto& bound_insert = static_cast<const sql::InsertStmt&>(**bound);
+  if (!bound_insert.select) return "";
+  const sql::SelectStmt& select = *bound_insert.select;
 
-  for (size_t i = 0; i < ins.rows[0].size(); ++i) {
+  for (size_t i = 0; i < select.items.size(); ++i) {
+    // A column whose expression cannot fail would probe successfully.
+    if (CannotFail(*select.items[i].expr, (*staging)->schema())) continue;
     // Probe: SELECT <expr_i> FROM staging S WHERE S.HQ_ROWNUM BETWEEN row AND row.
-    sql::InsertStmt probe_insert;
-    probe_insert.table = ins.table;
-    std::vector<sql::ExprPtr> one_row;
-    one_row.push_back(ins.rows[0][i]->Clone());
-    probe_insert.rows.push_back(std::move(one_row));
-
-    sql::BindOptions bind;
-    bind.staging_table = staging_table_;
-    bind.row_number_column = kRowNumColumn;
-    bind.first_row = static_cast<int64_t>(row);
-    bind.last_row = static_cast<int64_t>(row);
-    auto bound = sql::BindDmlToStaging(probe_insert, layout_, bind);
-    if (!bound.ok()) return "";
-    // Execute only the SELECT part of the bound INSERT ... SELECT.
-    auto& bound_insert = static_cast<sql::InsertStmt&>(**bound);
-    if (!bound_insert.select) return "";
-    auto transpiled = sql::TranspileStatement(*bound_insert.select);
-    if (!transpiled.ok()) return "";
-    auto probe = cdw_->Execute(**transpiled);
-    if (!probe.ok() && IsAbsorbableFailure(probe.status())) {
+    sql::SelectStmt probe;
+    probe.items.push_back({select.items[i].expr->Clone(), ""});
+    probe.has_from = true;
+    probe.from = select.from;
+    probe.where = select.where->Clone();
+    const std::string sql_text = sql::PrintStatement(probe);
+    auto probed = ExecSql(sql_text);
+    if (!probed.ok() && IsAbsorbableFailure(probed.status())) {
       if (i < column_names.size()) return column_names[i];
       return "";
     }
@@ -205,9 +469,7 @@ Status AdaptiveDmlApplier::RecordSingletonError(uint64_t row, const Status& fail
         std::to_string(legacy::kErrUniquenessViolation) + " FROM " + staging_table_ +
         " S WHERE S." + kRowNumColumn + " = " + std::to_string(row);
     ++result->statements_issued;
-    HQ_RETURN_NOT_OK(ExecRetry().Run("cdw.exec", [&](const common::RetryAttempt&) {
-      return cdw_->ExecuteSql(sql_text).status();
-    }));
+    HQ_RETURN_NOT_OK(ExecSql(sql_text).status());
     ++result->uv_errors;
     return Status::OK();
   }
@@ -227,9 +489,7 @@ Status AdaptiveDmlApplier::RecordSingletonError(uint64_t row, const Status& fail
                          (field.empty() ? std::string("NULL") : SqlQuote(field)) + ", " +
                          SqlQuote(message) + ")";
   ++result->statements_issued;
-  HQ_RETURN_NOT_OK(ExecRetry().Run("cdw.exec", [&](const common::RetryAttempt&) {
-    return cdw_->ExecuteSql(sql_text).status();
-  }));
+  HQ_RETURN_NOT_OK(ExecSql(sql_text).status());
   ++result->et_errors;
   return Status::OK();
 }
@@ -243,9 +503,7 @@ Status AdaptiveDmlApplier::RecordRangeError(uint64_t first, uint64_t last,
                          std::to_string(legacy::kErrMaxErrorsReached) + ", NULL, " +
                          SqlQuote(message) + ")";
   ++result->statements_issued;
-  HQ_RETURN_NOT_OK(ExecRetry().Run("cdw.exec", [&](const common::RetryAttempt&) {
-    return cdw_->ExecuteSql(sql_text).status();
-  }));
+  HQ_RETURN_NOT_OK(ExecSql(sql_text).status());
   ++result->et_errors;
   ++result->range_errors;
   return Status::OK();

@@ -1,10 +1,12 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "cdw/cdw_server.h"
 #include "common/result.h"
 #include "common/retry.h"
+#include "hyperq/hyperq_config.h"
 #include "sql/ast.h"
 #include "types/schema.h"
 
@@ -20,6 +22,13 @@
 ///     failing ranges are logged as a single range error (code 9057,
 ///     "row numbers: (a, b)") instead of being split further — Figure 6;
 ///   - max_retries: maximum split depth for any chunk.
+///
+/// For an INSERT the search is planned by default (ErrorIsolation::kPlanned):
+/// one suspect query asks the warehouse which rows would fail, the same
+/// halving tree is walked without executing the nodes known to fail, clean
+/// runs apply in one statement each and suspects run as singletons. A failed
+/// run hands the rest of the search to the halving search (DESIGN.md "Error
+/// isolation (§7)").
 
 namespace hyperq::core {
 
@@ -27,6 +36,7 @@ struct AdaptiveOptions {
   uint64_t max_errors = 100;
   int max_retries = 64;
   bool enforce_uniqueness = true;
+  ErrorIsolation isolation = ErrorIsolation::kPlanned;
   /// Transient-failure policy for every statement shipped to the CDW. The
   /// adaptive splitting above absorbs *tuple* errors; this absorbs *endpoint*
   /// errors (injected or real), which would otherwise abort the whole apply.
@@ -40,8 +50,14 @@ struct DmlApplyResult {
   uint64_t et_errors = 0;  ///< transformation/data errors recorded
   uint64_t uv_errors = 0;  ///< uniqueness violations recorded
   uint64_t range_errors = 0;  ///< 9057 range entries among et_errors
-  /// DML statements issued against the CDW (instrumentation for benchmarks).
+  /// DML statements issued against the CDW (instrumentation for benchmarks);
+  /// the suspect query counts, the ERRORFIELD probes do not.
   uint64_t statements_issued = 0;
+  /// Rows the suspect query predicted to fail (planned isolation).
+  uint64_t suspects = 0;
+  /// Planned isolations that finished with halving: the suspect query
+  /// failed or found no row, or a run of predicted-clean rows failed.
+  uint64_t plan_fallbacks = 0;
 };
 
 /// Schemas of the error tables Hyper-Q materializes in the CDW.
@@ -76,9 +92,25 @@ class AdaptiveDmlApplier {
   common::Result<DmlApplyResult> Apply(uint64_t first_row, uint64_t last_row);
 
  private:
+  /// The halving search over [first, last]: executes it, and on a tuple
+  /// failure records or splits it (IsolateFailedRange).
   common::Status ApplyRange(uint64_t first, uint64_t last, int depth, DmlApplyResult* result);
+  /// What halving does with a failed range: record a singleton, record the
+  /// range at the cutoff, or apply both halves.
+  common::Status IsolateFailedRange(uint64_t first, uint64_t last, int depth,
+                                    const common::Status& failure, DmlApplyResult* result);
+  /// True when a failed range at `depth` is recorded instead of split.
+  bool Cutoff(int depth) const;
   /// True when the status is a tuple-level failure the handler absorbs.
   static bool IsAbsorbableFailure(const common::Status& s);
+
+  /// The HQ_ROWNUMs in [first, last] whose row-local failure points
+  /// (conversions, the target casts, NOT NULL) fail, ascending; one query.
+  common::Result<std::vector<uint64_t>> FindSuspects(uint64_t first, uint64_t last,
+                                                     DmlApplyResult* result);
+  /// The planned walk of the halving tree below a failed root [first, last].
+  common::Status ApplyPlanned(uint64_t first, uint64_t last,
+                              const std::vector<uint64_t>& suspects, DmlApplyResult* result);
 
   common::Status RecordSingletonError(uint64_t row, const common::Status& failure,
                                       DmlApplyResult* result);
@@ -87,12 +119,18 @@ class AdaptiveDmlApplier {
   /// (best-effort; empty when not identifiable).
   std::string IdentifyErrorField(uint64_t row);
 
+  /// The DML bound to staging rows [first, last] and transpiled.
+  common::Result<sql::StatementPtr> Bind(uint64_t first, uint64_t last) const;
   /// Executes the bound+transpiled DML for a row range.
   common::Result<cdw::ExecResult> ExecuteBound(uint64_t first, uint64_t last,
                                                DmlApplyResult* result);
 
-  /// The per-statement retry policy (io_retry options + the "cdw" breaker).
-  common::RetryPolicy ExecRetry() const;
+  /// Ships one SQL text to the CDW under the per-statement retry policy
+  /// (io_retry options + the "cdw" breaker). Tuple-level failures are not
+  /// retryable, so they come straight back; only transient endpoint
+  /// failures burn retry attempts.
+  common::Result<cdw::ExecResult> ExecSql(const std::string& sql_text,
+                                          const cdw::ExecOptions& exec = {}) const;
 
   cdw::CdwServer* cdw_;
   const sql::Statement* legacy_dml_;

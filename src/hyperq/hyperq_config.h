@@ -15,6 +15,20 @@
 
 namespace hyperq::core {
 
+/// How the adaptive error handler (Section 7) finds the bad tuples of a
+/// failed set-oriented statement.
+enum class ErrorIsolation : uint8_t {
+  /// The paper's search: re-run the statement on halves of the failing
+  /// HQ_ROWNUM range until single rows or a limit isolate the errors.
+  kHalving,
+  /// INSERT only: one suspect query asks the warehouse which rows would
+  /// fail, clean runs apply in one statement each and suspects run as
+  /// singletons; any misprediction hands the rest of the search to halving.
+  /// The ET, UV and target tables equal kHalving's (DESIGN.md "Error
+  /// isolation (§7)").
+  kPlanned,
+};
+
 struct HyperQOptions {
   /// DataConverter worker threads (paper: "several chunks are converted
   /// concurrently").
@@ -59,6 +73,9 @@ struct HyperQOptions {
   /// Adaptive error handling (Section 7).
   uint64_t max_errors = 100;
   int max_retries = 64;
+  /// The search strategy; kHalving reproduces the paper's statement counts
+  /// (Fig 11's halving series, the planned-vs-halving differential).
+  ErrorIsolation error_isolation = ErrorIsolation::kPlanned;
 
   /// Export chunking.
   size_t export_chunk_rows = 4096;

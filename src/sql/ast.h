@@ -139,10 +139,16 @@ struct CastExpr : Expr {
   ExprPtr operand;
   types::TypeDesc target;
   std::string format;  ///< legacy FORMAT clause; empty in the CDW dialect
-  CastExpr(ExprPtr e, types::TypeDesc t, std::string fmt = {})
-      : Expr(ExprKind::kCast), operand(std::move(e)), target(t), format(std::move(fmt)) {}
+  /// CDW `TRY_CAST`: a value that does not convert yields NULL.
+  bool try_cast = false;
+  CastExpr(ExprPtr e, types::TypeDesc t, std::string fmt = {}, bool is_try = false)
+      : Expr(ExprKind::kCast),
+        operand(std::move(e)),
+        target(t),
+        format(std::move(fmt)),
+        try_cast(is_try) {}
   ExprPtr Clone() const override {
-    return std::make_unique<CastExpr>(operand->Clone(), target, format);
+    return std::make_unique<CastExpr>(operand->Clone(), target, format, try_cast);
   }
 };
 

@@ -64,8 +64,8 @@ class PlaceholderRewriter {
       case ExprKind::kCast: {
         const auto& cast = static_cast<const CastExpr&>(expr);
         HQ_ASSIGN_OR_RETURN(ExprPtr operand, Rewrite(*cast.operand));
-        return ExprPtr(
-            std::make_unique<CastExpr>(std::move(operand), cast.target, cast.format));
+        return ExprPtr(std::make_unique<CastExpr>(std::move(operand), cast.target, cast.format,
+                                                  cast.try_cast));
       }
       case ExprKind::kCase: {
         const auto& c = static_cast<const CaseExpr&>(expr);

@@ -755,7 +755,8 @@ class Parser {
       HQ_ASSIGN_OR_RETURN(types::TimestampMicros ts, types::ParseTimestampIso(lit.text));
       return ExprPtr(std::make_unique<LiteralExpr>(Value::Timestamp(ts)));
     }
-    if (t.IsKeyword("CAST")) {
+    if (t.IsKeyword("CAST") || (t.IsKeyword("TRY_CAST") && Peek(1).IsSymbol("("))) {
+      const bool is_try = t.IsKeyword("TRY_CAST");
       Advance();
       HQ_RETURN_NOT_OK(Expect("("));
       HQ_ASSIGN_OR_RETURN(ExprPtr operand, ParseExpr());
@@ -769,7 +770,8 @@ class Parser {
         format = Advance().text;
       }
       HQ_RETURN_NOT_OK(Expect(")"));
-      return ExprPtr(std::make_unique<CastExpr>(std::move(operand), type, std::move(format)));
+      return ExprPtr(
+          std::make_unique<CastExpr>(std::move(operand), type, std::move(format), is_try));
     }
     if (t.IsKeyword("CASE")) {
       Advance();

@@ -76,7 +76,8 @@ std::string PrintExpr(const Expr& expr) {
     }
     case ExprKind::kCast: {
       const auto& cast = static_cast<const CastExpr&>(expr);
-      std::string out = "CAST(" + PrintExpr(*cast.operand) + " AS " + cast.target.ToString();
+      std::string out = (cast.try_cast ? "TRY_CAST(" : "CAST(") + PrintExpr(*cast.operand) +
+                        " AS " + cast.target.ToString();
       if (!cast.format.empty()) out += " FORMAT " + QuoteStringLiteral(cast.format);
       out += ")";
       return out;

@@ -135,6 +135,9 @@ Result<ExprPtr> TranspileExpr(const Expr& expr) {
       const auto& cast = static_cast<const CastExpr&>(expr);
       HQ_ASSIGN_OR_RETURN(ExprPtr operand, TranspileExpr(*cast.operand));
       if (!cast.format.empty()) {
+        if (cast.try_cast) {
+          return Status::NotImplemented("TRY_CAST ... FORMAT has no CDW translation");
+        }
         auto fmt = std::make_unique<LiteralExpr>(types::Value::String(cast.format));
         std::vector<ExprPtr> args;
         args.push_back(std::move(operand));
@@ -155,7 +158,7 @@ Result<ExprPtr> TranspileExpr(const Expr& expr) {
                                       " has no CDW translation");
       }
       HQ_ASSIGN_OR_RETURN(types::TypeDesc mapped, types::MapLegacyTypeToCdw(cast.target));
-      return ExprPtr(std::make_unique<CastExpr>(std::move(operand), mapped));
+      return ExprPtr(std::make_unique<CastExpr>(std::move(operand), mapped, "", cast.try_cast));
     }
     case ExprKind::kCase: {
       const auto& c = static_cast<const CaseExpr&>(expr);

@@ -372,6 +372,8 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
     dml_totals_.uv_errors += dml.uv_errors;
     dml_totals_.range_errors += dml.range_errors;
     dml_totals_.statements_issued += dml.statements_issued;
+    dml_totals_.suspects += dml.suspects;
+    dml_totals_.plan_fallbacks += dml.plan_fallbacks;
     data_errors_recorded_ += sealed.errors.size();
     // batches_committed is the commit-protocol sequence number, so a rejected
     // batch advances it too (the journal is keyed by batch_seq either way).

@@ -688,8 +688,68 @@ TEST_F(ExecutorTest, RowsScannedCountsEveryScanLoop) {
 
 TEST_F(ExecutorTest, WherePredicateMustBeBoolean) {
   SeedCustomers();
-  EXPECT_TRUE(ExecError("SELECT * FROM CUSTOMERS WHERE ID + 1").IsTypeError() ||
-              true);  // TypeError surfaced
+  common::Status s = ExecError("SELECT * FROM CUSTOMERS WHERE ID + 1");
+  EXPECT_TRUE(s.IsTypeError()) << s.ToString();
+  EXPECT_EQ(s.message(), "WHERE predicate is not boolean");
+}
+
+// --- TRY_ forms: a ConversionError reads as NULL, any other error stays ------
+
+TEST_F(ExecutorTest, TryToDateReadsAConversionErrorAsNull) {
+  Exec("CREATE TABLE SRC (D VARCHAR(20))");
+  Exec("INSERT INTO SRC VALUES ('2020-01-31'), ('not a date'), (NULL)");
+  auto result = Exec("SELECT TRY_TO_DATE(D, 'YYYY-MM-DD') FROM SRC");
+  ASSERT_EQ(result.rows.size(), 3u);
+  EXPECT_TRUE(result.rows[0][0].is_date());
+  EXPECT_EQ(result.rows[0][0].ToString(), Exec("SELECT DATE '2020-01-31'").rows[0][0].ToString());
+  EXPECT_TRUE(result.rows[1][0].is_null());
+  EXPECT_TRUE(result.rows[2][0].is_null());
+  // A format that is not a literal takes the per-row path with the same rule.
+  Exec("CREATE TABLE FMT (D VARCHAR(20), F VARCHAR(20))");
+  Exec("INSERT INTO FMT VALUES ('2020-01-31', 'YYYY-MM-DD'), ('31/01/2020', 'YYYY-MM-DD')");
+  result = Exec("SELECT TRY_TO_DATE(D, F) FROM FMT");
+  EXPECT_TRUE(result.rows[0][0].is_date());
+  EXPECT_TRUE(result.rows[1][0].is_null());
+  // The plain form still aborts the statement.
+  EXPECT_TRUE(ExecError("SELECT TO_DATE(D, 'YYYY-MM-DD') FROM SRC").IsConversionError());
+  // Not a conversion failure: a non-string format is a TypeError either way.
+  EXPECT_TRUE(ExecError("SELECT TRY_TO_DATE(D, 5) FROM SRC").IsTypeError());
+  EXPECT_TRUE(ExecError("SELECT TRY_TO_DATE(D) FROM SRC").IsInvalid());
+}
+
+TEST_F(ExecutorTest, TryToTimestampReadsAConversionErrorAsNull) {
+  Exec("CREATE TABLE SRC (T VARCHAR(40))");
+  Exec("INSERT INTO SRC VALUES ('2020-01-31 10:20:30'), ('noon'), (NULL)");
+  auto result = Exec("SELECT TRY_TO_TIMESTAMP(T, 'YYYY-MM-DD HH:MI:SS') FROM SRC");
+  ASSERT_EQ(result.rows.size(), 3u);
+  EXPECT_TRUE(result.rows[0][0].is_timestamp());
+  EXPECT_TRUE(result.rows[1][0].is_null());
+  EXPECT_TRUE(result.rows[2][0].is_null());
+  EXPECT_TRUE(ExecError("SELECT TO_TIMESTAMP(T) FROM SRC").IsConversionError());
+  EXPECT_TRUE(ExecError("SELECT TRY_TO_TIMESTAMP(T, 'a', 'b') FROM SRC").IsInvalid());
+}
+
+TEST_F(ExecutorTest, TryCastReadsAConversionErrorAsNull) {
+  Exec("CREATE TABLE SRC (N VARCHAR(20))");
+  Exec("INSERT INTO SRC VALUES ('42'), ('4x2'), ('99999999999'), (NULL)");
+  auto result = Exec("SELECT TRY_CAST(N AS INTEGER) FROM SRC");
+  ASSERT_EQ(result.rows.size(), 4u);
+  EXPECT_EQ(result.rows[0][0].int_value(), 42);
+  EXPECT_TRUE(result.rows[1][0].is_null());  // not a number
+  EXPECT_TRUE(result.rows[2][0].is_null());  // out of INTEGER range
+  EXPECT_TRUE(result.rows[3][0].is_null());
+  // A string too long for the target is a ConversionError too.
+  result = Exec("SELECT TRY_CAST(N AS VARCHAR(2)) FROM SRC");
+  EXPECT_EQ(result.rows[0][0].string_value(), "42");
+  EXPECT_TRUE(result.rows[1][0].is_null());
+  EXPECT_TRUE(ExecError("SELECT CAST(N AS INTEGER) FROM SRC").IsConversionError());
+  // A cast the types do not allow is a TypeError, and TRY_CAST keeps it.
+  SeedCustomers();
+  EXPECT_TRUE(ExecError("SELECT TRY_CAST(JOINED AS FLOAT) FROM CUSTOMERS").IsTypeError());
+  // The suspect query the §7 planner sends: rows whose conversion would fail.
+  result = Exec("SELECT N FROM SRC WHERE N IS NOT NULL AND TRY_CAST(N AS INTEGER) IS NULL");
+  ASSERT_EQ(result.rows.size(), 2u);
+  EXPECT_EQ(result.rows[0][0].string_value(), "4x2");
 }
 
 // --- Insert staging: which check fails first ---------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
+#include "common/retry.h"
 #include "hyperq/data_converter.h"
 #include "legacy/errors.h"
 #include "sql/parser.h"
@@ -217,6 +219,120 @@ TEST_F(AdaptiveErrorTest, AllRowsBadStillTerminates) {
   auto result = Apply();
   EXPECT_EQ(result.rows_inserted, 0u);
   EXPECT_EQ(result.et_errors, 32u);
+}
+
+TEST_F(AdaptiveErrorTest, InjectedFaultOnTheFailingProbeKeepsErrorField) {
+  // Every column is a CAST, so all three are probed, in order: the root
+  // statement is cdw.exec call 1 and the JOIN_DATE probe is call 4. A
+  // transient fault there used to read as "this column did not fail".
+  dml_ = sql::ParseStatement(
+             "insert into PROD.CUSTOMER values (cast(:CUST_ID as varchar(5)), "
+             "cast(:CUST_NAME as varchar(50)), cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'))")
+             .ValueOrDie();
+  StageRows({{"456", "Brown", "xxxx"}});
+  common::FaultInjector::Global().ResetForTesting();
+  ASSERT_TRUE(common::FaultInjector::Global().Arm("cdw.exec=error,once=4").ok());
+  AdaptiveOptions options;
+  options.io_retry.sleep = false;
+  auto result = Apply(options);
+  EXPECT_EQ(common::FaultInjector::Global().injected_count("cdw.exec"), 1u);
+  common::FaultInjector::Global().ResetForTesting();
+  common::ResetBreakersForTesting();
+  EXPECT_EQ(result.et_errors, 1u);
+  auto et = TableRows("PROD.CUSTOMER_ET");
+  ASSERT_EQ(et.size(), 1u);
+  ASSERT_FALSE(et[0][1].is_null());
+  EXPECT_EQ(et[0][1].string_value(), "JOIN_DATE");
+}
+
+TEST_F(AdaptiveErrorTest, ProbesSkipColumnsThatCannotFail) {
+  // TRIM of a staging column cannot fail, so only the JOIN_DATE expression
+  // is probed: root, one probe and the ET insert.
+  StageRows({{"456", "Brown", "xxxx"}});
+  const uint64_t before = cdw_.statements_executed();
+  auto result = Apply();
+  EXPECT_EQ(cdw_.statements_executed() - before, 3u);
+  EXPECT_EQ(result.statements_issued, 2u);  // root + ET insert
+  auto et = TableRows("PROD.CUSTOMER_ET");
+  ASSERT_EQ(et.size(), 1u);
+  EXPECT_EQ(et[0][1].string_value(), "JOIN_DATE");
+}
+
+TEST_F(AdaptiveErrorTest, PlannedIsolationAppliesCleanRunsInOneStatementEach) {
+  // One bad date in every 10 rows: root, suspect query, then per error one
+  // clean run, the failing singleton and its ET insert, plus the last run.
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 1; i <= 100; ++i) {
+    rows.push_back({std::to_string(i), "N", i % 10 == 4 ? "bad" : "2012-01-01"});
+  }
+  StageRows(rows);
+  auto result = Apply();
+  EXPECT_EQ(result.suspects, 10u);
+  EXPECT_EQ(result.plan_fallbacks, 0u);
+  EXPECT_EQ(result.rows_inserted, 90u);
+  EXPECT_EQ(result.et_errors, 10u);
+  EXPECT_EQ(result.statements_issued, 2u + 11u + 10u + 10u);
+
+  // Halving finds the same errors in more statements.
+  auto planned_et = TableRows("PROD.CUSTOMER_ET");
+  ASSERT_TRUE(cdw_.ExecuteSql("DELETE FROM PROD.CUSTOMER").ok());
+  ASSERT_TRUE(cdw_.ExecuteSql("DELETE FROM PROD.CUSTOMER_ET").ok());
+  AdaptiveOptions halving;
+  halving.isolation = ErrorIsolation::kHalving;
+  auto paper = Apply(halving);
+  EXPECT_EQ(paper.rows_inserted, 90u);
+  EXPECT_EQ(paper.suspects, 0u);
+  EXPECT_GT(paper.statements_issued, result.statements_issued);
+  auto halving_et = TableRows("PROD.CUSTOMER_ET");
+  ASSERT_EQ(planned_et.size(), halving_et.size());
+  for (size_t i = 0; i < planned_et.size(); ++i) {
+    for (size_t c = 0; c < planned_et[i].size(); ++c) {
+      EXPECT_TRUE(planned_et[i][c] == halving_et[i][c]) << i << "," << c;
+    }
+  }
+}
+
+TEST_F(AdaptiveErrorTest, PlannedIsolationRewindsToHalvingOnAFailedRun) {
+  // Rows 2-3 are predicted; the duplicate key in row 4 is not, so the run
+  // [4, 5] fails and halving takes over from that node.
+  StageFigure5Data();
+  auto result = Apply();
+  EXPECT_EQ(result.suspects, 2u);
+  EXPECT_EQ(result.plan_fallbacks, 1u);
+  EXPECT_EQ(result.rows_inserted, 2u);
+  EXPECT_EQ(result.et_errors, 2u);
+  EXPECT_EQ(result.uv_errors, 1u);
+  auto uv = TableRows("PROD.CUSTOMER_UV");
+  ASSERT_EQ(uv.size(), 1u);
+  EXPECT_EQ(uv[0][3].int_value(), 4);
+}
+
+TEST_F(AdaptiveErrorTest, PlannedIsolationFallsBackWhenNoRowIsSuspect) {
+  // Only the duplicate fails; the suspect query finds nothing.
+  StageRows({{"9", "A", "2012-01-01"}, {"9", "B", "2012-01-02"}});
+  auto result = Apply();
+  EXPECT_EQ(result.suspects, 0u);
+  EXPECT_EQ(result.plan_fallbacks, 1u);
+  EXPECT_EQ(result.uv_errors, 1u);
+  // Halving's three statements, its UV insert, and the suspect query.
+  EXPECT_EQ(result.statements_issued, 5u);
+}
+
+TEST_F(AdaptiveErrorTest, UpdateKeepsHalving) {
+  StageRows({{"1", "A", "2012-01-01"}, {"2", "B", "bad"}});
+  ASSERT_TRUE(cdw_.ExecuteSql("INSERT INTO PROD.CUSTOMER VALUES ('1', 'x', NULL), "
+                              "('2', 'y', NULL)")
+                  .ok());
+  dml_ = sql::ParseStatement(
+             "update PROD.CUSTOMER set JOIN_DATE = cast(:JOIN_DATE as DATE format "
+             "'YYYY-MM-DD') where CUST_ID = :CUST_ID")
+             .ValueOrDie();
+  auto result = Apply();
+  EXPECT_EQ(result.rows_updated, 1u);
+  EXPECT_EQ(result.et_errors, 1u);
+  EXPECT_EQ(result.suspects, 0u);
+  EXPECT_EQ(result.plan_fallbacks, 0u);
+  EXPECT_EQ(result.statements_issued, 3u + 1u);  // halving + the ET insert
 }
 
 TEST(ErrorSchemaTest, EtShapeMatchesFigure6) {

@@ -168,7 +168,9 @@ TEST_F(ObservabilityE2eTest, ErrorIsolationReportsRowsScanned) {
   constexpr int kRows = 400;
   bad_date_every_ = 50;
   script_settings_ = ".set max_errors 4;\n";
-  StartNode();
+  HyperQOptions options;
+  options.error_isolation = ErrorIsolation::kHalving;
+  StartNode(options);
   auto run = RunImport(kRows);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   std::vector<std::string> jobs = tracer_.job_ids();
@@ -189,6 +191,32 @@ TEST_F(ObservabilityE2eTest, ErrorIsolationReportsRowsScanned) {
   obs::MetricsSnapshot snap = node_->MetricsSnapshot();
   EXPECT_GE(snap.counters.at("cdw_rows_scanned_total"), succeeded * kRows);
   EXPECT_GE(snap.counters.at("cdw_statements_total"), dml->statements_issued);
+}
+
+TEST_F(ObservabilityE2eTest, PlannedErrorIsolationReportsSuspects) {
+  // The same load, planned: the suspect query names rows 50, 100, ..., 400.
+  // Rows 1-49, 51-99, 101-149 and 151-199 apply as four runs, and rows 50,
+  // 100, 150 and 200 fail as singletons (an ET insert each). max_errors is
+  // then reached, so [201, 400] runs once and is recorded as a 9057 range.
+  // That is 2 + 4 + 4 + 4 + 2 statements.
+  bad_date_every_ = 50;
+  script_settings_ = ".set max_errors 4;\n";
+  StartNode();
+  auto run = RunImport(400);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  std::vector<std::string> jobs = tracer_.job_ids();
+  ASSERT_EQ(jobs.size(), 1u);
+  auto dml = node_->JobDmlResult(jobs[0]);
+  ASSERT_TRUE(dml.ok()) << dml.status().ToString();
+  EXPECT_EQ(dml->suspects, 8u);
+  EXPECT_EQ(dml->plan_fallbacks, 0u);
+  EXPECT_EQ(dml->rows_inserted, 196u);
+  EXPECT_EQ(dml->et_errors, 5u);
+  EXPECT_EQ(dml->range_errors, 1u);
+  EXPECT_EQ(dml->statements_issued, 16u);
+  obs::MetricsSnapshot snap = node_->MetricsSnapshot();
+  EXPECT_EQ(snap.counters.at("hyperq_error_suspects_total"), 8u);
+  EXPECT_EQ(snap.counters.at("hyperq_error_plan_fallbacks_total"), 0u);
 }
 
 TEST_F(ObservabilityE2eTest, FailedImportEndsTheJobAsFailed) {

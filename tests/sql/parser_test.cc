@@ -89,6 +89,18 @@ TEST(ParserTest, InsertWithPlaceholders) {
   EXPECT_EQ(cast.target.id, types::TypeId::kDate);
 }
 
+TEST(ParserTest, TryCast) {
+  auto e = ParseExpression("TRY_CAST(S.a AS INTEGER)").ValueOrDie();
+  ASSERT_EQ(e->kind, ExprKind::kCast);
+  const auto& cast = static_cast<const CastExpr&>(*e);
+  EXPECT_TRUE(cast.try_cast);
+  EXPECT_EQ(cast.target.id, types::TypeId::kInt32);
+  EXPECT_FALSE(static_cast<const CastExpr&>(*ParseExpression("CAST(a AS INTEGER)").ValueOrDie())
+                   .try_cast);
+  // Without a parenthesis it is an ordinary column name.
+  EXPECT_EQ(ParseExpression("try_cast + 1").ValueOrDie()->kind, ExprKind::kBinary);
+}
+
 TEST(ParserTest, InsertSelect) {
   auto stmt = ParseStatement("INSERT INTO t SELECT a FROM s").ValueOrDie();
   const auto& ins = As<InsertStmt>(*stmt);

@@ -35,6 +35,8 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT a FROM t WHERE name LIKE 'A%'",
         "SELECT CAST(a AS DECIMAL(10,2)) FROM t",
         "SELECT CAST(a AS DATE FORMAT 'YYYY-MM-DD') FROM t",
+        "SELECT TRY_CAST(a AS INTEGER), TRY_TO_DATE(b, 'YYYY-MM-DD') FROM t",
+        "SELECT S.HQ_ROWNUM FROM stg S WHERE S.a IS NOT NULL AND TRY_CAST(S.a AS DATE) IS NULL",
         "SELECT TRIM(a), UPPER(b), SUBSTR(c, 1, 3) FROM t",
         "SELECT EXTRACT(YEAR FROM d), ADD_MONTHS(d, 3) FROM t",
         "SELECT DATE '2020-01-31', TIMESTAMP '2020-01-31 10:20:30.000000'",
