@@ -463,26 +463,32 @@ Result<DmlApplyResult> CommitTail::Apply(const sql::Statement* dml, SealedBatch*
   obs::ScopedTimer apply_timer(m_.apply_seconds);
   obs::ScopedSpan apply_span(trace_.get(), obs::Phase::kDmlApply, "apply");
   // Acquisition-phase data errors go to the ET table first (the legacy
-  // tuple-at-a-time semantics: bad input records are excluded and logged).
-  // errors_recorded advances per durable insert, so a retry resumes instead
-  // of duplicating ET rows.
+  // tuple-at-a-time semantics: bad input records are excluded and logged),
+  // all in one statement. errors_recorded moves to errors.size() only once
+  // it succeeded, so a retried commit writes each row exactly once.
   common::RetryPolicy exec_retry = MakeIoRetry("cdw");
-  for (; batch->errors_recorded < batch->errors.size(); ++batch->errors_recorded) {
-    const RecordError& e = batch->errors[batch->errors_recorded];
-    std::string sql_text =
-        "INSERT INTO " + target_.error_table_et + " VALUES (" + std::to_string(e.code) + ", " +
-        (e.field.empty() ? std::string("NULL") : SqlQuote(e.field)) + ", " +
-        SqlQuote(e.message + " (input row number: " + std::to_string(e.row_number) + ")") + ")";
+  if (batch->errors_recorded < batch->errors.size()) {
+    std::vector<EtRow> rows;
+    rows.reserve(batch->errors.size() - batch->errors_recorded);
+    for (size_t i = batch->errors_recorded; i < batch->errors.size(); ++i) {
+      const RecordError& e = batch->errors[i];
+      rows.push_back({e.code, e.field,
+                      e.message + " (input row number: " + std::to_string(e.row_number) + ")"});
+    }
+    const std::string sql_text = EtInsertSql(target_.error_table_et, rows);
     HQ_RETURN_NOT_OK(exec_retry.Run("cdw.exec", [&](const common::RetryAttempt&) {
       return ctx_.cdw->ExecuteSql(sql_text).status();
     }));
+    batch->errors_recorded = batch->errors.size();
   }
   if (dml == nullptr || batch->last_row < batch->first_row) return DmlApplyResult{};
   AdaptiveOptions adaptive;
   adaptive.max_errors = ctx_.options.max_errors;
   adaptive.max_retries = ctx_.options.max_retries;
   adaptive.enforce_uniqueness = ctx_.options.enforce_uniqueness;
-  adaptive.io_retry = ctx_.options.io_retry;
+  // The tail's breaker and backoff spans: a retried apply, probe or ET
+  // statement records a retry span like uploads and COPYs do.
+  adaptive.io_retry = exec_retry.options();
   adaptive.isolation = ctx_.options.error_isolation;
   AdaptiveDmlApplier applier(ctx_.cdw, dml, target_.layout, staging_table_, target_.target_table,
                              target_.error_table_et, target_.error_table_uv, adaptive);

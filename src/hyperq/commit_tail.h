@@ -123,7 +123,9 @@ struct SealedBatch {
   /// One bit per cdw::StagingFormat present among `files` (the COPY format).
   uint8_t file_formats = 0;
   std::vector<RecordError> errors;
-  size_t errors_recorded = 0;  ///< ET rows durably inserted so far
+  /// ET rows durably inserted: 0 until the batch's one ET insert succeeds,
+  /// then errors.size().
+  size_t errors_recorded = 0;
   uint64_t chunks = 0;
   uint64_t rows_staged = 0;
   uint64_t bytes_staged = 0;
@@ -186,10 +188,11 @@ class CommitTail {
   common::Status Stage(const SealedBatch& batch, const std::string& subdir,
                        bool stage_rows) const;
 
-  /// Records the batch's data errors in the ET table, resuming at
-  /// errors_recorded, then applies `dml` over [first_row, last_row]. A null
-  /// `dml` records the errors only. On failure, errors_recorded ==
-  /// errors.size() means the DML apply itself failed.
+  /// Records the batch's data errors in the ET table in one statement
+  /// (none when there are none, or when a previous attempt recorded them),
+  /// then applies `dml` over [first_row, last_row]. A null `dml` records the
+  /// errors only. On failure, errors_recorded == errors.size() means the DML
+  /// apply itself failed.
   common::Result<DmlApplyResult> Apply(const sql::Statement* dml, SealedBatch* batch) const;
 
   /// Ends the job once: releases the active gauge, counts the job completed

@@ -68,6 +68,21 @@ std::string SqlQuote(const std::string& s) {
   return out;
 }
 
+std::string EtInsertSql(const std::string& et_table, const std::vector<EtRow>& rows) {
+  std::string sql = "INSERT INTO " + et_table + " VALUES ";
+  for (const EtRow& row : rows) {
+    if (&row != &rows.front()) sql += ", ";
+    sql += '(';
+    sql += std::to_string(row.code);
+    sql += ", ";
+    sql += row.field.empty() ? "NULL" : SqlQuote(row.field);
+    sql += ", ";
+    sql += SqlQuote(row.message);
+    sql += ')';
+  }
+  return sql;
+}
+
 AdaptiveDmlApplier::AdaptiveDmlApplier(cdw::CdwServer* cdw, const sql::Statement* legacy_dml,
                                        Schema layout, std::string staging_table,
                                        std::string target_table, std::string et_table,
@@ -211,9 +226,11 @@ sql::ExprPtr TryForm(const sql::Expr& e, const Schema& staging, const sql::Expr*
 }
 
 /// The predicate that holds on the rows where loading `item` into `target`
-/// fails; null when the shape is not recognised.
+/// fails. `*modelled` is false when the shape is not recognised; a
+/// recognised item that cannot fail gives null.
 sql::ExprPtr SuspectPredicate(const sql::Expr& item, const types::Field& target,
-                              const Schema& staging) {
+                              const Schema& staging, bool* modelled) {
+  *modelled = true;
   const types::Field* source = nullptr;
   if (CannotFail(item, staging, &source)) {
     sql::ExprPtr p;
@@ -229,46 +246,70 @@ sql::ExprPtr SuspectPredicate(const sql::Expr& item, const types::Field& target,
   }
   const sql::Expr* column = nullptr;
   sql::ExprPtr converted = TryForm(item, staging, &column);
-  if (!converted) return nullptr;
+  if (!converted) {
+    *modelled = false;
+    return nullptr;
+  }
   // NULL input converts to NULL, which a NOT NULL target rejects too.
   if (!target.nullable) return IsNull(std::move(converted));
   return Combine(sql::BinaryOp::kAnd, IsNull(column->Clone(), /*negated=*/true),
                  IsNull(std::move(converted)));
 }
 
+/// SELECT ... FROM <the bound select's staging> S WHERE <its range>, with
+/// the select list left to the caller.
+sql::SelectStmt StagingQuery(const sql::SelectStmt& bound) {
+  sql::SelectStmt query;
+  query.has_from = true;
+  query.from = bound.from;
+  query.where = bound.where->Clone();
+  return query;
+}
+
 }  // namespace
+
+bool AdaptiveDmlApplier::PlainInsert() const {
+  return legacy_dml_->kind == sql::StatementKind::kInsert &&
+         static_cast<const sql::InsertStmt&>(*legacy_dml_).rows.size() == 1;
+}
+
+Result<std::vector<AdaptiveDmlApplier::ItemModel>> AdaptiveDmlApplier::ModelItems(
+    const sql::InsertStmt& bound) const {
+  HQ_ASSIGN_OR_RETURN(cdw::TablePtr target, cdw_->catalog()->GetTable(bound.table));
+  HQ_ASSIGN_OR_RETURN(cdw::TablePtr staging, cdw_->catalog()->GetTable(staging_table_));
+  const Schema& target_schema = target->schema();
+  const size_t ncolumns =
+      bound.columns.empty() ? target_schema.num_fields() : bound.columns.size();
+  std::vector<ItemModel> items;
+  for (size_t i = 0; i < bound.select->items.size() && i < ncolumns; ++i) {
+    const int idx = bound.columns.empty() ? static_cast<int>(i)
+                                          : target_schema.FieldIndex(bound.columns[i]);
+    if (idx < 0) return std::vector<ItemModel>{};
+    const types::Field& column = target_schema.field(static_cast<size_t>(idx));
+    ItemModel item;
+    item.column = column.name;
+    item.fails = SuspectPredicate(*bound.select->items[i].expr, column, staging->schema(),
+                                  &item.modelled);
+    items.push_back(std::move(item));
+  }
+  return items;
+}
 
 Result<std::vector<uint64_t>> AdaptiveDmlApplier::FindSuspects(uint64_t first, uint64_t last,
                                                                DmlApplyResult* result) {
   HQ_ASSIGN_OR_RETURN(sql::StatementPtr bound, Bind(first, last));
   const auto& insert = static_cast<const sql::InsertStmt&>(*bound);
-  HQ_ASSIGN_OR_RETURN(cdw::TablePtr target, cdw_->catalog()->GetTable(insert.table));
-  HQ_ASSIGN_OR_RETURN(cdw::TablePtr staging, cdw_->catalog()->GetTable(staging_table_));
-  const Schema& target_schema = target->schema();
-  // The target column each select item loads, in select order.
-  const size_t ncolumns =
-      insert.columns.empty() ? target_schema.num_fields() : insert.columns.size();
-  std::vector<const types::Field*> columns;
-  for (size_t c = 0; c < ncolumns; ++c) {
-    const int idx = insert.columns.empty() ? static_cast<int>(c)
-                                           : target_schema.FieldIndex(insert.columns[c]);
-    if (idx < 0) return std::vector<uint64_t>{};
-    columns.push_back(&target_schema.field(static_cast<size_t>(idx)));
-  }
-  const sql::SelectStmt& select = *insert.select;
+  HQ_ASSIGN_OR_RETURN(std::vector<ItemModel> items, ModelItems(insert));
   sql::ExprPtr any;
-  for (size_t i = 0; i < select.items.size() && i < columns.size(); ++i) {
-    any = Combine(sql::BinaryOp::kOr, std::move(any),
-                  SuspectPredicate(*select.items[i].expr, *columns[i], staging->schema()));
+  for (ItemModel& item : items) {
+    any = Combine(sql::BinaryOp::kOr, std::move(any), std::move(item.fails));
   }
   if (!any) return std::vector<uint64_t>{};
 
   // SELECT S.HQ_ROWNUM FROM <staging> S WHERE <range> AND (p1 OR p2 ...)
-  sql::SelectStmt query;
+  sql::SelectStmt query = StagingQuery(*insert.select);
   query.items.push_back({std::make_unique<sql::ColumnRefExpr>(kStagingAlias, kRowNumColumn), ""});
-  query.has_from = true;
-  query.from = select.from;
-  query.where = Combine(sql::BinaryOp::kAnd, select.where->Clone(), std::move(any));
+  query.where = Combine(sql::BinaryOp::kAnd, std::move(query.where), std::move(any));
   const std::string sql_text = sql::PrintStatement(query);
   ++result->statements_issued;
   HQ_ASSIGN_OR_RETURN(cdw::ExecResult rows, ExecSql(sql_text));
@@ -283,30 +324,43 @@ Result<std::vector<uint64_t>> AdaptiveDmlApplier::FindSuspects(uint64_t first, u
 
 Result<DmlApplyResult> AdaptiveDmlApplier::Apply(uint64_t first_row, uint64_t last_row) {
   DmlApplyResult result;
-  if (last_row < first_row) return result;  // empty load
-  auto root = ExecuteBound(first_row, last_row, &result);
-  if (root.ok()) {
-    AddCounts(*root, &result);
+  const Status searched = Search(first_row, last_row, &result);
+  if (et_rows_.empty()) {
+    HQ_RETURN_NOT_OK(searched);
     return result;
+  }
+  // The ET rows the search recorded go out in one statement, also after the
+  // search failed.
+  ++result.statements_issued;
+  const Status written = ExecSql(EtInsertSql(et_table_, et_rows_)).status();
+  et_rows_.clear();
+  HQ_RETURN_NOT_OK(searched);
+  HQ_RETURN_NOT_OK(written);
+  return result;
+}
+
+Status AdaptiveDmlApplier::Search(uint64_t first_row, uint64_t last_row,
+                                  DmlApplyResult* result) {
+  if (last_row < first_row) return Status::OK();  // empty load
+  auto root = ExecuteBound(first_row, last_row, result);
+  if (root.ok()) {
+    AddCounts(*root, result);
+    return Status::OK();
   }
   if (!IsAbsorbableFailure(root.status())) return root.status();
   // UPDATE, DELETE and MERGE keep halving: with repeated keys, applying two
   // ranges in one statement is not the same as applying them one after the
   // other.
-  const bool plain_insert = legacy_dml_->kind == sql::StatementKind::kInsert &&
-                            static_cast<const sql::InsertStmt&>(*legacy_dml_).rows.size() == 1;
-  if (options_.isolation == ErrorIsolation::kPlanned && plain_insert && first_row < last_row &&
+  if (options_.isolation == ErrorIsolation::kPlanned && PlainInsert() && first_row < last_row &&
       !Cutoff(0)) {
-    Result<std::vector<uint64_t>> suspects = FindSuspects(first_row, last_row, &result);
+    Result<std::vector<uint64_t>> suspects = FindSuspects(first_row, last_row, result);
     if (suspects.ok() && !suspects->empty()) {
-      result.suspects = suspects->size();
-      HQ_RETURN_NOT_OK(ApplyPlanned(first_row, last_row, *suspects, &result));
-      return result;
+      result->suspects = suspects->size();
+      return ApplyPlanned(first_row, last_row, *suspects, result);
     }
-    ++result.plan_fallbacks;
+    ++result->plan_fallbacks;
   }
-  HQ_RETURN_NOT_OK(IsolateFailedRange(first_row, last_row, 0, root.status(), &result));
-  return result;
+  return IsolateFailedRange(first_row, last_row, 0, root.status(), result);
 }
 
 Status AdaptiveDmlApplier::ApplyRange(uint64_t first, uint64_t last, int depth,
@@ -328,7 +382,8 @@ Status AdaptiveDmlApplier::IsolateFailedRange(uint64_t first, uint64_t last, int
   }
   if (Cutoff(depth)) {
     // Stop splitting: record the whole failing range (Figure 6's final row).
-    return RecordRangeError(first, last, result);
+    RecordRangeError(first, last, result);
+    return Status::OK();
   }
   uint64_t mid = first + (last - first) / 2;
   HQ_RETURN_NOT_OK(ApplyRange(first, mid, depth + 1, result));
@@ -412,42 +467,46 @@ Status AdaptiveDmlApplier::ApplyPlanned(uint64_t first, uint64_t last,
 }
 
 std::string AdaptiveDmlApplier::IdentifyErrorField(uint64_t row) {
-  // Only the INSERT form carries per-target-column expressions we can probe
-  // one at a time.
-  if (legacy_dml_->kind != sql::StatementKind::kInsert) return "";
-  const auto& ins = static_cast<const sql::InsertStmt&>(*legacy_dml_);
-  if (ins.rows.size() != 1) return "";
+  // Only the INSERT form maps select items one to one onto target columns.
+  if (!PlainInsert()) return "";
+  auto bound = Bind(row, row);
+  if (!bound.ok()) return "";
+  const auto& insert = static_cast<const sql::InsertStmt&>(**bound);
+  auto items = ModelItems(insert);
+  if (!items.ok()) return "";
+  const sql::SelectStmt& select = *insert.select;
 
-  // Resolve target column names for labelling.
-  std::vector<std::string> column_names = ins.columns;
-  if (column_names.empty()) {
-    auto table = cdw_->catalog()->GetTable(ins.table);
-    if (table.ok()) {
-      for (const auto& f : (*table)->schema().fields()) column_names.push_back(f.name);
+  // One probe answers for every modelled item that can fail:
+  // SELECT <fails_i>, <fails_j>, ... FROM staging S WHERE <row>.
+  std::vector<bool> fails(items->size(), false);
+  std::vector<size_t> probed;
+  sql::SelectStmt model_probe = StagingQuery(select);
+  for (size_t i = 0; i < items->size(); ++i) {
+    if (!(*items)[i].fails) continue;
+    probed.push_back(i);
+    model_probe.items.push_back({std::move((*items)[i].fails), ""});
+  }
+  if (!probed.empty()) {
+    auto answer = ExecSql(sql::PrintStatement(model_probe));
+    if (answer.ok() && answer->rows.size() == 1) {
+      for (size_t k = 0; k < probed.size(); ++k) {
+        const Value& v = answer->rows[0][k];
+        fails[probed[k]] = v.is_boolean() && v.boolean();
+      }
     }
   }
-  auto staging = cdw_->catalog()->GetTable(staging_table_);
-  auto bound = Bind(row, row);
-  if (!staging.ok() || !bound.ok()) return "";
-  const auto& bound_insert = static_cast<const sql::InsertStmt&>(**bound);
-  if (!bound_insert.select) return "";
-  const sql::SelectStmt& select = *bound_insert.select;
-
-  for (size_t i = 0; i < select.items.size(); ++i) {
-    // A column whose expression cannot fail would probe successfully.
-    if (CannotFail(*select.items[i].expr, (*staging)->schema())) continue;
-    // Probe: SELECT <expr_i> FROM staging S WHERE S.HQ_ROWNUM BETWEEN row AND row.
-    sql::SelectStmt probe;
-    probe.items.push_back({select.items[i].expr->Clone(), ""});
-    probe.has_from = true;
-    probe.from = select.from;
-    probe.where = select.where->Clone();
-    const std::string sql_text = sql::PrintStatement(probe);
-    auto probed = ExecSql(sql_text);
-    if (!probed.ok() && IsAbsorbableFailure(probed.status())) {
-      if (i < column_names.size()) return column_names[i];
-      return "";
+  // The first failing column in target order; an item the model does not
+  // recognise is probed by evaluating its expression.
+  for (size_t i = 0; i < items->size(); ++i) {
+    const ItemModel& item = (*items)[i];
+    if (item.modelled) {
+      if (fails[i]) return item.column;
+      continue;
     }
+    sql::SelectStmt probe = StagingQuery(select);
+    probe.items.push_back({select.items[i].expr->Clone(), ""});
+    auto probed_expr = ExecSql(sql::PrintStatement(probe));
+    if (!probed_expr.ok() && IsAbsorbableFailure(probed_expr.status())) return item.column;
   }
   return "";
 }
@@ -474,39 +533,25 @@ Status AdaptiveDmlApplier::RecordSingletonError(uint64_t row, const Status& fail
     return Status::OK();
   }
   // Transformation error: Figure 6 shape.
-  std::string field = IdentifyErrorField(row);
   const bool is_date = failure.message().find("DATE conversion") != std::string::npos;
-  uint32_t code = is_date ? legacy::kErrDateConversionDml : legacy::kErrFormatViolation;
-  std::string message;
-  if (is_date) {
-    message = "DATE conversion failed during DML on " + target_table_ +
-              ", row number: " + std::to_string(row);
-  } else {
-    message = failure.message() + " during DML on " + target_table_ +
-              ", row number: " + std::to_string(row);
-  }
-  std::string sql_text = "INSERT INTO " + et_table_ + " VALUES (" + std::to_string(code) + ", " +
-                         (field.empty() ? std::string("NULL") : SqlQuote(field)) + ", " +
-                         SqlQuote(message) + ")";
-  ++result->statements_issued;
-  HQ_RETURN_NOT_OK(ExecSql(sql_text).status());
+  EtRow et;
+  et.code = is_date ? legacy::kErrDateConversionDml : legacy::kErrFormatViolation;
+  et.field = IdentifyErrorField(row);
+  et.message = (is_date ? std::string("DATE conversion failed") : failure.message()) +
+               " during DML on " + target_table_ + ", row number: " + std::to_string(row);
+  et_rows_.push_back(std::move(et));
   ++result->et_errors;
   return Status::OK();
 }
 
-Status AdaptiveDmlApplier::RecordRangeError(uint64_t first, uint64_t last,
-                                            DmlApplyResult* result) {
-  std::string message = "Max number of errors reached during DML on " + target_table_ +
-                        ", row numbers: (" + std::to_string(first) + ", " + std::to_string(last) +
-                        ")";
-  std::string sql_text = "INSERT INTO " + et_table_ + " VALUES (" +
-                         std::to_string(legacy::kErrMaxErrorsReached) + ", NULL, " +
-                         SqlQuote(message) + ")";
-  ++result->statements_issued;
-  HQ_RETURN_NOT_OK(ExecSql(sql_text).status());
+void AdaptiveDmlApplier::RecordRangeError(uint64_t first, uint64_t last,
+                                          DmlApplyResult* result) {
+  et_rows_.push_back({legacy::kErrMaxErrorsReached, "",
+                      "Max number of errors reached during DML on " + target_table_ +
+                          ", row numbers: (" + std::to_string(first) + ", " +
+                          std::to_string(last) + ")"});
   ++result->et_errors;
   ++result->range_errors;
-  return Status::OK();
 }
 
 }  // namespace hyperq::core

@@ -40,6 +40,7 @@ struct AdaptiveOptions {
   /// Transient-failure policy for every statement shipped to the CDW. The
   /// adaptive splitting above absorbs *tuple* errors; this absorbs *endpoint*
   /// errors (injected or real), which would otherwise abort the whole apply.
+  /// Its on_backoff hook, when set, sees every retried statement.
   common::RetryOptions io_retry;
 };
 
@@ -47,11 +48,12 @@ struct DmlApplyResult {
   uint64_t rows_inserted = 0;
   uint64_t rows_updated = 0;
   uint64_t rows_deleted = 0;
-  uint64_t et_errors = 0;  ///< transformation/data errors recorded
+  uint64_t et_errors = 0;  ///< transformation/data errors recorded (ET rows)
   uint64_t uv_errors = 0;  ///< uniqueness violations recorded
   uint64_t range_errors = 0;  ///< 9057 range entries among et_errors
   /// DML statements issued against the CDW (instrumentation for benchmarks);
-  /// the suspect query counts, the ERRORFIELD probes do not.
+  /// the suspect query and the one ET insert count, the ERRORFIELD probes
+  /// do not.
   uint64_t statements_issued = 0;
   /// Rows the suspect query predicted to fail (planned isolation).
   uint64_t suspects = 0;
@@ -67,6 +69,18 @@ struct DmlApplyResult {
 ///   SEQNO BIGINT, ERRCODE INTEGER — Figure 5(c) shape.
 types::Schema MakeEtErrorSchema();
 types::Schema MakeUvErrorSchema(const types::Schema& layout);
+
+/// One ET row: ERRORCODE, ERRORFIELD (empty is written as NULL) and
+/// ERRORMESSAGE.
+struct EtRow {
+  uint32_t code = 0;
+  std::string field;
+  std::string message;
+};
+
+/// The only text that writes ET rows: `INSERT INTO <et_table> VALUES
+/// (...), (...)` with `rows` in order. `rows` must not be empty.
+std::string EtInsertSql(const std::string& et_table, const std::vector<EtRow>& rows);
 
 /// Quarantine table for the data-quality gate (HQ_QRTN_<job>): the load
 /// layout's columns as raw text — quarantined rows are diagnostics, not typed
@@ -88,10 +102,14 @@ class AdaptiveDmlApplier {
                      std::string et_table, std::string uv_table, AdaptiveOptions options);
 
   /// Applies the DML over staging rows [first_row, last_row] (inclusive,
-  /// 1-based global row numbers).
+  /// 1-based global row numbers). The ET rows the search records are sent
+  /// in one statement when it ends, also when it ends in an error.
   common::Result<DmlApplyResult> Apply(uint64_t first_row, uint64_t last_row);
 
  private:
+  /// Apply without the ET write: the root statement, then the planned or
+  /// halving search.
+  common::Status Search(uint64_t first_row, uint64_t last_row, DmlApplyResult* result);
   /// The halving search over [first, last]: executes it, and on a tuple
   /// failure records or splits it (IsolateFailedRange).
   common::Status ApplyRange(uint64_t first, uint64_t last, int depth, DmlApplyResult* result);
@@ -112,11 +130,26 @@ class AdaptiveDmlApplier {
   common::Status ApplyPlanned(uint64_t first, uint64_t last,
                               const std::vector<uint64_t>& suspects, DmlApplyResult* result);
 
+  /// True for an INSERT with one VALUES row: the DML whose select items map
+  /// one to one onto target columns.
+  bool PlainInsert() const;
+  /// Per select item of a bound INSERT...SELECT: the target column it loads,
+  /// and whether the item's failure is modelled, by `fails` (null when it
+  /// cannot fail). Empty when a listed column does not exist.
+  struct ItemModel {
+    std::string column;
+    bool modelled = false;
+    sql::ExprPtr fails;
+  };
+  common::Result<std::vector<ItemModel>> ModelItems(const sql::InsertStmt& bound) const;
+
+  /// A UV row is inserted now; an ET row is kept for the one ET insert.
   common::Status RecordSingletonError(uint64_t row, const common::Status& failure,
                                       DmlApplyResult* result);
-  common::Status RecordRangeError(uint64_t first, uint64_t last, DmlApplyResult* result);
-  /// Finds which target column's expression fails for a given staging row
-  /// (best-effort; empty when not identifiable).
+  void RecordRangeError(uint64_t first, uint64_t last, DmlApplyResult* result);
+  /// Finds which target column fails to load a given staging row
+  /// (best-effort; empty when not identifiable): one probe for the modelled
+  /// items, an expression probe for each other item.
   std::string IdentifyErrorField(uint64_t row);
 
   /// The DML bound to staging rows [first, last] and transpiled.
@@ -141,6 +174,8 @@ class AdaptiveDmlApplier {
   std::string uv_table_;
   AdaptiveOptions options_;
   uint64_t errors_recorded_ = 0;
+  /// ET rows recorded by the search and not yet written, in record order.
+  std::vector<EtRow> et_rows_;
 };
 
 /// SQL-quotes a string literal (doubling single quotes).

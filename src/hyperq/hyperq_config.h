@@ -81,13 +81,6 @@ struct HyperQOptions {
   size_t export_chunk_rows = 4096;
   size_t export_prefetch_chunks = 8;
 
-  /// Streaming sessions: how many committed micro-batches keep their COPY
-  /// idempotence ledger entries. A client can only replay the most recent
-  /// CommitBatch (the protocol is synchronous), so entries older than the
-  /// last batch exist purely as slack; evicting past this window bounds the
-  /// ledger for arbitrarily long streams without weakening exactly-once.
-  size_t stream_ledger_keep_batches = 2;
-
   /// Emulated uniqueness enforcement (Section 7: "the CDW might not provide
   /// native support for uniqueness constraints. In those cases, Hyper-Q
   /// enforces uniqueness through emulation").

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "types/schema.h"
 #include "types/type.h"
 #include "types/value.h"
@@ -204,6 +206,12 @@ struct BetweenExpr : Expr {
     return copy;
   }
 };
+
+/// A copy of `expr` with every child replaced by `rewrite(child)`; a leaf
+/// (literal, column reference, placeholder, star) is cloned. The shared step
+/// of the bottom-up rewrites: binding, transpiling, literal substitution.
+common::Result<ExprPtr> MapChildren(
+    const Expr& expr, const std::function<common::Result<ExprPtr>(const Expr&)>& rewrite);
 
 // ---------------------------------------------------------------------------
 // Statements

@@ -20,96 +20,20 @@ class PlaceholderRewriter {
         target_alias_(std::move(target_alias_for_bare)) {}
 
   Result<ExprPtr> Rewrite(const Expr& expr) {
-    switch (expr.kind) {
-      case ExprKind::kPlaceholder: {
-        const auto& ph = static_cast<const PlaceholderExpr&>(expr);
-        if (layout_.FieldIndex(ph.name) < 0) {
-          return Status::ParseError("placeholder :" + ph.name +
-                                    " does not match any layout field");
-        }
-        return ExprPtr(std::make_unique<ColumnRefExpr>(staging_alias_, ph.name));
+    if (expr.kind == ExprKind::kPlaceholder) {
+      const auto& ph = static_cast<const PlaceholderExpr&>(expr);
+      if (layout_.FieldIndex(ph.name) < 0) {
+        return Status::ParseError("placeholder :" + ph.name + " does not match any layout field");
       }
-      case ExprKind::kColumnRef: {
-        const auto& col = static_cast<const ColumnRefExpr&>(expr);
-        if (col.table.empty() && !target_alias_.empty()) {
-          return ExprPtr(std::make_unique<ColumnRefExpr>(target_alias_, col.column));
-        }
-        return expr.Clone();
-      }
-      case ExprKind::kLiteral:
-      case ExprKind::kStar:
-        return expr.Clone();
-      case ExprKind::kUnary: {
-        const auto& u = static_cast<const UnaryExpr&>(expr);
-        HQ_ASSIGN_OR_RETURN(ExprPtr operand, Rewrite(*u.operand));
-        return ExprPtr(std::make_unique<UnaryExpr>(u.op, std::move(operand)));
-      }
-      case ExprKind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(expr);
-        HQ_ASSIGN_OR_RETURN(ExprPtr left, Rewrite(*b.left));
-        HQ_ASSIGN_OR_RETURN(ExprPtr right, Rewrite(*b.right));
-        return ExprPtr(std::make_unique<BinaryExpr>(b.op, std::move(left), std::move(right)));
-      }
-      case ExprKind::kFunction: {
-        const auto& fn = static_cast<const FunctionExpr&>(expr);
-        auto copy = std::make_unique<FunctionExpr>();
-        copy->name = fn.name;
-        copy->distinct = fn.distinct;
-        for (const auto& a : fn.args) {
-          HQ_ASSIGN_OR_RETURN(ExprPtr e, Rewrite(*a));
-          copy->args.push_back(std::move(e));
-        }
-        return ExprPtr(std::move(copy));
-      }
-      case ExprKind::kCast: {
-        const auto& cast = static_cast<const CastExpr&>(expr);
-        HQ_ASSIGN_OR_RETURN(ExprPtr operand, Rewrite(*cast.operand));
-        return ExprPtr(std::make_unique<CastExpr>(std::move(operand), cast.target, cast.format,
-                                                  cast.try_cast));
-      }
-      case ExprKind::kCase: {
-        const auto& c = static_cast<const CaseExpr&>(expr);
-        auto copy = std::make_unique<CaseExpr>();
-        if (c.operand) {
-          HQ_ASSIGN_OR_RETURN(copy->operand, Rewrite(*c.operand));
-        }
-        for (const auto& [when, then] : c.whens) {
-          HQ_ASSIGN_OR_RETURN(ExprPtr w, Rewrite(*when));
-          HQ_ASSIGN_OR_RETURN(ExprPtr t, Rewrite(*then));
-          copy->whens.emplace_back(std::move(w), std::move(t));
-        }
-        if (c.else_expr) {
-          HQ_ASSIGN_OR_RETURN(copy->else_expr, Rewrite(*c.else_expr));
-        }
-        return ExprPtr(std::move(copy));
-      }
-      case ExprKind::kIsNull: {
-        const auto& isn = static_cast<const IsNullExpr&>(expr);
-        HQ_ASSIGN_OR_RETURN(ExprPtr operand, Rewrite(*isn.operand));
-        return ExprPtr(std::make_unique<IsNullExpr>(std::move(operand), isn.negated));
-      }
-      case ExprKind::kInList: {
-        const auto& in = static_cast<const InListExpr&>(expr);
-        auto copy = std::make_unique<InListExpr>();
-        HQ_ASSIGN_OR_RETURN(copy->operand, Rewrite(*in.operand));
-        for (const auto& e : in.list) {
-          HQ_ASSIGN_OR_RETURN(ExprPtr item, Rewrite(*e));
-          copy->list.push_back(std::move(item));
-        }
-        copy->negated = in.negated;
-        return ExprPtr(std::move(copy));
-      }
-      case ExprKind::kBetween: {
-        const auto& bt = static_cast<const BetweenExpr&>(expr);
-        auto copy = std::make_unique<BetweenExpr>();
-        HQ_ASSIGN_OR_RETURN(copy->operand, Rewrite(*bt.operand));
-        HQ_ASSIGN_OR_RETURN(copy->low, Rewrite(*bt.low));
-        HQ_ASSIGN_OR_RETURN(copy->high, Rewrite(*bt.high));
-        copy->negated = bt.negated;
-        return ExprPtr(std::move(copy));
+      return ExprPtr(std::make_unique<ColumnRefExpr>(staging_alias_, ph.name));
+    }
+    if (expr.kind == ExprKind::kColumnRef) {
+      const auto& col = static_cast<const ColumnRefExpr&>(expr);
+      if (col.table.empty() && !target_alias_.empty()) {
+        return ExprPtr(std::make_unique<ColumnRefExpr>(target_alias_, col.column));
       }
     }
-    return Status::Internal("unknown expression kind in binder");
+    return MapChildren(expr, [this](const Expr& child) { return Rewrite(child); });
   }
 
  private:

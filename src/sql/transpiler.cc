@@ -75,12 +75,12 @@ Result<ExprPtr> TranspileExpr(const Expr& expr) {
     case ExprKind::kColumnRef:
     case ExprKind::kPlaceholder:
     case ExprKind::kStar:
-      return expr.Clone();
-    case ExprKind::kUnary: {
-      const auto& u = static_cast<const UnaryExpr&>(expr);
-      HQ_ASSIGN_OR_RETURN(ExprPtr operand, TranspileExpr(*u.operand));
-      return ExprPtr(std::make_unique<UnaryExpr>(u.op, std::move(operand)));
-    }
+    case ExprKind::kUnary:
+    case ExprKind::kCase:
+    case ExprKind::kIsNull:
+    case ExprKind::kInList:
+    case ExprKind::kBetween:
+      return MapChildren(expr, TranspileExpr);
     case ExprKind::kBinary: {
       const auto& b = static_cast<const BinaryExpr&>(expr);
       HQ_ASSIGN_OR_RETURN(ExprPtr left, TranspileExpr(*b.left));
@@ -159,47 +159,6 @@ Result<ExprPtr> TranspileExpr(const Expr& expr) {
       }
       HQ_ASSIGN_OR_RETURN(types::TypeDesc mapped, types::MapLegacyTypeToCdw(cast.target));
       return ExprPtr(std::make_unique<CastExpr>(std::move(operand), mapped, "", cast.try_cast));
-    }
-    case ExprKind::kCase: {
-      const auto& c = static_cast<const CaseExpr&>(expr);
-      auto copy = std::make_unique<CaseExpr>();
-      if (c.operand) {
-        HQ_ASSIGN_OR_RETURN(copy->operand, TranspileExpr(*c.operand));
-      }
-      for (const auto& [when, then] : c.whens) {
-        HQ_ASSIGN_OR_RETURN(ExprPtr w, TranspileExpr(*when));
-        HQ_ASSIGN_OR_RETURN(ExprPtr t, TranspileExpr(*then));
-        copy->whens.emplace_back(std::move(w), std::move(t));
-      }
-      if (c.else_expr) {
-        HQ_ASSIGN_OR_RETURN(copy->else_expr, TranspileExpr(*c.else_expr));
-      }
-      return ExprPtr(std::move(copy));
-    }
-    case ExprKind::kIsNull: {
-      const auto& isn = static_cast<const IsNullExpr&>(expr);
-      HQ_ASSIGN_OR_RETURN(ExprPtr operand, TranspileExpr(*isn.operand));
-      return ExprPtr(std::make_unique<IsNullExpr>(std::move(operand), isn.negated));
-    }
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(expr);
-      auto copy = std::make_unique<InListExpr>();
-      HQ_ASSIGN_OR_RETURN(copy->operand, TranspileExpr(*in.operand));
-      for (const auto& e : in.list) {
-        HQ_ASSIGN_OR_RETURN(ExprPtr item, TranspileExpr(*e));
-        copy->list.push_back(std::move(item));
-      }
-      copy->negated = in.negated;
-      return ExprPtr(std::move(copy));
-    }
-    case ExprKind::kBetween: {
-      const auto& bt = static_cast<const BetweenExpr&>(expr);
-      auto copy = std::make_unique<BetweenExpr>();
-      HQ_ASSIGN_OR_RETURN(copy->operand, TranspileExpr(*bt.operand));
-      HQ_ASSIGN_OR_RETURN(copy->low, TranspileExpr(*bt.low));
-      HQ_ASSIGN_OR_RETURN(copy->high, TranspileExpr(*bt.high));
-      copy->negated = bt.negated;
-      return ExprPtr(std::move(copy));
     }
   }
   return Status::Internal("unknown expression kind");

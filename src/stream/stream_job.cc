@@ -205,11 +205,10 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitBatch(uint64_t batch_seq,
     HQ_RETURN_NOT_OK(poison_);
     // Client replay of a committed batch (lost BatchCommitted reply): the
     // journal answers; nothing downstream runs again.
-    auto it = committed_batches_.find(batch_seq);
-    if (it != committed_batches_.end()) {
+    if (last_committed_.has_value() && last_committed_->batch_seq == batch_seq) {
       ++stats_.commit_replays;
       if (m_.commit_replays != nullptr) m_.commit_replays->Increment();
-      return it->second;
+      return *last_committed_;
     }
     const uint64_t expected = stats_.batches_committed + 1;
     if (batch_seq != expected) {
@@ -335,13 +334,11 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
 
   uint64_t evicted = 0;
   if (!rejected) {
-    ledgered_prefixes_.push_back(tail_->remote_prefix() + batch_dir);
-    const size_t keep = std::max<size_t>(1, ctx.options.stream_ledger_keep_batches);
-    while (ledgered_prefixes_.size() > keep) {
-      ctx.cdw->ForgetCopiesWithPrefix(tail_->staging_table(), ledgered_prefixes_.front());
-      ledgered_prefixes_.pop_front();
+    if (!ledgered_prefix_.empty()) {
+      ctx.cdw->ForgetCopiesWithPrefix(tail_->staging_table(), ledgered_prefix_);
       ++evicted;
     }
+    ledgered_prefix_ = tail_->remote_prefix() + batch_dir;
   }
   if (sealed.qrtn_rows_staged != 0) {
     // Replays of this commit are answered from the journal without re-running
@@ -392,7 +389,7 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
                                    std::to_string(sealed.quality.rows_checked) +
                                    " rows quarantined to " + tail_->quarantine_table() + ")"
                              : "batch " + std::to_string(batch_seq) + " committed";
-    committed_batches_[batch_seq] = reply;
+    last_committed_ = reply;
   }
   if (m_.batches_committed != nullptr) {
     if (rejected) {

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -205,12 +203,14 @@ class StreamJob {
   std::optional<core::SealedBatch> sealed_;  ///< pending commit (busy-serialized)
 
   uint64_t last_watermark_ = 0;
-  /// Commit journal: batch_seq -> recorded reply, for client replays. Only
-  /// the latest entry is reachable by a correct client; the full map is kept
-  /// because it is tiny (one small struct per batch).
-  std::map<uint64_t, legacy::BatchCommittedBody> committed_batches_ HQ_GUARDED_BY(mu_);
-  /// Committed batch prefixes whose ledger entries are still retained.
-  std::deque<std::string> ledgered_prefixes_;
+  /// Commit journal: the last committed batch's reply, for a client replay
+  /// after a lost reply. The protocol is synchronous, so a correct client
+  /// can only replay the latest commit; an older batch_seq is out of
+  /// sequence.
+  std::optional<legacy::BatchCommittedBody> last_committed_ HQ_GUARDED_BY(mu_);
+  /// The last committed batch's prefix: the only one whose COPY ledger
+  /// entries are kept. Older ones can never be re-COPYed (see above).
+  std::string ledgered_prefix_;
 
   /// Cumulative quality aggregates across committed batches.
   core::QualityTotals quality_committed_ HQ_GUARDED_BY(mu_);

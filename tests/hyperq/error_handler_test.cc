@@ -73,6 +73,21 @@ class AdaptiveErrorTest : public ::testing::Test {
     return result.ok() ? *result : DmlApplyResult{};
   }
 
+  /// Recreates PROD.CUSTOMER with `ddl` and loads one staged row through
+  /// `dml`; returns the ERRORFIELD of the ET row it produces.
+  std::string ErrorFieldOf(const std::string& ddl, const std::string& dml,
+                           const std::vector<std::string>& row) {
+    EXPECT_TRUE(cdw_.ExecuteSql("DROP TABLE PROD.CUSTOMER").ok());
+    EXPECT_TRUE(cdw_.ExecuteSql(ddl).ok());
+    dml_ = sql::ParseStatement(dml).ValueOrDie();
+    StageRows({row});
+    auto result = Apply();
+    EXPECT_EQ(result.et_errors, 1u);
+    auto et = TableRows("PROD.CUSTOMER_ET");
+    if (et.size() != 1u) return std::to_string(et.size()) + " ET rows";
+    return et[0][1].is_null() ? "NULL" : et[0][1].string_value();
+  }
+
   std::vector<types::Row> TableRows(const std::string& name) {
     auto table = cdw_.catalog()->GetTable(name).ValueOrDie();
     std::vector<types::Row> rows;
@@ -222,16 +237,16 @@ TEST_F(AdaptiveErrorTest, AllRowsBadStillTerminates) {
 }
 
 TEST_F(AdaptiveErrorTest, InjectedFaultOnTheFailingProbeKeepsErrorField) {
-  // Every column is a CAST, so all three are probed, in order: the root
-  // statement is cdw.exec call 1 and the JOIN_DATE probe is call 4. A
-  // transient fault there used to read as "this column did not fail".
+  // Every column is a CAST, so one probe answers for all three: the root
+  // statement is cdw.exec call 1 and the probe is call 2. A transient fault
+  // there used to read as "this column did not fail".
   dml_ = sql::ParseStatement(
              "insert into PROD.CUSTOMER values (cast(:CUST_ID as varchar(5)), "
              "cast(:CUST_NAME as varchar(50)), cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'))")
              .ValueOrDie();
   StageRows({{"456", "Brown", "xxxx"}});
   common::FaultInjector::Global().ResetForTesting();
-  ASSERT_TRUE(common::FaultInjector::Global().Arm("cdw.exec=error,once=4").ok());
+  ASSERT_TRUE(common::FaultInjector::Global().Arm("cdw.exec=error,once=2").ok());
   AdaptiveOptions options;
   options.io_retry.sleep = false;
   auto result = Apply(options);
@@ -246,8 +261,8 @@ TEST_F(AdaptiveErrorTest, InjectedFaultOnTheFailingProbeKeepsErrorField) {
 }
 
 TEST_F(AdaptiveErrorTest, ProbesSkipColumnsThatCannotFail) {
-  // TRIM of a staging column cannot fail, so only the JOIN_DATE expression
-  // is probed: root, one probe and the ET insert.
+  // One probe answers for the NOT NULL CUST_ID and the JOIN_DATE conversion;
+  // TRIM(CUST_NAME) cannot fail: root, one probe and the ET insert.
   StageRows({{"456", "Brown", "xxxx"}});
   const uint64_t before = cdw_.statements_executed();
   auto result = Apply();
@@ -260,7 +275,7 @@ TEST_F(AdaptiveErrorTest, ProbesSkipColumnsThatCannotFail) {
 
 TEST_F(AdaptiveErrorTest, PlannedIsolationAppliesCleanRunsInOneStatementEach) {
   // One bad date in every 10 rows: root, suspect query, then per error one
-  // clean run, the failing singleton and its ET insert, plus the last run.
+  // clean run and the failing singleton, the last run, and one ET insert.
   std::vector<std::vector<std::string>> rows;
   for (int i = 1; i <= 100; ++i) {
     rows.push_back({std::to_string(i), "N", i % 10 == 4 ? "bad" : "2012-01-01"});
@@ -271,7 +286,7 @@ TEST_F(AdaptiveErrorTest, PlannedIsolationAppliesCleanRunsInOneStatementEach) {
   EXPECT_EQ(result.plan_fallbacks, 0u);
   EXPECT_EQ(result.rows_inserted, 90u);
   EXPECT_EQ(result.et_errors, 10u);
-  EXPECT_EQ(result.statements_issued, 2u + 11u + 10u + 10u);
+  EXPECT_EQ(result.statements_issued, 2u + 11u + 10u + 1u);
 
   // Halving finds the same errors in more statements.
   auto planned_et = TableRows("PROD.CUSTOMER_ET");
@@ -333,6 +348,86 @@ TEST_F(AdaptiveErrorTest, UpdateKeepsHalving) {
   EXPECT_EQ(result.suspects, 0u);
   EXPECT_EQ(result.plan_fallbacks, 0u);
   EXPECT_EQ(result.statements_issued, 3u + 1u);  // halving + the ET insert
+}
+
+TEST_F(AdaptiveErrorTest, EtRowsOfOneApplyGoOutInOneStatement) {
+  // 32 suspects: root, suspect query, 32 failing singletons with one probe
+  // each, and one ET insert for all 32 rows, in row order.
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < 32; ++i) rows.push_back({std::to_string(i), "X", "nope"});
+  StageRows(rows);
+  const uint64_t before = cdw_.statements_executed();
+  auto result = Apply();
+  EXPECT_EQ(result.et_errors, 32u);
+  EXPECT_EQ(result.statements_issued, 2u + 32u + 1u);
+  EXPECT_EQ(cdw_.statements_executed() - before, result.statements_issued + 32u);
+  auto et = TableRows("PROD.CUSTOMER_ET");
+  ASSERT_EQ(et.size(), 32u);
+  for (size_t i = 0; i < et.size(); ++i) {
+    EXPECT_NE(et[i][2].string_value().find("row number: " + std::to_string(i + 1)),
+              std::string::npos);
+  }
+}
+
+TEST_F(AdaptiveErrorTest, CleanApplyWritesNoEtStatement) {
+  StageRows({{"1", "A", "2012-01-01"}, {"2", "B", "2012-01-02"}});
+  const uint64_t before = cdw_.statements_executed();
+  auto result = Apply();
+  EXPECT_EQ(result.statements_issued, 1u);
+  EXPECT_EQ(cdw_.statements_executed() - before, 1u);
+}
+
+TEST_F(AdaptiveErrorTest, FailedSearchStillWritesTheRowsItRecorded) {
+  // Row 1's bad date is recorded, then a fault that is not retried fails
+  // the search on [2, 2]. Calls: root, [1, 1], its probe, [2, 2], ET insert.
+  StageRows({{"1", "A", "bad"}, {"2", "B", "2012-01-02"}});
+  AdaptiveOptions options;
+  options.isolation = ErrorIsolation::kHalving;
+  options.io_retry.max_attempts = 1;
+  common::FaultInjector::Global().ResetForTesting();
+  ASSERT_TRUE(common::FaultInjector::Global().Arm("cdw.exec=error,once=4").ok());
+  AdaptiveDmlApplier applier(&cdw_, dml_.get(), layout_, "STG", "PROD.CUSTOMER",
+                             "PROD.CUSTOMER_ET", "PROD.CUSTOMER_UV", options);
+  auto result = applier.Apply(1, 2);
+  common::FaultInjector::Global().ResetForTesting();
+  common::ResetBreakersForTesting();
+  EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
+  auto et = TableRows("PROD.CUSTOMER_ET");
+  ASSERT_EQ(et.size(), 1u);
+  EXPECT_NE(et[0][2].string_value().find("row number: 1"), std::string::npos);
+}
+
+TEST_F(AdaptiveErrorTest, ErrorFieldNamesTheColumnOfAFailedImplicitCast) {
+  EXPECT_EQ(ErrorFieldOf("CREATE TABLE PROD.CUSTOMER (CUST_ID VARCHAR(5) NOT NULL, "
+                         "CUST_NAME VARCHAR(50), SCORE INTEGER)",
+                         "insert into PROD.CUSTOMER values (trim(:CUST_ID), "
+                         "trim(:CUST_NAME), trim(:JOIN_DATE))",
+                         {"1", "Ann", "12x"}),
+            "SCORE");
+}
+
+TEST_F(AdaptiveErrorTest, ErrorFieldNamesTheColumnOfAStringLengthOverflow) {
+  EXPECT_EQ(ErrorFieldOf("CREATE TABLE PROD.CUSTOMER (CUST_ID VARCHAR(5) NOT NULL, "
+                         "CUST_NAME VARCHAR(3), JOIN_DATE DATE)",
+                         "insert into PROD.CUSTOMER values (trim(:CUST_ID), "
+                         "trim(:CUST_NAME), cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'))",
+                         {"1", "Annabel", "2012-01-01"}),
+            "CUST_NAME");
+}
+
+TEST_F(AdaptiveErrorTest, ErrorFieldNamesTheColumnOfANotNullViolation) {
+  EXPECT_EQ(ErrorFieldOf("CREATE TABLE PROD.CUSTOMER (CUST_ID VARCHAR(5) NOT NULL, "
+                         "CUST_NAME VARCHAR(50), JOIN_DATE DATE)",
+                         "insert into PROD.CUSTOMER values (trim(:CUST_ID), "
+                         "trim(:CUST_NAME), cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'))",
+                         {"", "Ann", "2012-01-01"}),
+            "CUST_ID");
+}
+
+TEST(EtInsertSqlTest, RendersEveryRowInOrderInOneStatement) {
+  EXPECT_EQ(EtInsertSql("T_ET", {{2666, "JOIN_DATE", "bad 'date'"}, {9057, "", "range"}}),
+            "INSERT INTO T_ET VALUES (2666, 'JOIN_DATE', 'bad ''date'''), "
+            "(9057, NULL, 'range')");
 }
 
 TEST(ErrorSchemaTest, EtShapeMatchesFigure6) {

@@ -122,5 +122,28 @@ TEST_F(ImportJobTest, FailedEndLoadIsStickyAndApplyDmlLeavesTargetUntouched) {
   EXPECT_EQ(CountRows(job->quarantine_table()), 1u) << "the quarantine survives the abort";
 }
 
+TEST_F(ImportJobTest, ShortRowsWriteTheirEtRowsInOneStatement) {
+  auto job = ImportJob::Create("j1", MakeBegin(), MakeContext()).ValueOrDie();
+  std::vector<std::vector<std::string>> records;
+  for (int i = 1; i <= 1200; ++i) {
+    if (i % 100 == 0) {
+      records.push_back({std::to_string(i), "Ok", "2001-01-01"});
+    } else {
+      records.push_back({std::to_string(i), "Short"});
+    }
+  }
+  ASSERT_TRUE(job->SubmitChunk(MakeChunk(1, records)).ok());
+  ASSERT_TRUE(job->FinishAcquisition(1, 1200).ok());
+
+  // The apply sends the 1188 ET rows in one statement, then the DML.
+  const uint64_t before = cdw_->statements_executed();
+  auto report = job->ApplyDml("Ins", kDml);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(cdw_->statements_executed() - before, 2u);
+  EXPECT_EQ(report->rows_inserted, 12u);
+  EXPECT_EQ(report->et_errors, 1188u);
+  EXPECT_EQ(CountRows("PROD.CUSTOMER_ET"), 1188u);
+}
+
 }  // namespace
 }  // namespace hyperq::core

@@ -9,6 +9,8 @@
 #include <set>
 
 #include "cdw/cdw_server.h"
+#include "common/fault.h"
+#include "common/retry.h"
 #include "common/sync.h"
 #include "cloudstore/bulk_loader.h"
 #include "cloudstore/object_store.h"
@@ -179,12 +181,12 @@ TEST_F(ObservabilityE2eTest, ErrorIsolationReportsRowsScanned) {
   ASSERT_TRUE(dml.ok()) << dml.status().ToString();
   EXPECT_GT(dml->range_errors, 0u);  // max_errors cut the search short
 
-  // statements_issued counts one ET insert per ET row; the rest are apply
-  // statements. Those form a binary split tree: a failing one records one
-  // ET row (a singleton or a 9057 range) or splits into two. So
+  // statements_issued counts one ET insert for all ET rows; the rest are
+  // apply statements. Those form a binary split tree: a failing one records
+  // one ET row (a singleton or a 9057 range) or splits into two. So
   // (apply + 1) / 2 - ET rows of them succeeded, and a statement that
   // succeeds scans every staging row.
-  const uint64_t apply = dml->statements_issued - dml->et_errors;
+  const uint64_t apply = dml->statements_issued - 1;
   ASSERT_EQ(apply % 2, 1u);
   const uint64_t succeeded = (apply + 1) / 2 - dml->et_errors;
   ASSERT_GT(succeeded, 0u);
@@ -196,9 +198,9 @@ TEST_F(ObservabilityE2eTest, ErrorIsolationReportsRowsScanned) {
 TEST_F(ObservabilityE2eTest, PlannedErrorIsolationReportsSuspects) {
   // The same load, planned: the suspect query names rows 50, 100, ..., 400.
   // Rows 1-49, 51-99, 101-149 and 151-199 apply as four runs, and rows 50,
-  // 100, 150 and 200 fail as singletons (an ET insert each). max_errors is
-  // then reached, so [201, 400] runs once and is recorded as a 9057 range.
-  // That is 2 + 4 + 4 + 4 + 2 statements.
+  // 100, 150 and 200 fail as singletons. max_errors is then reached, so
+  // [201, 400] runs once and is recorded as a 9057 range. The five ET rows
+  // go out in one insert. That is 2 + 4 + 4 + 1 + 1 statements.
   bad_date_every_ = 50;
   script_settings_ = ".set max_errors 4;\n";
   StartNode();
@@ -213,10 +215,40 @@ TEST_F(ObservabilityE2eTest, PlannedErrorIsolationReportsSuspects) {
   EXPECT_EQ(dml->rows_inserted, 196u);
   EXPECT_EQ(dml->et_errors, 5u);
   EXPECT_EQ(dml->range_errors, 1u);
-  EXPECT_EQ(dml->statements_issued, 16u);
+  EXPECT_EQ(dml->statements_issued, 12u);
   obs::MetricsSnapshot snap = node_->MetricsSnapshot();
   EXPECT_EQ(snap.counters.at("hyperq_error_suspects_total"), 8u);
   EXPECT_EQ(snap.counters.at("hyperq_error_plan_fallbacks_total"), 0u);
+}
+
+TEST_F(ObservabilityE2eTest, RetriedApplyStatementRecordsARetrySpan) {
+  // cdw.exec call 1 is the script's CREATE TABLE, call 2 the job's one apply
+  // statement. Its retry backoff belongs to a span inside the apply span.
+  common::FaultInjector::Global().ResetForTesting();
+  ASSERT_TRUE(common::FaultInjector::Global().Arm("cdw.exec=error,once=2").ok());
+  StartNode();
+  auto run = RunImport(200);
+  const uint64_t injected = common::FaultInjector::Global().injected_count("cdw.exec");
+  common::FaultInjector::Global().ResetForTesting();
+  common::ResetBreakersForTesting();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(injected, 1u);
+  EXPECT_EQ(run->imports[0].report.rows_inserted, 200u);
+
+  auto trace = node_->JobTrace(run->imports[0].job_id);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  const obs::SpanRecord* apply = nullptr;
+  const obs::SpanRecord* retry = nullptr;
+  std::vector<obs::SpanRecord> spans = (*trace)->spans();
+  for (const obs::SpanRecord& s : spans) {
+    if (s.phase == obs::Phase::kDmlApply) apply = &s;
+    if (s.name == "retry:cdw.exec#1") retry = &s;
+  }
+  ASSERT_NE(apply, nullptr);
+  ASSERT_NE(retry, nullptr);
+  EXPECT_EQ(retry->phase, obs::Phase::kRetryBackoff);
+  EXPECT_GE(retry->start_micros, apply->start_micros);
+  EXPECT_LE(retry->end_micros, apply->end_micros);
 }
 
 TEST_F(ObservabilityE2eTest, FailedImportEndsTheJobAsFailed) {

@@ -30,6 +30,13 @@ struct PropertyParams {
   uint64_t max_errors;  // 0 = default
 };
 
+/// Names each case by its seed, size and session count. Without it gtest
+/// names a case by a byte dump of the struct, padding included, and the
+/// name changes from build to build.
+void PrintTo(const PropertyParams& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_rows" << p.rows << "_sessions" << p.sessions;
+}
+
 class PipelinePropertyTest : public ::testing::TestWithParam<PropertyParams> {};
 
 TEST_P(PipelinePropertyTest, EveryRowAccountedForExactlyOnce) {

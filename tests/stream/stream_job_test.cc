@@ -211,6 +211,53 @@ TEST_F(StreamJobTest, CommitReplayIsAnsweredFromJournal) {
   EXPECT_EQ(job->stats().batches_committed, 1u);
 }
 
+TEST_F(StreamJobTest, ReplayOfAnOlderBatchIsOutOfSequence) {
+  // The journal keeps only the last reply: a synchronous client can only
+  // have lost that one.
+  auto job = MakeJob();
+  ASSERT_TRUE(job->SubmitChunk(MakeChunk(1, {{"1", "Ada", "2001-01-01"}})).ok());
+  ASSERT_TRUE(job->CommitBatch(1, 1000).ok());
+  ASSERT_TRUE(job->SubmitChunk(MakeChunk(2, {{"2", "Bob", "2002-02-02"}})).ok());
+  ASSERT_TRUE(job->CommitBatch(2, 2000).ok());
+
+  auto replay = job->CommitBatch(1, 1000);
+  EXPECT_TRUE(replay.status().IsProtocolError()) << replay.status().ToString();
+  EXPECT_NE(replay.status().message().find("commit for batch 1, expected 3"),
+            std::string::npos);
+  EXPECT_EQ(CountRows("PROD.CUSTOMER"), 2u);
+  EXPECT_EQ(job->stats().commit_replays, 0u);
+  EXPECT_EQ(job->stats().batches_committed, 2u);
+}
+
+TEST_F(StreamJobTest, RetriedCommitWritesEachAcquisitionEtRowOnce) {
+  auto ctx = MakeContext();
+  ctx.options.io_retry.max_attempts = 2;
+  ctx.options.io_retry.initial_backoff_micros = 1;
+  ctx.options.io_retry.max_backoff_micros = 10;
+  auto job = StreamJob::Create("j1", MakeBegin(), std::move(ctx)).ValueOrDie();
+  ASSERT_TRUE(job->SubmitChunk(MakeChunk(1, {{"1", "Ada", "2001-01-01"},
+                                             {"2", "Bob"},
+                                             {"3", "Cyd"},
+                                             {"4", "Dee", "2004-04-04"}}))
+                  .ok());
+
+  // The batch's one ET insert is the commit's first statement; every
+  // attempt of it fails, so nothing is written and the stream stays usable.
+  ASSERT_TRUE(common::FaultInjector::Global().Arm("cdw.exec=error,p=1").ok());
+  ASSERT_FALSE(job->CommitBatch(1, 1000).ok());
+  ResetResilienceState();
+  EXPECT_EQ(CountRows("PROD.CUSTOMER_ET"), 0u);
+  EXPECT_EQ(CountRows("PROD.CUSTOMER"), 0u);
+
+  auto committed = job->CommitBatch(1, 1000);
+  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  EXPECT_EQ(committed->rows_in_batch, 2u);
+  EXPECT_EQ(committed->et_errors, 2u);
+  EXPECT_EQ(CountRows("PROD.CUSTOMER_ET"), 2u);
+  EXPECT_EQ(CountRows("PROD.CUSTOMER"), 2u);
+  EXPECT_EQ(job->stats().commit_retries, 1u);
+}
+
 TEST_F(StreamJobTest, FinishWithUncommittedBatchFails) {
   auto job = MakeJob();
   ASSERT_TRUE(job->SubmitChunk(MakeChunk(1, {{"1", "Ada", "2001-01-01"}})).ok());
@@ -298,9 +345,7 @@ TEST_F(StreamJobTest, ChangeLayoutToCurrentIsNoOp) {
 }
 
 TEST_F(StreamJobTest, LedgerStaysBoundedAcrossBatches) {
-  auto ctx = MakeContext();
-  ctx.options.stream_ledger_keep_batches = 1;
-  auto job = StreamJob::Create("j1", MakeBegin(), std::move(ctx)).ValueOrDie();
+  auto job = MakeJob();
   for (uint64_t batch = 1; batch <= 4; ++batch) {
     ASSERT_TRUE(job->SubmitChunk(MakeChunk(batch, {{std::to_string(batch), "N",
                                                     "2001-01-01"}}))
