@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -206,15 +208,14 @@ void ExpectSameOutcome(const Outcome& planned, const Outcome& halving, const std
   EXPECT_EQ(h.plan_fallbacks, 0u) << what;
 }
 
-TEST(ErrorIsolationDiffTest, PlannedMatchesHalving) {
+/// The 48 differential cases: error rate, spread, duplicates and DML follow
+/// the seed; row count, max_errors and max_retries are drawn.
+std::vector<Case> Cases() {
   const double kRates[] = {0.0, 0.01, 0.05, 0.2};
   const uint64_t kMaxErrors[] = {1, 2, 5, 100};
   const int kMaxRetries[] = {64, 2, 3};
   common::Random pick(20260419);
-  uint64_t cases = 0;
-  uint64_t planned_clean = 0;  // cases the plan finished without halving
-  uint64_t rewinds = 0;        // cases where a clean run failed
-  uint64_t fewer = 0;          // cases with fewer statements than halving
+  std::vector<Case> cases;
   for (uint64_t seed = 1; seed <= 48; ++seed) {
     Case c;
     c.seed = seed;
@@ -225,6 +226,18 @@ TEST(ErrorIsolationDiffTest, PlannedMatchesHalving) {
     c.dml = (seed / 16) % 2 == 1 ? kUnrecognisedDml : kRecognisedDml;
     c.max_errors = kMaxErrors[pick.NextBounded(4)];
     c.max_retries = kMaxRetries[pick.NextBounded(3)];
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+TEST(ErrorIsolationDiffTest, PlannedMatchesHalving) {
+  uint64_t cases = 0;
+  uint64_t planned_clean = 0;  // cases the plan finished without halving
+  uint64_t rewinds = 0;        // cases where a clean run failed
+  uint64_t fewer = 0;          // cases with fewer statements than halving
+  for (const Case& c : Cases()) {
+    const uint64_t seed = c.seed;
     const std::vector<Record> records = Generate(c);
     for (cdw::StagingFormat staging : {cdw::StagingFormat::kCsv, cdw::StagingFormat::kBinary}) {
       std::ostringstream what;
@@ -246,6 +259,67 @@ TEST(ErrorIsolationDiffTest, PlannedMatchesHalving) {
   EXPECT_GT(planned_clean, 10u);
   EXPECT_GT(rewinds, 10u);
   EXPECT_GT(fewer, 20u);
+}
+
+/// FNV-1a 64 over the rows, each followed by a newline.
+uint64_t Digest(const std::vector<std::string>& rows) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](char ch) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  };
+  for (const std::string& row : rows) {
+    for (char ch : row) mix(ch);
+    mix('\n');
+  }
+  return h;
+}
+
+/// One golden line: the statement accounting, the counts and digests of the
+/// target (sorted), ET and UV rows of one run.
+std::string GoldenLine(const Case& c, cdw::StagingFormat staging, ErrorIsolation isolation,
+                       const Outcome& out) {
+  const DmlApplyResult& r = out.result;
+  std::ostringstream line;
+  line << "seed=" << c.seed << (staging == cdw::StagingFormat::kBinary ? " HQB1" : " CSV")
+       << (isolation == ErrorIsolation::kPlanned ? " planned" : " halving")
+       << " statements=" << r.statements_issued << " suspects=" << r.suspects
+       << " plan_fallbacks=" << r.plan_fallbacks << " rows_inserted=" << r.rows_inserted
+       << " et_errors=" << r.et_errors << " uv_errors=" << r.uv_errors
+       << " range_errors=" << r.range_errors << std::hex << " target=" << Digest(out.target)
+       << " et=" << Digest(out.et) << " uv=" << Digest(out.uv);
+  return line.str();
+}
+
+/// Both strategies' statement accounting and tables, frozen in
+/// testdata/error_isolation_golden.txt: the differential above compares the
+/// tables only, so a search that reaches them by other statements passes it.
+/// HQ_UPDATE_GOLDEN=1 rewrites the file instead of comparing.
+TEST(ErrorIsolationDiffTest, MatchesFrozenAccounting) {
+  const std::string path = std::string(HQ_HYPERQ_TESTDATA_DIR) + "/error_isolation_golden.txt";
+  std::vector<std::string> lines;
+  for (const Case& c : Cases()) {
+    const std::vector<Record> records = Generate(c);
+    for (cdw::StagingFormat staging : {cdw::StagingFormat::kCsv, cdw::StagingFormat::kBinary}) {
+      for (ErrorIsolation isolation : {ErrorIsolation::kPlanned, ErrorIsolation::kHalving}) {
+        lines.push_back(
+            GoldenLine(c, staging, isolation, ApplyStaged(c, records, staging, isolation)));
+      }
+    }
+  }
+  ASSERT_EQ(lines.size(), 192u);
+  if (std::getenv("HQ_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    for (const std::string& line : lines) out << line << "\n";
+    ASSERT_TRUE(out.good()) << path;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) golden.push_back(line);
+  ASSERT_EQ(golden.size(), lines.size());
+  for (size_t i = 0; i < lines.size(); ++i) EXPECT_EQ(lines[i], golden[i]);
 }
 
 }  // namespace
