@@ -13,7 +13,9 @@
 /// kHalving), so these checks test the paper's shape. A planned series runs
 /// beside it: the same loads with the default planned isolation (one
 /// suspect query, clean runs in bulk, suspects as singletons). Below the
-/// max_errors cutoff its loads must record the same errors.
+/// max_errors cutoff its loads must record the same errors, and at every
+/// nonzero error rate it must issue fewer statements than halving: the
+/// bench exits 1 when either fails. The timing shape checks only print.
 ///
 /// --quality adds a third series: the same loads with the declarative
 /// data-quality gate armed with a constraint that catches the seeded bad
@@ -272,5 +274,6 @@ int main(int argc, char** argv) {
     WriteJson(json_path, points, with_quality, kRows);
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return 0;
+  // Statement counts do not depend on timing, so this claim is a gate.
+  return planned_fewer_statements ? 0 : 1;
 }

@@ -15,6 +15,7 @@ CdwServer::CdwServer(cloud::ObjectStore* store, CdwServerOptions options)
   if (options_.metrics != nullptr) {
     statement_latency_ = options_.metrics->GetHistogram("cdw_statement_seconds");
     copy_latency_ = options_.metrics->GetHistogram("cdw_copy_seconds");
+    modelled_wait_ = options_.metrics->GetHistogram("cdw_modelled_wait_seconds");
     statements_total_ = options_.metrics->GetCounter("cdw_statements_total");
     copies_total_ = options_.metrics->GetCounter("cdw_copies_total");
     copy_rows_total_ = options_.metrics->GetCounter("cdw_copy_rows_total");
@@ -30,8 +31,21 @@ CdwServer::CdwServer(cloud::ObjectStore* store, CdwServerOptions options)
   }
 }
 
-void CdwServer::PayStartupCost(int64_t micros) const {
-  if (micros > 0) std::this_thread::sleep_for(std::chrono::microseconds(micros));
+void CdwServer::PayStartupCost(std::chrono::steady_clock::time_point arrival,
+                               int64_t micros) const {
+  if (micros <= 0) return;
+  // A sleep wakes up late by the scheduler's slack and latency (about 60 us
+  // on average and 120 us at p99 on a 4-vCPU VM, more under host CPU steal),
+  // so sleep to kWakeMargin before the deadline and yield from there.
+  constexpr std::chrono::microseconds kWakeMargin{150};
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = arrival + std::chrono::microseconds(micros);
+  const Clock::time_point start = Clock::now();
+  std::this_thread::sleep_until(deadline - kWakeMargin);
+  while (Clock::now() < deadline) std::this_thread::yield();
+  if (modelled_wait_ != nullptr) {
+    modelled_wait_->Observe(std::chrono::duration<double>(Clock::now() - start).count());
+  }
 }
 
 void CdwServer::CountStatement(const Result<ExecResult>& result) const {
@@ -44,13 +58,14 @@ void CdwServer::CountStatement(const Result<ExecResult>& result) const {
 }
 
 Result<ExecResult> CdwServer::ExecuteSql(std::string_view sql, const ExecOptions& options) {
+  const auto arrival = std::chrono::steady_clock::now();
   // Injected exec faults always fire BEFORE execution, so retrying a failed
   // (possibly non-idempotent) DML statement is safe: a failed statement
   // never half-ran.
   HQ_RETURN_NOT_OK(common::FaultInjector::Global().Inject("cdw.exec"));
   obs::ScopedTimer timer(statement_latency_);
   if (statements_total_ != nullptr) statements_total_->Increment();
-  PayStartupCost(options_.statement_startup_micros);
+  PayStartupCost(arrival, options_.statement_startup_micros);
   common::MutexLock lock(&mu_);
   ++statements_executed_;
   Result<ExecResult> result = executor_.ExecuteSql(sql, options);
@@ -58,20 +73,9 @@ Result<ExecResult> CdwServer::ExecuteSql(std::string_view sql, const ExecOptions
   return result;
 }
 
-Result<ExecResult> CdwServer::Execute(const sql::Statement& stmt, const ExecOptions& options) {
-  HQ_RETURN_NOT_OK(common::FaultInjector::Global().Inject("cdw.exec"));
-  obs::ScopedTimer timer(statement_latency_);
-  if (statements_total_ != nullptr) statements_total_->Increment();
-  PayStartupCost(options_.statement_startup_micros);
-  common::MutexLock lock(&mu_);
-  ++statements_executed_;
-  Result<ExecResult> result = executor_.Execute(stmt, options);
-  CountStatement(result);
-  return result;
-}
-
 Result<uint64_t> CdwServer::CopyInto(const std::string& table_name, const std::string& prefix,
                                      const CopyOptions& options) {
+  const auto arrival = std::chrono::steady_clock::now();
   // error/torn fire before any work (the service rejected the COPY); drop
   // fires AFTER the COPY ran — the ack is lost, which is exactly the case
   // the idempotence ledger exists for.
@@ -81,7 +85,7 @@ Result<uint64_t> CdwServer::CopyInto(const std::string& table_name, const std::s
   }
   obs::ScopedTimer timer(copy_latency_);
   if (copies_total_ != nullptr) copies_total_->Increment();
-  PayStartupCost(options_.copy_startup_micros);
+  PayStartupCost(arrival, options_.copy_startup_micros);
   common::MutexLock lock(&mu_);
   HQ_ASSIGN_OR_RETURN(TablePtr table, catalog_.GetTable(table_name));
   std::map<std::string, uint64_t>& ledger = copied_objects_[table_name];

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,11 +29,12 @@ struct CdwServerOptions {
   /// Fixed cost added to every COPY, microseconds.
   int64_t copy_startup_micros = 0;
   /// Optional telemetry registry (cdw_statement_seconds/cdw_copy_seconds
-  /// histograms, statement/COPY/row counters, cdw_join_hash_total /
-  /// cdw_join_nested_loop_total: successful join DML statements by the path
-  /// that paired their rows, and cdw_rows_scanned_total: table rows every
-  /// statement's scans visited, failed statements included). Must outlive
-  /// the server.
+  /// histograms, the cdw_modelled_wait_seconds histogram: the time each
+  /// statement and COPY spent paying its startup cost, statement/COPY/row
+  /// counters, cdw_join_hash_total / cdw_join_nested_loop_total: successful
+  /// join DML statements by the path that paired their rows, and
+  /// cdw_rows_scanned_total: table rows every statement's scans visited,
+  /// failed statements included). Must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
   /// Cap on a table's COPY idempotence ledger; 0 = unbounded. When a COPY
   /// pushes the ledger past the cap, the lexicographically smallest keys are
@@ -52,10 +54,6 @@ class CdwServer {
 
   /// Executes one SQL statement (CDW dialect text).
   common::Result<ExecResult> ExecuteSql(std::string_view sql, const ExecOptions& options = {})
-      HQ_EXCLUDES(mu_);
-
-  /// Executes a parsed statement.
-  common::Result<ExecResult> Execute(const sql::Statement& stmt, const ExecOptions& options = {})
       HQ_EXCLUDES(mu_);
 
   /// COPY INTO <table> FROM @store/<prefix>. Idempotent under retry: a
@@ -85,7 +83,9 @@ class CdwServer {
   uint64_t statements_executed() const HQ_EXCLUDES(mu_);
 
  private:
-  void PayStartupCost(int64_t micros) const;
+  /// Waits until `micros` after `arrival`, the time the statement or COPY
+  /// reached the server.
+  void PayStartupCost(std::chrono::steady_clock::time_point arrival, int64_t micros) const;
   /// Adds a finished statement to the rows-scanned and join-path counters.
   void CountStatement(const common::Result<ExecResult>& result) const HQ_REQUIRES(mu_);
 
@@ -104,6 +104,7 @@ class CdwServer {
   // Cached instrument pointers; null when options_.metrics is null.
   obs::Histogram* statement_latency_ = nullptr;
   obs::Histogram* copy_latency_ = nullptr;
+  obs::Histogram* modelled_wait_ = nullptr;
   obs::Counter* statements_total_ = nullptr;
   obs::Counter* copies_total_ = nullptr;
   obs::Counter* copy_rows_total_ = nullptr;

@@ -1,6 +1,7 @@
 #include "hyperq/error_handler.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/string_util.h"
 #include "hyperq/data_converter.h"
@@ -81,6 +82,19 @@ std::string EtInsertSql(const std::string& et_table, const std::vector<EtRow>& r
     sql += ')';
   }
   return sql;
+}
+
+void DmlApplyResult::Add(const DmlApplyResult& other) {
+  static_assert(sizeof(DmlApplyResult) == 9 * sizeof(uint64_t), "Add every field");
+  rows_inserted += other.rows_inserted;
+  rows_updated += other.rows_updated;
+  rows_deleted += other.rows_deleted;
+  et_errors += other.et_errors;
+  uv_errors += other.uv_errors;
+  range_errors += other.range_errors;
+  statements_issued += other.statements_issued;
+  suspects += other.suspects;
+  plan_fallbacks += other.plan_fallbacks;
 }
 
 AdaptiveDmlApplier::AdaptiveDmlApplier(cdw::CdwServer* cdw, const sql::Statement* legacy_dml,
@@ -342,128 +356,107 @@ Result<DmlApplyResult> AdaptiveDmlApplier::Apply(uint64_t first_row, uint64_t la
 Status AdaptiveDmlApplier::Search(uint64_t first_row, uint64_t last_row,
                                   DmlApplyResult* result) {
   if (last_row < first_row) return Status::OK();  // empty load
-  auto root = ExecuteBound(first_row, last_row, result);
-  if (root.ok()) {
-    AddCounts(*root, result);
-    return Status::OK();
-  }
-  if (!IsAbsorbableFailure(root.status())) return root.status();
-  // UPDATE, DELETE and MERGE keep halving: with repeated keys, applying two
-  // ranges in one statement is not the same as applying them one after the
-  // other.
-  if (options_.isolation == ErrorIsolation::kPlanned && PlainInsert() && first_row < last_row &&
-      !Cutoff(0)) {
-    Result<std::vector<uint64_t>> suspects = FindSuspects(first_row, last_row, result);
-    if (suspects.ok() && !suspects->empty()) {
-      result->suspects = suspects->size();
-      return ApplyPlanned(first_row, last_row, *suspects, result);
-    }
-    ++result->plan_fallbacks;
-  }
-  return IsolateFailedRange(first_row, last_row, 0, root.status(), result);
-}
-
-Status AdaptiveDmlApplier::ApplyRange(uint64_t first, uint64_t last, int depth,
-                                      DmlApplyResult* result) {
-  auto attempt = ExecuteBound(first, last, result);
-  if (attempt.ok()) {
-    AddCounts(*attempt, result);
-    return Status::OK();
-  }
-  const Status& failure = attempt.status();
-  if (!IsAbsorbableFailure(failure)) return failure;
-  return IsolateFailedRange(first, last, depth, failure, result);
-}
-
-Status AdaptiveDmlApplier::IsolateFailedRange(uint64_t first, uint64_t last, int depth,
-                                              const Status& failure, DmlApplyResult* result) {
-  if (first == last) {
-    return RecordSingletonError(first, failure, result);
-  }
-  if (Cutoff(depth)) {
-    // Stop splitting: record the whole failing range (Figure 6's final row).
-    RecordRangeError(first, last, result);
-    return Status::OK();
-  }
-  uint64_t mid = first + (last - first) / 2;
-  HQ_RETURN_NOT_OK(ApplyRange(first, mid, depth + 1, result));
-  HQ_RETURN_NOT_OK(ApplyRange(mid + 1, last, depth + 1, result));
-  return Status::OK();
-}
-
-Status AdaptiveDmlApplier::ApplyPlanned(uint64_t first, uint64_t last,
-                                        const std::vector<uint64_t>& suspects,
-                                        DmlApplyResult* result) {
-  // One node of the halving tree: a row range and its split depth.
+  // A node of the halving tree: a row range, its split depth and what the
+  // suspect query predicts for it.
+  enum class Prediction : uint8_t { kNone, kClean, kSuspect };
   struct Node {
     uint64_t first;
     uint64_t last;
     int depth;
+    Prediction prediction;
   };
-  auto has_suspect = [&suspects](const Node& n) {
-    auto it = std::lower_bound(suspects.begin(), suspects.end(), n.first);
-    return it != suspects.end() && *it <= n.last;
-  };
-  // Depth-first, left half first: the order halving visits the tree in.
-  std::vector<Node> stack;
-  auto push_halves = [&stack](const Node& n) {
+  std::vector<uint64_t> suspects;  // empty while nothing is predicted
+  // Depth first, left half first: the order the paper's recursion visits.
+  std::vector<Node> stack = {{first_row, last_row, 0, Prediction::kNone}};
+  auto push_halves = [&](const Node& n) {
     const uint64_t mid = n.first + (n.last - n.first) / 2;
-    stack.push_back({mid + 1, n.last, n.depth + 1});
-    stack.push_back({n.first, mid, n.depth + 1});
+    for (Node half : {Node{mid + 1, n.last, n.depth + 1, Prediction::kNone},
+                      Node{n.first, mid, n.depth + 1, Prediction::kNone}}) {
+      if (!suspects.empty()) {
+        auto it = std::lower_bound(suspects.begin(), suspects.end(), half.first);
+        const bool suspect = it != suspects.end() && *it <= half.last;
+        half.prediction = suspect ? Prediction::kSuspect : Prediction::kClean;
+      }
+      stack.push_back(half);
+    }
   };
-  push_halves({first, last, 0});  // the root failed and holds suspects
 
   // The pending run of predicted-clean nodes (contiguous rows), and the
   // stack as it was when its first node was deferred.
-  bool pending = false;
-  Node run{0, 0, 0};
+  std::optional<Node> run;
   std::vector<Node> rewind;
-  // Applies the pending run in one statement. False when it failed: no
-  // statement ran since its first node was deferred, so halving resumes
-  // from there and finishes the search.
-  auto flush = [&]() -> Result<bool> {
-    if (!pending) return true;
-    pending = false;
-    auto attempt = ExecuteBound(run.first, run.last, result);
+  while (!stack.empty() || run) {
+    if (!stack.empty() && stack.back().prediction != Prediction::kNone) {
+      const Node node = stack.back();
+      if (node.prediction == Prediction::kClean) {
+        if (!run) {
+          rewind = stack;
+          run = node;
+        }
+        run->last = node.last;
+        stack.pop_back();
+        continue;
+      }
+      // A suspect is split without executing it, down to a singleton or the
+      // cutoff, where it executes as halving would.
+      if (node.first != node.last && !Cutoff(node.depth)) {
+        stack.pop_back();
+        push_halves(node);
+        continue;
+      }
+    }
+    // The next node executes, or the walk ends: the pending run goes first,
+    // in one statement.
+    Node node;
+    if (run) {
+      node = *run;
+      run.reset();
+    } else {
+      node = stack.back();
+      stack.pop_back();
+    }
+    auto attempt = ExecuteBound(node.first, node.last, result);
     if (attempt.ok()) {
       AddCounts(*attempt, result);
-      return true;
+      continue;
     }
-    if (!IsAbsorbableFailure(attempt.status())) return attempt.status();
-    ++result->plan_fallbacks;
-    while (!rewind.empty()) {
-      const Node n = rewind.back();
-      rewind.pop_back();
-      HQ_RETURN_NOT_OK(ApplyRange(n.first, n.last, n.depth, result));
+    const Status& failure = attempt.status();
+    if (!IsAbsorbableFailure(failure)) return failure;
+    if (node.prediction == Prediction::kClean) {
+      // No statement ran since the run's first node was deferred, so the
+      // saved stack is the state halving would be in: restore it without
+      // predictions, and the rest of the walk is halving.
+      ++result->plan_fallbacks;
+      suspects.clear();
+      stack = std::move(rewind);
+      for (Node& n : stack) n.prediction = Prediction::kNone;
+      continue;
     }
-    return false;
-  };
-
-  while (!stack.empty()) {
-    const Node node = stack.back();
-    stack.pop_back();
-    if (!has_suspect(node)) {
-      if (!pending) {
-        rewind = stack;
-        rewind.push_back(node);
-        run = node;
-        pending = true;
+    if (node.first == node.last) {
+      HQ_RETURN_NOT_OK(RecordSingletonError(node.first, failure, result));
+      continue;
+    }
+    if (Cutoff(node.depth)) {
+      // Stop splitting: record the whole failing range (Figure 6's final row).
+      RecordRangeError(node.first, node.last, result);
+      continue;
+    }
+    // A failed root is planned once: the suspect query predicts its halves.
+    // UPDATE, DELETE and MERGE keep halving: with repeated keys, applying two
+    // ranges in one statement is not the same as applying them one after
+    // the other.
+    if (node.depth == 0 && options_.isolation == ErrorIsolation::kPlanned && PlainInsert()) {
+      Result<std::vector<uint64_t>> found = FindSuspects(node.first, node.last, result);
+      if (found.ok() && !found->empty()) {
+        suspects = std::move(*found);
+        result->suspects = suspects.size();
       } else {
-        run.last = node.last;
+        ++result->plan_fallbacks;
       }
-      continue;
     }
-    if (node.first != node.last && !Cutoff(node.depth)) {
-      push_halves(node);
-      continue;
-    }
-    HQ_ASSIGN_OR_RETURN(bool clean, flush());
-    if (!clean) return Status::OK();
-    // Executed as halving would: a failure is recorded as a singleton or, at
-    // the cutoff, as a range; a mispredicted suspect just applies.
-    HQ_RETURN_NOT_OK(ApplyRange(node.first, node.last, node.depth, result));
+    push_halves(node);
   }
-  return flush().status();
+  return Status::OK();
 }
 
 std::string AdaptiveDmlApplier::IdentifyErrorField(uint64_t row) {

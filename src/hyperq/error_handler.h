@@ -15,20 +15,21 @@
 /// bound DML over the whole staging table in one set-oriented statement. If
 /// the CDW aborts it (a conversion failure or an emulated uniqueness
 /// violation, reported at chunk granularity with no tuple identified), the
-/// handler recursively re-applies the DML on halves of the row range until
-/// either a single row isolates the faulty tuple (recorded in the ET or UV
-/// error table) or a preconfigured limit stops the search:
+/// handler walks the halving tree of the row range, re-applying the DML on
+/// each failed range's halves, until either a single row isolates the faulty
+/// tuple (recorded in the ET or UV error table) or a preconfigured limit
+/// stops the search:
 ///   - max_errors: once this many individual errors are recorded, remaining
 ///     failing ranges are logged as a single range error (code 9057,
 ///     "row numbers: (a, b)") instead of being split further — Figure 6;
 ///   - max_retries: maximum split depth for any chunk.
 ///
-/// For an INSERT the search is planned by default (ErrorIsolation::kPlanned):
-/// one suspect query asks the warehouse which rows would fail, the same
-/// halving tree is walked without executing the nodes known to fail, clean
-/// runs apply in one statement each and suspects run as singletons. A failed
-/// run hands the rest of the search to the halving search (DESIGN.md "Error
-/// isolation (§7)").
+/// For an INSERT the walk is planned by default (ErrorIsolation::kPlanned):
+/// one suspect query asks the warehouse which rows would fail, nodes that
+/// hold a suspect are split without executing them, clean runs apply in one
+/// statement each and suspects execute as singletons. A failed run rewinds
+/// the walk to where the run began and drops the predictions, so the rest is
+/// halving (DESIGN.md "Error isolation (§7)").
 
 namespace hyperq::core {
 
@@ -60,6 +61,9 @@ struct DmlApplyResult {
   /// Planned isolations that finished with halving: the suspect query
   /// failed or found no row, or a run of predicted-clean rows failed.
   uint64_t plan_fallbacks = 0;
+
+  /// Adds every field of `other` (a stream's totals over its batches).
+  void Add(const DmlApplyResult& other);
 };
 
 /// Schemas of the error tables Hyper-Q materializes in the CDW.
@@ -107,16 +111,9 @@ class AdaptiveDmlApplier {
   common::Result<DmlApplyResult> Apply(uint64_t first_row, uint64_t last_row);
 
  private:
-  /// Apply without the ET write: the root statement, then the planned or
-  /// halving search.
+  /// Apply without the ET write: one explicit-stack walk of the halving
+  /// tree below [first_row, last_row] (DESIGN.md "Error isolation (§7)").
   common::Status Search(uint64_t first_row, uint64_t last_row, DmlApplyResult* result);
-  /// The halving search over [first, last]: executes it, and on a tuple
-  /// failure records or splits it (IsolateFailedRange).
-  common::Status ApplyRange(uint64_t first, uint64_t last, int depth, DmlApplyResult* result);
-  /// What halving does with a failed range: record a singleton, record the
-  /// range at the cutoff, or apply both halves.
-  common::Status IsolateFailedRange(uint64_t first, uint64_t last, int depth,
-                                    const common::Status& failure, DmlApplyResult* result);
   /// True when a failed range at `depth` is recorded instead of split.
   bool Cutoff(int depth) const;
   /// True when the status is a tuple-level failure the handler absorbs.
@@ -126,9 +123,6 @@ class AdaptiveDmlApplier {
   /// (conversions, the target casts, NOT NULL) fail, ascending; one query.
   common::Result<std::vector<uint64_t>> FindSuspects(uint64_t first, uint64_t last,
                                                      DmlApplyResult* result);
-  /// The planned walk of the halving tree below a failed root [first, last].
-  common::Status ApplyPlanned(uint64_t first, uint64_t last,
-                              const std::vector<uint64_t>& suspects, DmlApplyResult* result);
 
   /// True for an INSERT with one VALUES row: the DML whose select items map
   /// one to one onto target columns.

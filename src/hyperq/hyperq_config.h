@@ -22,8 +22,9 @@ enum class ErrorIsolation : uint8_t {
   /// HQ_ROWNUM range until single rows or a limit isolate the errors.
   kHalving,
   /// INSERT only: one suspect query asks the warehouse which rows would
-  /// fail, clean runs apply in one statement each and suspects run as
-  /// singletons; any misprediction hands the rest of the search to halving.
+  /// fail and steers the same walk: clean runs apply in one statement each
+  /// and suspects run as singletons; a failed clean run hands the rest of
+  /// the walk to halving.
   /// The ET, UV and target tables equal kHalving's (DESIGN.md "Error
   /// isolation (§7)").
   kPlanned,

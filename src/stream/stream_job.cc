@@ -362,15 +362,7 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
   reply.rows_in_batch = dml.rows_inserted + dml.rows_updated + dml.rows_deleted;
   {
     common::MutexLock lock(&mu_);
-    dml_totals_.rows_inserted += dml.rows_inserted;
-    dml_totals_.rows_updated += dml.rows_updated;
-    dml_totals_.rows_deleted += dml.rows_deleted;
-    dml_totals_.et_errors += dml.et_errors;
-    dml_totals_.uv_errors += dml.uv_errors;
-    dml_totals_.range_errors += dml.range_errors;
-    dml_totals_.statements_issued += dml.statements_issued;
-    dml_totals_.suspects += dml.suspects;
-    dml_totals_.plan_fallbacks += dml.plan_fallbacks;
+    dml_totals_.Add(dml);
     data_errors_recorded_ += sealed.errors.size();
     // batches_committed is the commit-protocol sequence number, so a rejected
     // batch advances it too (the journal is keyed by batch_seq either way).

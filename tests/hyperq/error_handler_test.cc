@@ -1,5 +1,7 @@
 #include "hyperq/error_handler.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
@@ -428,6 +430,14 @@ TEST(EtInsertSqlTest, RendersEveryRowInOrderInOneStatement) {
   EXPECT_EQ(EtInsertSql("T_ET", {{2666, "JOIN_DATE", "bad 'date'"}, {9057, "", "range"}}),
             "INSERT INTO T_ET VALUES (2666, 'JOIN_DATE', 'bad ''date'''), "
             "(9057, NULL, 'range')");
+}
+
+TEST(DmlApplyResultTest, AddSumsEveryField) {
+  const DmlApplyResult batch{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  DmlApplyResult totals{10, 20, 30, 40, 50, 60, 70, 80, 90};
+  totals.Add(batch);
+  const DmlApplyResult want{11, 22, 33, 44, 55, 66, 77, 88, 99};
+  EXPECT_EQ(std::memcmp(&totals, &want, sizeof(want)), 0);
 }
 
 TEST(ErrorSchemaTest, EtShapeMatchesFigure6) {
