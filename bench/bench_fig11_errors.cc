@@ -12,10 +12,13 @@
 /// The Hyper-Q series runs the paper's halving search (ErrorIsolation::
 /// kHalving), so these checks test the paper's shape. A planned series runs
 /// beside it: the same loads with the default planned isolation (one
-/// suspect query, clean runs in bulk, suspects as singletons). Below the
+/// suspect query, clean runs in bulk, suspects as singletons, the
+/// statements the suspect query predicts sent as one batch). Below the
 /// max_errors cutoff its loads must record the same errors, and at every
-/// nonzero error rate it must issue fewer statements than halving: the
-/// bench exits 1 when either fails. The timing shape checks only print.
+/// nonzero error rate it must issue fewer statements than halving and make
+/// at most 4 apply round trips (root, suspect query, batch, ET insert): the
+/// bench exits 1 when any of these fails. The timing shape checks only
+/// print, so the ctest bench_fig11_counts runs this bench as a count gate.
 ///
 /// --quality adds a third series: the same loads with the declarative
 /// data-quality gate armed with a constraint that catches the seeded bad
@@ -70,6 +73,7 @@ struct RatePoint {
   /// Planned isolation series.
   double planned_seconds = 0;
   uint64_t planned_statements = 0;
+  uint64_t planned_round_trips = 0;
   /// --quality series (zeroed when the variant is off).
   double quality_seconds = 0;
   uint64_t quality_statements = 0;
@@ -106,11 +110,13 @@ void WriteJson(const std::string& path, const std::vector<RatePoint>& points,
     std::snprintf(buf, sizeof(buf),
                   "    {\"error_pct\": %.1f, \"hyperq_s\": %.4f, \"baseline_s\": %.4f, "
                   "\"hq_statements\": %llu, \"hq_errors\": %llu, \"hq_wins\": %s, "
-                  "\"planned_s\": %.4f, \"planned_statements\": %llu",
+                  "\"planned_s\": %.4f, \"planned_statements\": %llu, "
+                  "\"planned_round_trips\": %llu",
                   p.rate * 100, p.hq_seconds, p.baseline_seconds,
                   static_cast<unsigned long long>(p.hq_statements),
                   static_cast<unsigned long long>(p.hq_errors), p.hq_wins ? "true" : "false",
-                  p.planned_seconds, static_cast<unsigned long long>(p.planned_statements));
+                  p.planned_seconds, static_cast<unsigned long long>(p.planned_statements),
+                  static_cast<unsigned long long>(p.planned_round_trips));
     file << buf;
     if (with_quality) {
       std::snprintf(buf, sizeof(buf),
@@ -151,8 +157,8 @@ int main(int argc, char** argv) {
   const uint64_t kRows = 2000;
   const int64_t kStartupMicros = 250;  // per-statement cloud round trip
 
-  std::vector<std::string> columns = {"error_%",   "hyperq_s",  "baseline_s", "hq_stmts",
-                                      "hq_errors", "hq_wins",   "planned_s",  "p_stmts"};
+  std::vector<std::string> columns = {"error_%",   "hyperq_s", "baseline_s", "hq_stmts", "hq_errors",
+                                      "hq_wins",   "planned_s", "p_stmts",   "p_trips"};
   if (with_quality) {
     columns.insert(columns.end(), {"quality_s", "q_stmts", "q_qrtn"});
   }
@@ -162,6 +168,9 @@ int main(int argc, char** argv) {
   double hq_at_1 = 0;
   bool hyperq_always_wins = true;
   bool planned_fewer_statements = true;
+  // Root, suspect query, one batch and the ET insert.
+  constexpr uint64_t kPlannedRoundTrips = 4;
+  bool planned_few_round_trips = true;
 
   for (double rate : kErrorRates) {
     workload::DatasetSpec spec;
@@ -204,8 +213,12 @@ int main(int argc, char** argv) {
     point.hq_wins = point.hq_seconds < point.baseline_seconds;
     point.planned_seconds = planned->total_seconds;
     point.planned_statements = planned->dml.statements_issued;
+    point.planned_round_trips = planned->dml.round_trips;
     if (rate > 0 && point.planned_statements >= point.hq_statements) {
       planned_fewer_statements = false;
+    }
+    if (rate > 0 && point.planned_round_trips > kPlannedRoundTrips) {
+      planned_few_round_trips = false;
     }
 
     if (with_quality) {
@@ -244,7 +257,8 @@ int main(int argc, char** argv) {
                                     std::to_string(point.hq_errors),
                                     point.hq_wins ? "yes" : "NO",
                                     workload::FormatSeconds(point.planned_seconds),
-                                    std::to_string(point.planned_statements)};
+                                    std::to_string(point.planned_statements),
+                                    std::to_string(point.planned_round_trips)};
     if (with_quality) {
       row.push_back(workload::FormatSeconds(point.quality_seconds));
       row.push_back(std::to_string(point.quality_statements));
@@ -260,6 +274,9 @@ int main(int argc, char** argv) {
               hyperq_always_wins ? "YES" : "NO");
   std::printf("planned: fewer statements than halving at every nonzero error rate: %s\n",
               planned_fewer_statements ? "YES" : "NO");
+  std::printf("planned: at most %llu apply round trips at every nonzero error rate: %s\n",
+              static_cast<unsigned long long>(kPlannedRoundTrips),
+              planned_few_round_trips ? "YES" : "NO");
   if (with_quality) {
     // The gate diverts every bad row before the DML, so no adaptive splits:
     // statements stay at the error-free count across the sweep.
@@ -274,6 +291,7 @@ int main(int argc, char** argv) {
     WriteJson(json_path, points, with_quality, kRows);
     std::printf("wrote %s\n", json_path.c_str());
   }
-  // Statement counts do not depend on timing, so this claim is a gate.
-  return planned_fewer_statements ? 0 : 1;
+  // Statement and round-trip counts do not depend on timing, so these
+  // claims are gates.
+  return planned_fewer_statements && planned_few_round_trips ? 0 : 1;
 }

@@ -146,7 +146,8 @@ for stage in "${STAGES[@]}"; do
       echo "=== bench-smoke: compiled conversion plan vs reference ==="
       cmake --preset default
       cmake --build --preset default -j "$JOBS" \
-        --target bench_ablation_convert bench_stream bench_csv_scan bench_dml_apply
+        --target bench_ablation_convert bench_stream bench_csv_scan bench_dml_apply \
+        bench_fig11_errors
       ctest --preset default -R '^bench_smoke$' --output-on-failure
       ctest --preset default -R '^bench_smoke_binary$' --output-on-failure
       # Streaming micro-batch gate: exactly-once correctness across commits,
@@ -165,6 +166,10 @@ for stage in "${STAGES[@]}"; do
       # within 2% of the gate-off kernels (plus the run's own measured A/A
       # noise floor) on clean data, for the text AND columnar families.
       ctest --preset default -R '^bench_quality_smoke$' --output-on-failure
+      # Fig 11 counts: planned isolation must issue fewer statements than
+      # halving and make at most 4 apply round trips at every nonzero error
+      # rate (counts, not timings; see BENCH_errors.json).
+      ctest --preset default -R '^bench_fig11_counts$' --output-on-failure
       ;;
     chaos-smoke)
       # Resilience gate (DESIGN.md "Fault injection & resilient load path"):

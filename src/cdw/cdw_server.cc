@@ -17,6 +17,7 @@ CdwServer::CdwServer(cloud::ObjectStore* store, CdwServerOptions options)
     copy_latency_ = options_.metrics->GetHistogram("cdw_copy_seconds");
     modelled_wait_ = options_.metrics->GetHistogram("cdw_modelled_wait_seconds");
     statements_total_ = options_.metrics->GetCounter("cdw_statements_total");
+    round_trips_total_ = options_.metrics->GetCounter("cdw_round_trips_total");
     copies_total_ = options_.metrics->GetCounter("cdw_copies_total");
     copy_rows_total_ = options_.metrics->GetCounter("cdw_copy_rows_total");
     copy_binary_files_total_ = options_.metrics->GetCounter("hyperq_copy_binary_files_total");
@@ -48,13 +49,17 @@ void CdwServer::PayStartupCost(std::chrono::steady_clock::time_point arrival,
   }
 }
 
-void CdwServer::CountStatement(const Result<ExecResult>& result) const {
-  if (rows_scanned_total_ == nullptr) return;
+Result<ExecResult> CdwServer::RunStatement(std::string_view sql, const ExecOptions& options) {
+  if (statements_total_ != nullptr) statements_total_->Increment();
+  ++statements_executed_;
+  Result<ExecResult> result = executor_.ExecuteSql(sql, options);
+  if (rows_scanned_total_ == nullptr) return result;
   // Failed statements scanned rows too, up to their first failing row.
   rows_scanned_total_->Increment(executor_.rows_scanned());
-  if (!result.ok()) return;
+  if (!result.ok()) return result;
   if (result->join_path == JoinPath::kHash) join_hash_total_->Increment();
   if (result->join_path == JoinPath::kNestedLoop) join_nested_loop_total_->Increment();
+  return result;
 }
 
 Result<ExecResult> CdwServer::ExecuteSql(std::string_view sql, const ExecOptions& options) {
@@ -64,13 +69,30 @@ Result<ExecResult> CdwServer::ExecuteSql(std::string_view sql, const ExecOptions
   // never half-ran.
   HQ_RETURN_NOT_OK(common::FaultInjector::Global().Inject("cdw.exec"));
   obs::ScopedTimer timer(statement_latency_);
-  if (statements_total_ != nullptr) statements_total_->Increment();
+  if (round_trips_total_ != nullptr) round_trips_total_->Increment();
   PayStartupCost(arrival, options_.statement_startup_micros);
   common::MutexLock lock(&mu_);
-  ++statements_executed_;
-  Result<ExecResult> result = executor_.ExecuteSql(sql, options);
-  CountStatement(result);
-  return result;
+  return RunStatement(sql, options);
+}
+
+Result<std::vector<Result<ExecResult>>> CdwServer::ExecBatch(
+    const std::vector<BatchStatement>& batch) {
+  const auto arrival = std::chrono::steady_clock::now();
+  // One request, one injection point: a fault rejects the whole batch
+  // before any statement of it runs.
+  HQ_RETURN_NOT_OK(common::FaultInjector::Global().Inject("cdw.exec"));
+  obs::ScopedTimer timer(statement_latency_);
+  if (round_trips_total_ != nullptr) round_trips_total_->Increment();
+  PayStartupCost(arrival, options_.statement_startup_micros);
+  common::MutexLock lock(&mu_);
+  std::vector<Result<ExecResult>> results;
+  results.reserve(batch.size());
+  for (const BatchStatement& statement : batch) {
+    results.push_back(RunStatement(statement.sql, statement.options));
+    const Status& status = results.back().status();
+    if (statement.expect_conversion_error ? !status.IsConversionError() : !status.ok()) break;
+  }
+  return results;
 }
 
 Result<uint64_t> CdwServer::CopyInto(const std::string& table_name, const std::string& prefix,
@@ -85,6 +107,7 @@ Result<uint64_t> CdwServer::CopyInto(const std::string& table_name, const std::s
   }
   obs::ScopedTimer timer(copy_latency_);
   if (copies_total_ != nullptr) copies_total_->Increment();
+  if (round_trips_total_ != nullptr) round_trips_total_->Increment();
   PayStartupCost(arrival, options_.copy_startup_micros);
   common::MutexLock lock(&mu_);
   HQ_ASSIGN_OR_RETURN(TablePtr table, catalog_.GetTable(table_name));

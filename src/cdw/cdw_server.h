@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cdw/catalog.h"
 #include "cdw/copy.h"
@@ -16,22 +17,28 @@
 /// Facade of the simulated cloud data warehouse: one catalog, one executor,
 /// one attached object store, and a warehouse-level statement lock (cloud
 /// DWs serialize DML per table; a single lock is a faithful-enough model for
-/// the ETL workloads here). A configurable per-statement startup cost models
-/// query compilation/queueing in the cloud service — it is what makes
+/// the ETL workloads here). A configurable startup cost models the round
+/// trip to the cloud service: it is paid once per request, which is one
+/// statement, one batch of statements or one COPY. It is what makes
 /// singleton-insert loading (the Figure 11 baseline) pay a per-row round
-/// trip while bulk statements amortize it.
+/// trip while bulk statements and batches amortize it.
 
 namespace hyperq::cdw {
 
 struct CdwServerOptions {
-  /// Fixed cost added to every statement execution, microseconds.
+  /// Fixed cost added to every statement request (one statement or one
+  /// batch), microseconds.
   int64_t statement_startup_micros = 0;
   /// Fixed cost added to every COPY, microseconds.
   int64_t copy_startup_micros = 0;
   /// Optional telemetry registry (cdw_statement_seconds/cdw_copy_seconds
-  /// histograms, the cdw_modelled_wait_seconds histogram: the time each
-  /// statement and COPY spent paying its startup cost, statement/COPY/row
-  /// counters, cdw_join_hash_total / cdw_join_nested_loop_total: successful
+  /// histograms, observed once per call, so a batch is one observation and
+  /// their sums are the time spent inside the warehouse; the
+  /// cdw_modelled_wait_seconds histogram: the time each request spent paying
+  /// its startup cost; cdw_statements_total, which counts every statement,
+  /// those inside a batch included; cdw_round_trips_total, which counts
+  /// requests: statements, batches and COPYs; COPY/row counters,
+  /// cdw_join_hash_total / cdw_join_nested_loop_total: successful
   /// join DML statements by the path that paired their rows, and
   /// cdw_rows_scanned_total: table rows every statement's scans visited,
   /// failed statements included). Must outlive the server.
@@ -45,6 +52,16 @@ struct CdwServerOptions {
   size_t copy_ledger_max_entries = 0;
 };
 
+/// One statement of a batch (CdwServer::ExecBatch) and the outcome its
+/// sender expects of it.
+struct BatchStatement {
+  std::string sql;
+  ExecOptions options;
+  /// Expected to fail with a conversion error; otherwise expected to
+  /// succeed.
+  bool expect_conversion_error = false;
+};
+
 class CdwServer {
  public:
   explicit CdwServer(cloud::ObjectStore* store, CdwServerOptions options = {});
@@ -55,6 +72,16 @@ class CdwServer {
   /// Executes one SQL statement (CDW dialect text).
   common::Result<ExecResult> ExecuteSql(std::string_view sql, const ExecOptions& options = {})
       HQ_EXCLUDES(mu_);
+
+  /// Executes `batch` as one request, like JDBC executeBatch: one round trip,
+  /// then the statements in order under one hold of the statement lock, each
+  /// with its own options and its own set-oriented abort. Stops after the
+  /// first statement whose outcome differs from its expectation, and returns
+  /// one result per statement it ran. Fails before running any statement
+  /// when the request is rejected (an injected cdw.exec fault), so a retried
+  /// batch never half-ran.
+  common::Result<std::vector<common::Result<ExecResult>>> ExecBatch(
+      const std::vector<BatchStatement>& batch) HQ_EXCLUDES(mu_);
 
   /// COPY INTO <table> FROM @store/<prefix>. Idempotent under retry: a
   /// per-table ledger of already-ingested staged objects makes a re-issued
@@ -83,11 +110,12 @@ class CdwServer {
   uint64_t statements_executed() const HQ_EXCLUDES(mu_);
 
  private:
-  /// Waits until `micros` after `arrival`, the time the statement or COPY
-  /// reached the server.
+  /// Waits until `micros` after `arrival`, the time the request reached the
+  /// server.
   void PayStartupCost(std::chrono::steady_clock::time_point arrival, int64_t micros) const;
-  /// Adds a finished statement to the rows-scanned and join-path counters.
-  void CountStatement(const common::Result<ExecResult>& result) const HQ_REQUIRES(mu_);
+  /// Executes one statement of a request and counts it.
+  common::Result<ExecResult> RunStatement(std::string_view sql, const ExecOptions& options)
+      HQ_REQUIRES(mu_);
 
   cloud::ObjectStore* store_;
   CdwServerOptions options_;
@@ -106,6 +134,7 @@ class CdwServer {
   obs::Histogram* copy_latency_ = nullptr;
   obs::Histogram* modelled_wait_ = nullptr;
   obs::Counter* statements_total_ = nullptr;
+  obs::Counter* round_trips_total_ = nullptr;
   obs::Counter* copies_total_ = nullptr;
   obs::Counter* copy_rows_total_ = nullptr;
   // Direct-pipe COPY telemetry: staged objects ingested through the HQB1

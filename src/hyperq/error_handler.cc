@@ -1,7 +1,9 @@
 #include "hyperq/error_handler.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
+#include <utility>
 
 #include "common/string_util.h"
 #include "hyperq/data_converter.h"
@@ -85,7 +87,7 @@ std::string EtInsertSql(const std::string& et_table, const std::vector<EtRow>& r
 }
 
 void DmlApplyResult::Add(const DmlApplyResult& other) {
-  static_assert(sizeof(DmlApplyResult) == 9 * sizeof(uint64_t), "Add every field");
+  static_assert(sizeof(DmlApplyResult) == 10 * sizeof(uint64_t), "Add every field");
   rows_inserted += other.rows_inserted;
   rows_updated += other.rows_updated;
   rows_deleted += other.rows_deleted;
@@ -93,6 +95,7 @@ void DmlApplyResult::Add(const DmlApplyResult& other) {
   uv_errors += other.uv_errors;
   range_errors += other.range_errors;
   statements_issued += other.statements_issued;
+  round_trips += other.round_trips;
   suspects += other.suspects;
   plan_fallbacks += other.plan_fallbacks;
 }
@@ -114,18 +117,18 @@ bool AdaptiveDmlApplier::IsAbsorbableFailure(const Status& s) {
   return s.IsConversionError() || s.IsConstraintViolation();
 }
 
-bool AdaptiveDmlApplier::Cutoff(int depth) const {
-  return errors_recorded_ >= options_.max_errors || depth >= options_.max_retries;
+common::RetryPolicy AdaptiveDmlApplier::CdwRetry() const {
+  common::RetryOptions options = options_.io_retry;
+  options.breaker = common::BreakerFor("cdw");
+  return common::RetryPolicy(std::move(options));
 }
 
 Result<cdw::ExecResult> AdaptiveDmlApplier::ExecSql(const std::string& sql_text,
+                                                    DmlApplyResult* result,
                                                     const cdw::ExecOptions& exec) const {
-  common::RetryOptions options = options_.io_retry;
-  options.breaker = common::BreakerFor("cdw");
-  return common::RetryPolicy(std::move(options))
-      .RunResult<cdw::ExecResult>("cdw.exec", [&](const common::RetryAttempt&) {
-        return cdw_->ExecuteSql(sql_text, exec);
-      });
+  ++result->round_trips;
+  return CdwRetry().RunResult<cdw::ExecResult>(
+      "cdw.exec", [&](const common::RetryAttempt&) { return cdw_->ExecuteSql(sql_text, exec); });
 }
 
 Result<sql::StatementPtr> AdaptiveDmlApplier::Bind(uint64_t first, uint64_t last) const {
@@ -138,16 +141,15 @@ Result<sql::StatementPtr> AdaptiveDmlApplier::Bind(uint64_t first, uint64_t last
   return sql::TranspileStatement(*bound);
 }
 
-Result<cdw::ExecResult> AdaptiveDmlApplier::ExecuteBound(uint64_t first, uint64_t last,
-                                                         DmlApplyResult* result) {
+Result<cdw::BatchStatement> AdaptiveDmlApplier::BoundStatement(uint64_t first,
+                                                                uint64_t last) const {
   HQ_ASSIGN_OR_RETURN(sql::StatementPtr cdw_stmt, Bind(first, last));
+  cdw::BatchStatement statement;
   // Hyper-Q ships SQL text to the warehouse, so round-trip through the
   // printer exactly as the real system does.
-  std::string sql_text = sql::PrintStatement(*cdw_stmt);
-  cdw::ExecOptions exec;
-  exec.enforce_unique_primary = options_.enforce_uniqueness;
-  ++result->statements_issued;
-  return ExecSql(sql_text, exec);
+  statement.sql = sql::PrintStatement(*cdw_stmt);
+  statement.options.enforce_unique_primary = options_.enforce_uniqueness;
+  return statement;
 }
 
 namespace {
@@ -314,23 +316,40 @@ Result<std::vector<uint64_t>> AdaptiveDmlApplier::FindSuspects(uint64_t first, u
   HQ_ASSIGN_OR_RETURN(sql::StatementPtr bound, Bind(first, last));
   const auto& insert = static_cast<const sql::InsertStmt&>(*bound);
   HQ_ASSIGN_OR_RETURN(std::vector<ItemModel> items, ModelItems(insert));
-  sql::ExprPtr any;
-  for (ItemModel& item : items) {
-    any = Combine(sql::BinaryOp::kOr, std::move(any), std::move(item.fails));
-  }
-  if (!any) return std::vector<uint64_t>{};
-
-  // SELECT S.HQ_ROWNUM FROM <staging> S WHERE <range> AND (p1 OR p2 ...)
+  // SELECT S.HQ_ROWNUM, p1, p2, ... FROM <staging> S
+  //   WHERE <range> AND (p1 OR p2 ...)
   sql::SelectStmt query = StagingQuery(*insert.select);
   query.items.push_back({std::make_unique<sql::ColumnRefExpr>(kStagingAlias, kRowNumColumn), ""});
+  sql::ExprPtr any;
+  std::vector<size_t> answered;  // the item each predicate column answers for
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (!items[i].fails) continue;
+    answered.push_back(i);
+    query.items.push_back({items[i].fails->Clone(), ""});
+    any = Combine(sql::BinaryOp::kOr, std::move(any), std::move(items[i].fails));
+  }
+  if (!any) return std::vector<uint64_t>{};
   query.where = Combine(sql::BinaryOp::kAnd, std::move(query.where), std::move(any));
   const std::string sql_text = sql::PrintStatement(query);
   ++result->statements_issued;
-  HQ_ASSIGN_OR_RETURN(cdw::ExecResult rows, ExecSql(sql_text));
+  HQ_ASSIGN_OR_RETURN(cdw::ExecResult rows, ExecSql(sql_text, result));
+
+  // The first failing column settles ERRORFIELD when the model covers every
+  // item before it; an item it does not recognise needs a probe.
+  size_t unmodelled = 0;
+  while (unmodelled < items.size() && items[unmodelled].modelled) ++unmodelled;
   std::vector<uint64_t> suspects;
   suspects.reserve(rows.rows.size());
   for (const types::Row& row : rows.rows) {
-    suspects.push_back(static_cast<uint64_t>(row[0].int_value()));
+    const auto rownum = static_cast<uint64_t>(row[0].int_value());
+    suspects.push_back(rownum);
+    for (size_t k = 0; k < answered.size() && answered[k] < unmodelled; ++k) {
+      const Value& fails = row[k + 1];
+      if (fails.is_boolean() && fails.boolean()) {
+        error_fields_[rownum] = items[answered[k]].column;
+        break;
+      }
+    }
   }
   std::sort(suspects.begin(), suspects.end());
   return suspects;
@@ -346,120 +365,205 @@ Result<DmlApplyResult> AdaptiveDmlApplier::Apply(uint64_t first_row, uint64_t la
   // The ET rows the search recorded go out in one statement, also after the
   // search failed.
   ++result.statements_issued;
-  const Status written = ExecSql(EtInsertSql(et_table_, et_rows_)).status();
+  const Status written = ExecSql(EtInsertSql(et_table_, et_rows_), &result).status();
   et_rows_.clear();
   HQ_RETURN_NOT_OK(searched);
   HQ_RETURN_NOT_OK(written);
   return result;
 }
 
-Status AdaptiveDmlApplier::Search(uint64_t first_row, uint64_t last_row,
-                                  DmlApplyResult* result) {
-  if (last_row < first_row) return Status::OK();  // empty load
-  // A node of the halving tree: a row range, its split depth and what the
-  // suspect query predicts for it.
-  enum class Prediction : uint8_t { kNone, kClean, kSuspect };
-  struct Node {
-    uint64_t first;
-    uint64_t last;
-    int depth;
-    Prediction prediction;
-  };
-  std::vector<uint64_t> suspects;  // empty while nothing is predicted
-  // Depth first, left half first: the order the paper's recursion visits.
-  std::vector<Node> stack = {{first_row, last_row, 0, Prediction::kNone}};
-  auto push_halves = [&](const Node& n) {
-    const uint64_t mid = n.first + (n.last - n.first) / 2;
-    for (Node half : {Node{mid + 1, n.last, n.depth + 1, Prediction::kNone},
-                      Node{n.first, mid, n.depth + 1, Prediction::kNone}}) {
-      if (!suspects.empty()) {
-        auto it = std::lower_bound(suspects.begin(), suspects.end(), half.first);
-        const bool suspect = it != suspects.end() && *it <= half.last;
-        half.prediction = suspect ? Prediction::kSuspect : Prediction::kClean;
-      }
-      stack.push_back(half);
-    }
-  };
+namespace {
+// What the suspect query predicts for a node of the halving tree.
+enum class Prediction : uint8_t { kNone, kClean, kSuspect };
+}  // namespace
 
-  // The pending run of predicted-clean nodes (contiguous rows), and the
-  // stack as it was when its first node was deferred.
-  std::optional<Node> run;
-  std::vector<Node> rewind;
-  while (!stack.empty() || run) {
-    if (!stack.empty() && stack.back().prediction != Prediction::kNone) {
-      const Node node = stack.back();
+// A node of the halving tree: a row range, its split depth and its
+// prediction.
+struct AdaptiveDmlApplier::Node {
+  uint64_t first;
+  uint64_t last;
+  int depth;
+  Prediction prediction;
+};
+
+// The walk visits the halving tree depth first, left half first: the order
+// the paper's recursion visits. It decides which node executes next and
+// what a failed node becomes; the applier executes the nodes and records
+// the errors. A copy of the walk plays ahead on predicted outcomes.
+class AdaptiveDmlApplier::Walk {
+ public:
+  Walk(uint64_t first, uint64_t last, const AdaptiveOptions& options)
+      : options_(&options), stack_{{first, last, 0, Prediction::kNone}} {}
+
+  /// The next node to execute, or none when the walk is done.
+  std::optional<Node> Next() {
+    while (!stack_.empty() && stack_.back().prediction != Prediction::kNone) {
+      const Node node = stack_.back();
       if (node.prediction == Prediction::kClean) {
-        if (!run) {
-          rewind = stack;
-          run = node;
+        if (!run_) {
+          rewind_ = stack_;
+          run_ = node;
         }
-        run->last = node.last;
-        stack.pop_back();
+        run_->last = node.last;
+        stack_.pop_back();
         continue;
       }
       // A suspect is split without executing it, down to a singleton or the
       // cutoff, where it executes as halving would.
-      if (node.first != node.last && !Cutoff(node.depth)) {
-        stack.pop_back();
-        push_halves(node);
-        continue;
+      if (node.first == node.last || Cutoff(node.depth)) break;
+      stack_.pop_back();
+      Split(node);
+    }
+    // The next node executes, or the walk ends: the pending run of
+    // predicted-clean nodes (contiguous rows) goes first, in one statement.
+    std::optional<Node> next = std::exchange(run_, std::nullopt);
+    if (!next && !stack_.empty()) {
+      next = stack_.back();
+      stack_.pop_back();
+    }
+    return next;
+  }
+
+  /// What becomes of a node that failed with an absorbable error.
+  enum class Step : uint8_t { kRewind, kSingleton, kRange, kSplit };
+  Step Failed(const Node& node) {
+    if (node.prediction == Prediction::kClean) {
+      // No statement ran since the run's first node was deferred, so the
+      // saved stack is the state halving would be in: restore it without
+      // predictions, and the rest of the walk is halving.
+      suspects_.clear();
+      stack_ = std::move(rewind_);
+      for (Node& n : stack_) n.prediction = Prediction::kNone;
+      return Step::kRewind;
+    }
+    if (node.first == node.last) {
+      ++errors_;
+      return Step::kSingleton;
+    }
+    // At the cutoff the whole failing range is recorded (Figure 6's final
+    // row).
+    return Cutoff(node.depth) ? Step::kRange : Step::kSplit;
+  }
+
+  /// Predicts the nodes pushed from now on from `suspects` (ascending).
+  void Predict(std::vector<uint64_t> suspects) { suspects_ = std::move(suspects); }
+
+  /// Pushes both halves of `node`, predicted while there are suspects.
+  void Split(const Node& node) {
+    const uint64_t mid = node.first + (node.last - node.first) / 2;
+    for (Node half : {Node{mid + 1, node.last, node.depth + 1, Prediction::kNone},
+                      Node{node.first, mid, node.depth + 1, Prediction::kNone}}) {
+      if (!suspects_.empty()) {
+        auto it = std::lower_bound(suspects_.begin(), suspects_.end(), half.first);
+        const bool suspect = it != suspects_.end() && *it <= half.last;
+        half.prediction = suspect ? Prediction::kSuspect : Prediction::kClean;
       }
+      stack_.push_back(half);
     }
-    // The next node executes, or the walk ends: the pending run goes first,
-    // in one statement.
-    Node node;
-    if (run) {
-      node = *run;
-      run.reset();
-    } else {
-      node = stack.back();
-      stack.pop_back();
-    }
-    auto attempt = ExecuteBound(node.first, node.last, result);
+  }
+
+ private:
+  /// True when a failed range at `depth` is recorded instead of split.
+  bool Cutoff(int depth) const {
+    return errors_ >= options_->max_errors || depth >= options_->max_retries;
+  }
+
+  const AdaptiveOptions* options_;
+  std::vector<uint64_t> suspects_;  // empty while nothing is predicted
+  std::vector<Node> stack_;
+  std::optional<Node> run_;
+  std::vector<Node> rewind_;  // the stack when the run's first node was deferred
+  uint64_t errors_ = 0;       // singleton errors recorded
+};
+
+Status AdaptiveDmlApplier::Search(uint64_t first_row, uint64_t last_row,
+                                  DmlApplyResult* result) {
+  if (last_row < first_row) return Status::OK();  // empty load
+  Walk walk(first_row, last_row, options_);
+  Pending pending;
+  while (std::optional<Node> node = walk.Next()) {
+    auto attempt = Execute(walk, *node, &pending, result);
     if (attempt.ok()) {
       AddCounts(*attempt, result);
       continue;
     }
     const Status& failure = attempt.status();
     if (!IsAbsorbableFailure(failure)) return failure;
-    if (node.prediction == Prediction::kClean) {
-      // No statement ran since the run's first node was deferred, so the
-      // saved stack is the state halving would be in: restore it without
-      // predictions, and the rest of the walk is halving.
-      ++result->plan_fallbacks;
-      suspects.clear();
-      stack = std::move(rewind);
-      for (Node& n : stack) n.prediction = Prediction::kNone;
-      continue;
-    }
-    if (node.first == node.last) {
-      HQ_RETURN_NOT_OK(RecordSingletonError(node.first, failure, result));
-      continue;
-    }
-    if (Cutoff(node.depth)) {
-      // Stop splitting: record the whole failing range (Figure 6's final row).
-      RecordRangeError(node.first, node.last, result);
-      continue;
-    }
-    // A failed root is planned once: the suspect query predicts its halves.
-    // UPDATE, DELETE and MERGE keep halving: with repeated keys, applying two
-    // ranges in one statement is not the same as applying them one after
-    // the other.
-    if (node.depth == 0 && options_.isolation == ErrorIsolation::kPlanned && PlainInsert()) {
-      Result<std::vector<uint64_t>> found = FindSuspects(node.first, node.last, result);
-      if (found.ok() && !found->empty()) {
-        suspects = std::move(*found);
-        result->suspects = suspects.size();
-      } else {
+    switch (walk.Failed(*node)) {
+      case Walk::Step::kRewind:
         ++result->plan_fallbacks;
-      }
+        break;
+      case Walk::Step::kSingleton:
+        HQ_RETURN_NOT_OK(RecordSingletonError(node->first, failure, result));
+        break;
+      case Walk::Step::kRange:
+        RecordRangeError(node->first, node->last, result);
+        break;
+      case Walk::Step::kSplit:
+        // A failed root is planned once: the suspect query predicts its
+        // halves. UPDATE, DELETE and MERGE keep halving: with repeated
+        // keys, applying two ranges in one statement is not the same as
+        // applying them one after the other.
+        if (node->depth == 0 && options_.isolation == ErrorIsolation::kPlanned &&
+            PlainInsert()) {
+          Result<std::vector<uint64_t>> found = FindSuspects(node->first, node->last, result);
+          if (found.ok() && !found->empty()) {
+            result->suspects = found->size();
+            walk.Predict(std::move(*found));
+          } else {
+            ++result->plan_fallbacks;
+          }
+        }
+        walk.Split(*node);
+        break;
     }
-    push_halves(node);
   }
   return Status::OK();
 }
 
-std::string AdaptiveDmlApplier::IdentifyErrorField(uint64_t row) {
+Result<cdw::ExecResult> AdaptiveDmlApplier::Execute(const Walk& walk, const Node& node,
+                                                    Pending* pending, DmlApplyResult* result) {
+  if (pending->empty() && node.prediction != Prediction::kNone) {
+    HQ_ASSIGN_OR_RETURN(*pending, ExecuteBatch(walk, node, result));
+  }
+  if (pending->empty()) {
+    HQ_ASSIGN_OR_RETURN(cdw::BatchStatement statement, BoundStatement(node.first, node.last));
+    ++result->statements_issued;
+    return ExecSql(statement.sql, result, statement.options);
+  }
+  Result<cdw::ExecResult> next = std::move(pending->front());
+  pending->pop_front();
+  return next;
+}
+
+Result<AdaptiveDmlApplier::Pending> AdaptiveDmlApplier::ExecuteBatch(Walk walk, const Node& node,
+                                                                     DmlApplyResult* result) {
+  // The walk's predictions are its outcomes here: a clean run succeeds and
+  // a suspect fails with a conversion error. ExecBatch stops at the first
+  // statement that does otherwise, and the walk takes it from there.
+  std::vector<cdw::BatchStatement> batch;
+  for (std::optional<Node> n = node; n && n->prediction != Prediction::kNone; n = walk.Next()) {
+    HQ_ASSIGN_OR_RETURN(cdw::BatchStatement statement, BoundStatement(n->first, n->last));
+    const bool suspect = n->prediction == Prediction::kSuspect;
+    statement.expect_conversion_error = suspect;
+    batch.push_back(std::move(statement));
+    if (suspect) walk.Failed(*n);
+  }
+  ++result->round_trips;
+  // Injected faults reject a batch before any statement of it runs, so the
+  // whole batch is retried.
+  HQ_ASSIGN_OR_RETURN(std::vector<Result<cdw::ExecResult>> ran,
+                      CdwRetry().RunResult<std::vector<Result<cdw::ExecResult>>>(
+                          "cdw.exec",
+                          [&](const common::RetryAttempt&) { return cdw_->ExecBatch(batch); }));
+  result->statements_issued += ran.size();
+  return Pending(std::make_move_iterator(ran.begin()), std::make_move_iterator(ran.end()));
+}
+
+std::string AdaptiveDmlApplier::IdentifyErrorField(uint64_t row, DmlApplyResult* result) {
+  if (auto settled = error_fields_.find(row); settled != error_fields_.end()) {
+    return settled->second;
+  }
   // Only the INSERT form maps select items one to one onto target columns.
   if (!PlainInsert()) return "";
   auto bound = Bind(row, row);
@@ -480,7 +584,7 @@ std::string AdaptiveDmlApplier::IdentifyErrorField(uint64_t row) {
     model_probe.items.push_back({std::move((*items)[i].fails), ""});
   }
   if (!probed.empty()) {
-    auto answer = ExecSql(sql::PrintStatement(model_probe));
+    auto answer = ExecSql(sql::PrintStatement(model_probe), result);
     if (answer.ok() && answer->rows.size() == 1) {
       for (size_t k = 0; k < probed.size(); ++k) {
         const Value& v = answer->rows[0][k];
@@ -498,7 +602,7 @@ std::string AdaptiveDmlApplier::IdentifyErrorField(uint64_t row) {
     }
     sql::SelectStmt probe = StagingQuery(select);
     probe.items.push_back({select.items[i].expr->Clone(), ""});
-    auto probed_expr = ExecSql(sql::PrintStatement(probe));
+    auto probed_expr = ExecSql(sql::PrintStatement(probe), result);
     if (!probed_expr.ok() && IsAbsorbableFailure(probed_expr.status())) return item.column;
   }
   return "";
@@ -506,7 +610,6 @@ std::string AdaptiveDmlApplier::IdentifyErrorField(uint64_t row) {
 
 Status AdaptiveDmlApplier::RecordSingletonError(uint64_t row, const Status& failure,
                                                 DmlApplyResult* result) {
-  ++errors_recorded_;
   if (failure.IsConstraintViolation()) {
     // Uniqueness violation: copy the staging tuple into the UV table with
     // SEQNO and the legacy error code (Figure 5c).
@@ -521,7 +624,7 @@ Status AdaptiveDmlApplier::RecordSingletonError(uint64_t row, const Status& fail
         std::to_string(legacy::kErrUniquenessViolation) + " FROM " + staging_table_ +
         " S WHERE S." + kRowNumColumn + " = " + std::to_string(row);
     ++result->statements_issued;
-    HQ_RETURN_NOT_OK(ExecSql(sql_text).status());
+    HQ_RETURN_NOT_OK(ExecSql(sql_text, result).status());
     ++result->uv_errors;
     return Status::OK();
   }
@@ -529,7 +632,7 @@ Status AdaptiveDmlApplier::RecordSingletonError(uint64_t row, const Status& fail
   const bool is_date = failure.message().find("DATE conversion") != std::string::npos;
   EtRow et;
   et.code = is_date ? legacy::kErrDateConversionDml : legacy::kErrFormatViolation;
-  et.field = IdentifyErrorField(row);
+  et.field = IdentifyErrorField(row, result);
   et.message = (is_date ? std::string("DATE conversion failed") : failure.message()) +
                " during DML on " + target_table_ + ", row number: " + std::to_string(row);
   et_rows_.push_back(std::move(et));

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -25,11 +27,17 @@
 ///   - max_retries: maximum split depth for any chunk.
 ///
 /// For an INSERT the walk is planned by default (ErrorIsolation::kPlanned):
-/// one suspect query asks the warehouse which rows would fail, nodes that
-/// hold a suspect are split without executing them, clean runs apply in one
-/// statement each and suspects execute as singletons. A failed run rewinds
-/// the walk to where the run began and drops the predictions, so the rest is
-/// halving (DESIGN.md "Error isolation (§7)").
+/// one suspect query asks the warehouse which rows would fail and which
+/// column fails first, nodes that hold a suspect are split without executing
+/// them, clean runs apply in one statement each and suspects execute as
+/// singletons. Once the suspect query has answered, the walk predicts every
+/// statement it will send, so they go to the warehouse in one batch
+/// (CdwServer::ExecBatch) that stops at the first statement whose outcome
+/// differs from its prediction. A failed run rewinds the walk to where the
+/// run began and drops the predictions, so the rest is halving, one round
+/// trip per statement. The suspect query's answer also names the ERRORFIELD
+/// of a suspect when the model covers every column before the failing one
+/// (DESIGN.md "Error isolation (§7)").
 
 namespace hyperq::core {
 
@@ -53,9 +61,12 @@ struct DmlApplyResult {
   uint64_t uv_errors = 0;  ///< uniqueness violations recorded
   uint64_t range_errors = 0;  ///< 9057 range entries among et_errors
   /// DML statements issued against the CDW (instrumentation for benchmarks);
-  /// the suspect query and the one ET insert count, the ERRORFIELD probes
-  /// do not.
+  /// the suspect query, the one ET insert and each statement of a batch
+  /// count, the ERRORFIELD probes do not.
   uint64_t statements_issued = 0;
+  /// Requests sent to the CDW, each one a modelled round trip: a statement,
+  /// an ERRORFIELD probe or a batch. A retried request counts once.
+  uint64_t round_trips = 0;
   /// Rows the suspect query predicted to fail (planned isolation).
   uint64_t suspects = 0;
   /// Planned isolations that finished with halving: the suspect query
@@ -111,16 +122,30 @@ class AdaptiveDmlApplier {
   common::Result<DmlApplyResult> Apply(uint64_t first_row, uint64_t last_row);
 
  private:
+  /// The walk of the halving tree and one of its nodes (error_handler.cc).
+  class Walk;
+  struct Node;
+  /// Results of a batch that the walk has not reached yet, in order.
+  using Pending = std::deque<common::Result<cdw::ExecResult>>;
+
   /// Apply without the ET write: one explicit-stack walk of the halving
   /// tree below [first_row, last_row] (DESIGN.md "Error isolation (§7)").
   common::Status Search(uint64_t first_row, uint64_t last_row, DmlApplyResult* result);
-  /// True when a failed range at `depth` is recorded instead of split.
-  bool Cutoff(int depth) const;
   /// True when the status is a tuple-level failure the handler absorbs.
   static bool IsAbsorbableFailure(const common::Status& s);
+  /// The result of executing `node`, which `walk` just returned: the next
+  /// one in `pending`; else, when the walk predicts the node, the first of a
+  /// new batch; else the node's own statement.
+  common::Result<cdw::ExecResult> Execute(const Walk& walk, const Node& node, Pending* pending,
+                                          DmlApplyResult* result);
+  /// Plays a copy of `walk` ahead from `node` on its predictions, and sends
+  /// in one batch every statement it would execute before a node it cannot
+  /// predict.
+  common::Result<Pending> ExecuteBatch(Walk walk, const Node& node, DmlApplyResult* result);
 
   /// The HQ_ROWNUMs in [first, last] whose row-local failure points
   /// (conversions, the target casts, NOT NULL) fail, ascending; one query.
+  /// Records in `error_fields_` the ERRORFIELD its answer settles.
   common::Result<std::vector<uint64_t>> FindSuspects(uint64_t first, uint64_t last,
                                                      DmlApplyResult* result);
 
@@ -142,21 +167,22 @@ class AdaptiveDmlApplier {
                                       DmlApplyResult* result);
   void RecordRangeError(uint64_t first, uint64_t last, DmlApplyResult* result);
   /// Finds which target column fails to load a given staging row
-  /// (best-effort; empty when not identifiable): one probe for the modelled
-  /// items, an expression probe for each other item.
-  std::string IdentifyErrorField(uint64_t row);
+  /// (best-effort; empty when not identifiable): the suspect query's answer
+  /// when it settles it, else one probe for the modelled items and an
+  /// expression probe for each other item.
+  std::string IdentifyErrorField(uint64_t row, DmlApplyResult* result);
 
   /// The DML bound to staging rows [first, last] and transpiled.
   common::Result<sql::StatementPtr> Bind(uint64_t first, uint64_t last) const;
-  /// Executes the bound+transpiled DML for a row range.
-  common::Result<cdw::ExecResult> ExecuteBound(uint64_t first, uint64_t last,
-                                               DmlApplyResult* result);
+  /// The bound DML for a row range as the statement shipped to the CDW.
+  common::Result<cdw::BatchStatement> BoundStatement(uint64_t first, uint64_t last) const;
 
-  /// Ships one SQL text to the CDW under the per-statement retry policy
-  /// (io_retry options + the "cdw" breaker). Tuple-level failures are not
-  /// retryable, so they come straight back; only transient endpoint
-  /// failures burn retry attempts.
-  common::Result<cdw::ExecResult> ExecSql(const std::string& sql_text,
+  /// The per-request retry policy: io_retry options + the "cdw" breaker.
+  /// Tuple-level failures are not retryable, so they come straight back;
+  /// only transient endpoint failures burn retry attempts.
+  common::RetryPolicy CdwRetry() const;
+  /// Ships one SQL text to the CDW under CdwRetry(): one round trip.
+  common::Result<cdw::ExecResult> ExecSql(const std::string& sql_text, DmlApplyResult* result,
                                           const cdw::ExecOptions& exec = {}) const;
 
   cdw::CdwServer* cdw_;
@@ -167,9 +193,10 @@ class AdaptiveDmlApplier {
   std::string et_table_;
   std::string uv_table_;
   AdaptiveOptions options_;
-  uint64_t errors_recorded_ = 0;
   /// ET rows recorded by the search and not yet written, in record order.
   std::vector<EtRow> et_rows_;
+  /// HQ_ROWNUM -> the ERRORFIELD the suspect query's answer settles.
+  std::map<uint64_t, std::string> error_fields_;
 };
 
 /// SQL-quotes a string literal (doubling single quotes).

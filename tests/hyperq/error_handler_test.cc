@@ -309,6 +309,31 @@ TEST_F(AdaptiveErrorTest, PlannedIsolationAppliesCleanRunsInOneStatementEach) {
   }
 }
 
+TEST_F(AdaptiveErrorTest, FaultOnTheBatchRetriesTheWholeBatch) {
+  // cdw.exec call 1 is the root, call 2 the suspect query and call 3 the
+  // batch of every predicted statement. A fault fires before any statement
+  // of the batch runs, so the retried batch loads each row once.
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 1; i <= 100; ++i) {
+    rows.push_back({std::to_string(i), "N", i % 10 == 4 ? "bad" : "2012-01-01"});
+  }
+  StageRows(rows);
+  common::FaultInjector::Global().ResetForTesting();
+  ASSERT_TRUE(common::FaultInjector::Global().Arm("cdw.exec=error,once=3").ok());
+  AdaptiveOptions options;
+  options.io_retry.sleep = false;
+  auto result = Apply(options);
+  EXPECT_EQ(common::FaultInjector::Global().injected_count("cdw.exec"), 1u);
+  common::FaultInjector::Global().ResetForTesting();
+  common::ResetBreakersForTesting();
+  EXPECT_EQ(result.rows_inserted, 90u);
+  EXPECT_EQ(result.et_errors, 10u);
+  EXPECT_EQ(result.statements_issued, 2u + 11u + 10u + 1u);
+  EXPECT_EQ(result.round_trips, 4u);
+  EXPECT_EQ(TableRows("PROD.CUSTOMER").size(), 90u);
+  EXPECT_EQ(TableRows("PROD.CUSTOMER_ET").size(), 10u);
+}
+
 TEST_F(AdaptiveErrorTest, PlannedIsolationRewindsToHalvingOnAFailedRun) {
   // Rows 2-3 are predicted; the duplicate key in row 4 is not, so the run
   // [4, 5] fails and halving takes over from that node.
@@ -353,8 +378,9 @@ TEST_F(AdaptiveErrorTest, UpdateKeepsHalving) {
 }
 
 TEST_F(AdaptiveErrorTest, EtRowsOfOneApplyGoOutInOneStatement) {
-  // 32 suspects: root, suspect query, 32 failing singletons with one probe
-  // each, and one ET insert for all 32 rows, in row order.
+  // 32 suspects: root, suspect query, 32 failing singletons in one batch,
+  // and one ET insert for all 32 rows, in row order. The suspect query
+  // names JOIN_DATE for each row, so no probe is sent.
   std::vector<std::vector<std::string>> rows;
   for (int i = 0; i < 32; ++i) rows.push_back({std::to_string(i), "X", "nope"});
   StageRows(rows);
@@ -362,13 +388,40 @@ TEST_F(AdaptiveErrorTest, EtRowsOfOneApplyGoOutInOneStatement) {
   auto result = Apply();
   EXPECT_EQ(result.et_errors, 32u);
   EXPECT_EQ(result.statements_issued, 2u + 32u + 1u);
-  EXPECT_EQ(cdw_.statements_executed() - before, result.statements_issued + 32u);
+  EXPECT_EQ(cdw_.statements_executed() - before, result.statements_issued);
+  EXPECT_EQ(result.round_trips, 4u);
   auto et = TableRows("PROD.CUSTOMER_ET");
   ASSERT_EQ(et.size(), 32u);
   for (size_t i = 0; i < et.size(); ++i) {
     EXPECT_NE(et[i][2].string_value().find("row number: " + std::to_string(i + 1)),
               std::string::npos);
   }
+}
+
+TEST_F(AdaptiveErrorTest, SuspectQuerySettlesErrorFieldBeforeAnUnmodelledItem) {
+  // CUST_NAME's item is not modelled. Row 2's NULL key fails CUST_ID, which
+  // comes before it, so the suspect query's answer names the column. Row
+  // 3's bad date fails JOIN_DATE, after it, so row 3 is probed as before:
+  // the modelled items' probe and CUST_NAME's expression probe.
+  dml_ = sql::ParseStatement(
+             "insert into PROD.CUSTOMER values (trim(:CUST_ID), trim(:CUST_NAME) || '', "
+             "cast(:JOIN_DATE as DATE format 'YYYY-MM-DD'))")
+             .ValueOrDie();
+  StageRows({{"1", "A", "2012-01-01"},
+             {"", "B", "2012-01-02"},
+             {"3", "C", "bad"},
+             {"4", "D", "2012-01-04"}});
+  const uint64_t before = cdw_.statements_executed();
+  auto result = Apply();
+  EXPECT_EQ(result.suspects, 2u);
+  EXPECT_EQ(result.rows_inserted, 2u);
+  EXPECT_EQ(cdw_.statements_executed() - before, result.statements_issued + 2u);
+  // Root, suspect query, one batch, two probes and the ET insert.
+  EXPECT_EQ(result.round_trips, 6u);
+  auto et = TableRows("PROD.CUSTOMER_ET");
+  ASSERT_EQ(et.size(), 2u);
+  EXPECT_EQ(et[0][1].string_value(), "CUST_ID");
+  EXPECT_EQ(et[1][1].string_value(), "JOIN_DATE");
 }
 
 TEST_F(AdaptiveErrorTest, CleanApplyWritesNoEtStatement) {
@@ -433,10 +486,10 @@ TEST(EtInsertSqlTest, RendersEveryRowInOrderInOneStatement) {
 }
 
 TEST(DmlApplyResultTest, AddSumsEveryField) {
-  const DmlApplyResult batch{1, 2, 3, 4, 5, 6, 7, 8, 9};
-  DmlApplyResult totals{10, 20, 30, 40, 50, 60, 70, 80, 90};
+  const DmlApplyResult batch{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  DmlApplyResult totals{10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
   totals.Add(batch);
-  const DmlApplyResult want{11, 22, 33, 44, 55, 66, 77, 88, 99};
+  const DmlApplyResult want{11, 22, 33, 44, 55, 66, 77, 88, 99, 110};
   EXPECT_EQ(std::memcmp(&totals, &want, sizeof(want)), 0);
 }
 

@@ -200,7 +200,9 @@ TEST_F(ObservabilityE2eTest, PlannedErrorIsolationReportsSuspects) {
   // Rows 1-49, 51-99, 101-149 and 151-199 apply as four runs, and rows 50,
   // 100, 150 and 200 fail as singletons. max_errors is then reached, so
   // [201, 400] runs once and is recorded as a 9057 range. The five ET rows
-  // go out in one insert. That is 2 + 4 + 4 + 1 + 1 statements.
+  // go out in one insert. That is 2 + 4 + 4 + 1 + 1 statements. Once the
+  // suspect query has answered, the nine statements it predicts go out in
+  // one batch: 4 round trips, with no ERRORFIELD probe.
   bad_date_every_ = 50;
   script_settings_ = ".set max_errors 4;\n";
   StartNode();
@@ -216,6 +218,7 @@ TEST_F(ObservabilityE2eTest, PlannedErrorIsolationReportsSuspects) {
   EXPECT_EQ(dml->et_errors, 5u);
   EXPECT_EQ(dml->range_errors, 1u);
   EXPECT_EQ(dml->statements_issued, 12u);
+  EXPECT_EQ(dml->round_trips, 4u);
   obs::MetricsSnapshot snap = node_->MetricsSnapshot();
   EXPECT_EQ(snap.counters.at("hyperq_error_suspects_total"), 8u);
   EXPECT_EQ(snap.counters.at("hyperq_error_plan_fallbacks_total"), 0u);
