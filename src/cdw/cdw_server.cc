@@ -63,23 +63,17 @@ Result<ExecResult> CdwServer::RunStatement(std::string_view sql, const ExecOptio
 }
 
 Result<ExecResult> CdwServer::ExecuteSql(std::string_view sql, const ExecOptions& options) {
-  const auto arrival = std::chrono::steady_clock::now();
-  // Injected exec faults always fire BEFORE execution, so retrying a failed
-  // (possibly non-idempotent) DML statement is safe: a failed statement
-  // never half-ran.
-  HQ_RETURN_NOT_OK(common::FaultInjector::Global().Inject("cdw.exec"));
-  obs::ScopedTimer timer(statement_latency_);
-  if (round_trips_total_ != nullptr) round_trips_total_->Increment();
-  PayStartupCost(arrival, options_.statement_startup_micros);
-  common::MutexLock lock(&mu_);
-  return RunStatement(sql, options);
+  HQ_ASSIGN_OR_RETURN(std::vector<Result<ExecResult>> results,
+                      ExecBatch({BatchStatement{std::string(sql), options}}));
+  return std::move(results.front());
 }
 
 Result<std::vector<Result<ExecResult>>> CdwServer::ExecBatch(
     const std::vector<BatchStatement>& batch) {
   const auto arrival = std::chrono::steady_clock::now();
-  // One request, one injection point: a fault rejects the whole batch
-  // before any statement of it runs.
+  // One request, one injection point: a fault rejects the whole request
+  // before any statement of it runs, so retrying a failed (possibly
+  // non-idempotent) DML statement is safe: a failed statement never half-ran.
   HQ_RETURN_NOT_OK(common::FaultInjector::Global().Inject("cdw.exec"));
   obs::ScopedTimer timer(statement_latency_);
   if (round_trips_total_ != nullptr) round_trips_total_->Increment();

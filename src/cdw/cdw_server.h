@@ -69,7 +69,8 @@ class CdwServer {
   Catalog* catalog() { return &catalog_; }
   cloud::ObjectStore* store() { return store_; }
 
-  /// Executes one SQL statement (CDW dialect text).
+  /// Executes one SQL statement (CDW dialect text): a one-statement
+  /// ExecBatch request.
   common::Result<ExecResult> ExecuteSql(std::string_view sql, const ExecOptions& options = {})
       HQ_EXCLUDES(mu_);
 

@@ -154,7 +154,8 @@ Result<uint64_t> CopyFromStore(Table* table, const cloud::ObjectStore& store,
                                std::map<std::string, uint64_t>* ledger, CopyStats* stats) {
   std::vector<std::string> keys = store.List(prefix);
   const size_t ncols = table->schema().num_fields();
-  std::vector<std::vector<Value>> staged(ncols);
+  TableWrite write;  // one append of every object's rows
+  write.appended.resize(ncols);
   std::vector<std::pair<std::string, uint64_t>> ingested;  // tagged key -> rows, this COPY
   uint64_t already_ingested = 0;
   uint64_t staged_rows = 0;
@@ -187,7 +188,7 @@ Result<uint64_t> CopyFromStore(Table* table, const cloud::ObjectStore& store,
       while (!reader.AtEnd()) {
         Status parsed = block.Parse(&reader);
         if (!parsed.ok()) return parsed.WithContext("COPY: object " + key);
-        HQ_RETURN_NOT_OK(AppendBinaryBlock(block, *table, key, &staged));
+        HQ_RETURN_NOT_OK(AppendBinaryBlock(block, *table, key, &write.appended));
         staged_rows += block.row_count();
       }
     } else {
@@ -210,12 +211,12 @@ Result<uint64_t> CopyFromStore(Table* table, const cloud::ObjectStore& store,
             if (!field.nullable) {
               return Status::ConversionError("COPY: NULL in NOT NULL column " + field.name);
             }
-            staged[c].push_back(Value::Null());
+            write.appended[c].push_back(Value::Null());
             continue;
           }
           HQ_ASSIGN_OR_RETURN(
               Value v, types::CastValue(Value::String(std::string(cell.text)), field.type));
-          staged[c].push_back(std::move(v));
+          write.appended[c].push_back(std::move(v));
         }
         ++staged_rows;
       }
@@ -233,7 +234,7 @@ Result<uint64_t> CopyFromStore(Table* table, const cloud::ObjectStore& store,
       local.csv_bytes += raw.size();
     }
   }
-  HQ_RETURN_NOT_OK(table->AppendColumns(std::move(staged)));
+  HQ_RETURN_NOT_OK(table->Commit(std::move(write)));
   // The append committed; only now do the new keys enter the ledger.
   if (ledger != nullptr) {
     for (auto& [key, rows] : ingested) (*ledger)[key] = rows;

@@ -52,19 +52,19 @@ Status AddColumn(const Table& table, const std::string& name, std::vector<size_t
   return Status::OK();
 }
 
-/// Stages the rows of an INSERT, or of a MERGE's WHEN NOT MATCHED, as one
-/// value vector per target column for Table::AppendColumns. The column list
-/// is resolved once. Each row's value count is checked first, then the list
-/// (its first unknown or repeated name fails the first staged row, so a
-/// statement that inserts no row still succeeds), then every target column
-/// in table order is cast and checked against NOT NULL. NOTE: the messages
-/// intentionally carry no row identification — cloud warehouses report bulk
-/// failures at statement granularity.
+/// Stages the rows of an INSERT, or of a MERGE's WHEN NOT MATCHED, as the
+/// appended columns of a TableWrite. The column list is resolved once. Each
+/// row's value count is checked first, then the list (its first unknown or
+/// repeated name fails the first staged row, so a statement that inserts no
+/// row still succeeds), then every target column in table order is cast and
+/// checked against NOT NULL. NOTE: the messages intentionally carry no row
+/// identification — cloud warehouses report bulk failures at statement
+/// granularity.
 class InsertStager {
  public:
-  InsertStager(const Table& table, const std::vector<std::string>& columns)
+  InsertStager(const Table& table, const std::vector<std::string>& columns, TableWrite* write)
       : table_(table), value_count_(columns.empty() ? table.num_columns() : columns.size()),
-        has_list_(!columns.empty()), columns_(table.num_columns()) {
+        has_list_(!columns.empty()), columns_(write->appended) {
     std::vector<size_t> listed;
     for (const auto& name : columns) {
       list_error_ = AddColumn(table, name, &listed);
@@ -73,6 +73,7 @@ class InsertStager {
     source_.resize(table.num_columns());
     for (size_t c = 0; c < source_.size(); ++c) source_[c] = has_list_ ? kAbsent : c;
     for (size_t i = 0; i < listed.size(); ++i) source_[listed[i]] = i;
+    columns_.resize(table.num_columns());
   }
 
   /// Stages one row: values[i] is the i-th listed column's value (the i-th
@@ -96,25 +97,12 @@ class InsertStager {
       }
       columns_[c].push_back(std::move(v));
     }
-    ++num_rows_;
     return Status::OK();
   }
 
   void Reserve(size_t rows) {
     for (auto& column : columns_) column.reserve(rows);
   }
-
-  size_t num_rows() const { return num_rows_; }
-
-  /// The primary-key tuple of every staged row.
-  void AddKeys(std::vector<Row>* keys) const {
-    for (size_t r = 0; r < num_rows_; ++r) {
-      keys->push_back(table_.KeyOf([&](size_t c) { return columns_[c][r]; }));
-    }
-  }
-
-  /// The staged columns, for Table::AppendColumns.
-  std::vector<std::vector<Value>> Take() { return std::move(columns_); }
 
  private:
   static constexpr size_t kAbsent = static_cast<size_t>(-1);
@@ -125,19 +113,57 @@ class InsertStager {
   Status list_error_;
   /// For each table column, the index of the value that feeds it.
   std::vector<size_t> source_;
-  std::vector<std::vector<Value>> columns_;
-  size_t num_rows_ = 0;
+  std::vector<std::vector<Value>>& columns_;
 };
 
+/// A write that updates `columns` (table column indexes) of the rows
+/// StageUpdate stages.
+TableWrite UpdateWrite(const std::vector<size_t>& columns) {
+  TableWrite write;
+  write.assigned = columns;
+  write.assigned_values.resize(columns.size());
+  return write;
+}
+
+/// Stages the SET values of stored row `row`: `values[i]`, evaluated at
+/// combined row `rows`, is cast to the type of column write->assigned[i] and
+/// checked against NOT NULL. Only the assigned cells are staged.
+Status StageUpdate(const Table& table, size_t row, const std::vector<CompiledExpr>& values,
+                   const size_t* rows, TableWrite* write) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    HQ_ASSIGN_OR_RETURN(const Value* v, values[i].Eval(rows));
+    const types::Field& field = table.schema().field(write->assigned[i]);
+    HQ_ASSIGN_OR_RETURN(Value coerced, types::CastValue(*v, field.type));
+    if (coerced.is_null() && !field.nullable) {
+      return Status::ConversionError("NULL value in NOT NULL column " + field.name);
+    }
+    write->assigned_values[i].push_back(std::move(coerced));
+  }
+  write->updated_rows.push_back(row);
+  return Status::OK();
+}
+
 /// Uniqueness emulation: verifies the declared unique PK over the stored
-/// keys and `staged_keys`, the key tuples a statement writes. Keys of the
-/// `freed_rows` it rewrites don't count as conflicts. Aborts with a
-/// chunk-level ConstraintViolation, no tuple identified.
-Status CheckUniqueness(const Table& table, std::vector<Row> staged_keys,
-                       const std::vector<size_t>& freed_rows = {}) {
+/// keys and the key tuples `write` stages, those of its updated rows first,
+/// then those of its appended rows. The stored keys of the rows it rewrites
+/// don't count as conflicts. Aborts with a chunk-level ConstraintViolation,
+/// no tuple identified.
+Status CheckUniqueness(const Table& table, const TableWrite& write) {
   if (!table.unique_primary() || table.primary_key_indexes().empty()) return Status::OK();
   std::map<Row, size_t, RowLess> freed;
-  for (size_t r : freed_rows) ++freed[table.KeyOf([&](size_t c) { return table.At(r, c); })];
+  std::vector<Row> staged_keys;
+  for (size_t u = 0; u < write.updated_rows.size(); ++u) {
+    const size_t r = write.updated_rows[u];
+    ++freed[table.KeyOf([&](size_t c) { return table.At(r, c); })];
+    staged_keys.push_back(table.KeyOf([&](size_t c) {
+      auto it = std::find(write.assigned.begin(), write.assigned.end(), c);
+      return it == write.assigned.end() ? table.At(r, c)
+                                        : write.assigned_values[it - write.assigned.begin()][u];
+    }));
+  }
+  for (size_t r = 0; r < write.appended_rows(); ++r) {
+    staged_keys.push_back(table.KeyOf([&](size_t c) { return write.appended[c][r]; }));
+  }
   std::set<Row, RowLess> seen;
   for (Row& key : staged_keys) {
     bool key_has_null = false;
@@ -153,31 +179,17 @@ Status CheckUniqueness(const Table& table, std::vector<Row> staged_keys,
   return Status::OK();
 }
 
-/// The key tuples and rows of a statement's staged replacement rows.
-void AddReplacedKeys(const Table& table, const std::vector<std::pair<size_t, Row>>& replaced,
-                     std::vector<Row>* keys, std::vector<size_t>* rows) {
-  for (const auto& [r, row] : replaced) {
-    keys->push_back(table.KeyOf([&](size_t c) { return row[c]; }));
-    rows->push_back(r);
-  }
-}
-
-/// A copy of stored row `row` with SET values applied: `values[i]`,
-/// evaluated at combined row `rows`, is cast to column `columns[i]`'s type
-/// and checked against NOT NULL. This copy is the staged replacement row.
-Result<Row> AssignRow(const Table& table, size_t row, const std::vector<CompiledExpr>& values,
-                      const std::vector<size_t>& columns, const size_t* rows) {
-  Row out = table.GetRow(row);
-  for (size_t i = 0; i < values.size(); ++i) {
-    HQ_ASSIGN_OR_RETURN(const Value* v, values[i].Eval(rows));
-    const types::Field& field = table.schema().field(columns[i]);
-    HQ_ASSIGN_OR_RETURN(Value coerced, types::CastValue(*v, field.type));
-    if (coerced.is_null() && !field.nullable) {
-      return Status::ConversionError("NULL value in NOT NULL column " + field.name);
-    }
-    out[columns[i]] = std::move(coerced);
-  }
-  return out;
+/// Commits a statement's staged write, checked first against the declared
+/// unique key when the caller asks for the emulation, and reports its row
+/// counts.
+Result<ExecResult> CommitWrite(Table* table, TableWrite write, const ExecOptions& options) {
+  if (options.enforce_unique_primary) HQ_RETURN_NOT_OK(CheckUniqueness(*table, write));
+  ExecResult result;
+  result.rows_inserted = write.appended_rows();
+  result.rows_updated = write.updated_rows.size();
+  result.rows_deleted = write.removed_rows.size();
+  HQ_RETURN_NOT_OK(table->Commit(std::move(write)));
+  return result;
 }
 
 /// Compiles SET values in assignment order.
@@ -461,7 +473,8 @@ Result<ExecResult> Executor::ExecuteSelect(const SelectStmt& stmt) {
 Result<ExecResult> Executor::ExecuteInsert(const sql::InsertStmt& stmt,
                                            const ExecOptions& options) {
   HQ_ASSIGN_OR_RETURN(TablePtr table, catalog_->GetTable(stmt.table));
-  InsertStager stager(*table, stmt.columns);
+  TableWrite write;
+  InsertStager stager(*table, stmt.columns, &write);
   std::vector<const Value*> values;
   if (stmt.select) {
     // The SELECT runs to its end before any row is staged, so its errors
@@ -486,16 +499,7 @@ Result<ExecResult> Executor::ExecuteInsert(const sql::InsertStmt& stmt,
       HQ_RETURN_NOT_OK(stager.Stage(values));
     }
   }
-
-  if (options.enforce_unique_primary && table->unique_primary()) {
-    std::vector<Row> keys;
-    stager.AddKeys(&keys);
-    HQ_RETURN_NOT_OK(CheckUniqueness(*table, std::move(keys)));
-  }
-  ExecResult result;
-  result.rows_inserted = stager.num_rows();
-  HQ_RETURN_NOT_OK(table->AppendColumns(stager.Take()));
-  return result;
+  return CommitWrite(table.get(), std::move(write), options);
 }
 
 // --- UPDATE -----------------------------------------------------------------
@@ -531,8 +535,7 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
   const CompiledExpr where =
       from_table ? CompiledExpr() : CompiledExpr::CompilePredicate(stmt.where.get(), bindings);
   auto run = [&](JoinMatcher* matcher) -> Result<ExecResult> {
-    // Stage: row index -> new full row.
-    std::vector<std::pair<size_t, Row>> staged;
+    TableWrite write = UpdateWrite(assign_cols);
     size_t rows[2] = {0, 0};
     for (size_t r = 0; r < table->num_rows(); ++r) {
       rows[0] = r;
@@ -545,23 +548,9 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
         HQ_ASSIGN_OR_RETURN(bool ok, where.Test(rows));
         if (!ok) continue;
       }
-      HQ_ASSIGN_OR_RETURN(Row new_row, AssignRow(*table, r, values, assign_cols, rows));
-      staged.emplace_back(r, std::move(new_row));
+      HQ_RETURN_NOT_OK(StageUpdate(*table, r, values, rows, &write));
     }
-
-    if (options.enforce_unique_primary && table->unique_primary()) {
-      std::vector<Row> keys;
-      std::vector<size_t> replaced;
-      AddReplacedKeys(*table, staged, &keys, &replaced);
-      HQ_RETURN_NOT_OK(CheckUniqueness(*table, std::move(keys), replaced));
-    }
-
-    for (auto& [r, row] : staged) {
-      HQ_RETURN_NOT_OK(table->ReplaceRow(r, std::move(row)));
-    }
-    ExecResult result;
-    result.rows_updated = staged.size();
-    return result;
+    return CommitWrite(table.get(), std::move(write), options);
   };
   if (!from_table) return run(nullptr);
   JoinSides sides{table.get(), target_alias, from_table.get(), from_alias, stmt.where.get(),
@@ -590,7 +579,7 @@ Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt) {
       using_table ? CompiledExpr()
                   : CompiledExpr::CompilePredicate(stmt.where.get(), std::span(&target, 1));
   auto run = [&](JoinMatcher* matcher) -> Result<ExecResult> {
-    std::vector<size_t> doomed;
+    TableWrite write;
     for (size_t r = 0; r < table->num_rows(); ++r) {
       ++rows_scanned_;
       bool matched = false;
@@ -600,12 +589,9 @@ Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt) {
       } else {
         HQ_ASSIGN_OR_RETURN(matched, where.Test(&r));
       }
-      if (matched) doomed.push_back(r);
+      if (matched) write.removed_rows.push_back(r);
     }
-    HQ_RETURN_NOT_OK(table->RemoveRows(doomed));
-    ExecResult result;
-    result.rows_deleted = doomed.size();
-    return result;
+    return CommitWrite(table.get(), std::move(write), ExecOptions{});
   };
   if (!using_table) return run(nullptr);
   JoinSides sides{table.get(), target_alias, using_table.get(), using_alias, stmt.where.get(),
@@ -642,8 +628,8 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
                   /*drive_source=*/true};
   return RunJoinDml(sides, hash_join_, &rows_scanned_,
                     [&](JoinMatcher& matcher) -> Result<ExecResult> {
-    std::vector<std::pair<size_t, Row>> staged_updates;
-    InsertStager inserts(*target, stmt.insert_columns);
+    TableWrite write = UpdateWrite(update_cols);
+    InsertStager inserts(*target, stmt.insert_columns, &write);
     std::vector<const Value*> values;
     size_t pair_rows[2] = {0, 0};  // target row, source row
 
@@ -658,9 +644,8 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
         const auto matched_target = static_cast<size_t>(match.row);
         pair_rows[0] = matched_target;
         pair_rows[1] = s;
-        HQ_ASSIGN_OR_RETURN(Row new_row, AssignRow(*target, matched_target, update_values,
-                                                   update_cols, pair_rows));
-        staged_updates.emplace_back(matched_target, std::move(new_row));
+        HQ_RETURN_NOT_OK(
+            StageUpdate(*target, matched_target, update_values, pair_rows, &write));
       } else {
         if (insert_values.empty()) continue;
         values.clear();
@@ -672,22 +657,7 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
       }
     }
 
-    if (options.enforce_unique_primary && target->unique_primary()) {
-      std::vector<Row> keys;
-      std::vector<size_t> replaced;
-      AddReplacedKeys(*target, staged_updates, &keys, &replaced);
-      inserts.AddKeys(&keys);
-      HQ_RETURN_NOT_OK(CheckUniqueness(*target, std::move(keys), replaced));
-    }
-
-    for (auto& [r, row] : staged_updates) {
-      HQ_RETURN_NOT_OK(target->ReplaceRow(r, std::move(row)));
-    }
-    ExecResult result;
-    result.rows_updated = staged_updates.size();
-    result.rows_inserted = inserts.num_rows();
-    HQ_RETURN_NOT_OK(target->AppendColumns(inserts.Take()));
-    return result;
+    return CommitWrite(target.get(), std::move(write), options);
   });
 }
 

@@ -8,10 +8,12 @@
 /// \file executor.h
 /// Set-oriented SQL execution over the catalog. Statement semantics mirror a
 /// cloud warehouse:
-///   - a statement either fully applies or fully aborts: one bad tuple
-///     (conversion failure, constraint violation) rolls back the whole
-///     statement and the error does NOT identify the offending tuple —
-///     exactly the behaviour that motivates adaptive error handling
+///   - a statement either fully applies or fully aborts: every writing
+///     statement stages its whole change as one TableWrite and commits it
+///     with Table::Commit only after its last row was staged and checked,
+///     so one bad tuple (conversion failure, constraint violation) leaves
+///     the table untouched, and the error does NOT identify the offending
+///     tuple — exactly the behaviour that motivates adaptive error handling
 ///     (paper Section 7);
 ///   - declared unique primary keys are NOT enforced natively; enforcement
 ///     happens only when the caller (Hyper-Q's Beta process) requests the

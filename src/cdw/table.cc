@@ -49,85 +49,88 @@ Row Table::GetRow(size_t row) const {
   return out;
 }
 
-Status Table::AppendRow(Row row) {
-  if (row.size() != columns_.size()) {
-    return Status::Invalid("row arity " + std::to_string(row.size()) + " != table arity " +
-                           std::to_string(columns_.size()));
+namespace {
+
+/// Whether `write` fits a table of `num_rows` rows and `num_columns`
+/// columns; Commit changes nothing unless it does.
+Status CheckWrite(const TableWrite& write, size_t num_rows, size_t num_columns) {
+  bool fits = write.appended.empty() || write.appended.size() == num_columns;
+  for (const auto& col : write.appended) fits &= col.size() == write.appended_rows();
+  fits &= write.assigned_values.size() == write.assigned.size();
+  for (size_t i = 0; fits && i < write.assigned.size(); ++i) {
+    fits = write.assigned[i] < num_columns &&
+           write.assigned_values[i].size() == write.updated_rows.size();
   }
-  if (IndexedKeys()) IndexInsert(KeyOf([&](size_t c) { return row[c]; }));
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].push_back(std::move(row[c]));
+  if (!fits) return Status::Invalid("write does not match the table's columns");
+  for (size_t r : write.updated_rows) fits &= r < num_rows;
+  const std::vector<size_t>& removed = write.removed_rows;
+  for (size_t i = 0; i < removed.size(); ++i) {
+    fits &= removed[i] < num_rows && (i == 0 || removed[i] > removed[i - 1]);
   }
-  ++num_rows_;
+  if (!fits) return Status::Invalid("write names a row out of range or out of order");
   return Status::OK();
 }
 
-Status Table::AppendColumns(std::vector<std::vector<Value>> values) {
-  if (values.size() != columns_.size()) {
-    return Status::Invalid("column arity " + std::to_string(values.size()) + " != table arity " +
-                           std::to_string(columns_.size()));
+}  // namespace
+
+Status Table::Commit(TableWrite write) {
+  HQ_RETURN_NOT_OK(CheckWrite(write, num_rows_, columns_.size()));
+  auto stored = [this](size_t r) { return KeyOf([&](size_t c) { return At(r, c); }); };
+
+  // An update that assigns no key column leaves the key index alone.
+  bool rekey = false;
+  for (size_t c : write.assigned) {
+    rekey |= std::find(pk_indexes_.begin(), pk_indexes_.end(), c) != pk_indexes_.end();
   }
-  const size_t added = values.empty() ? 0 : values[0].size();
-  for (const auto& col : values) {
-    if (col.size() != added) {
-      return Status::Invalid("AppendColumns requires uniform column lengths");
+  rekey &= IndexedKeys();
+  for (size_t u = 0; u < write.updated_rows.size(); ++u) {
+    const size_t r = write.updated_rows[u];
+    if (rekey) IndexErase(stored(r));
+    for (size_t i = 0; i < write.assigned.size(); ++i) {
+      columns_[write.assigned[i]][r] = std::move(write.assigned_values[i][u]);
     }
+    if (rekey) IndexInsert(stored(r));
   }
+
+  const std::vector<size_t>& removed = write.removed_rows;
+  if (!removed.empty()) {
+    if (IndexedKeys()) {
+      for (size_t r : removed) IndexErase(stored(r));
+    }
+    for (auto& col : columns_) {
+      std::vector<Value> kept;
+      kept.reserve(col.size() - removed.size());
+      size_t next_removed = 0;
+      for (size_t r = 0; r < col.size(); ++r) {
+        if (next_removed < removed.size() && removed[next_removed] == r) {
+          ++next_removed;
+          continue;
+        }
+        kept.push_back(std::move(col[r]));
+      }
+      col = std::move(kept);
+    }
+    num_rows_ -= removed.size();
+  }
+
+  const size_t added = write.appended_rows();
   if (added == 0) return Status::OK();
+  auto& appended = write.appended;
   if (IndexedKeys()) {
-    for (size_t r = 0; r < added; ++r) IndexInsert(KeyOf([&](size_t c) { return values[c][r]; }));
+    for (size_t r = 0; r < added; ++r) {
+      IndexInsert(KeyOf([&](size_t c) { return appended[c][r]; }));
+    }
   }
   for (size_t c = 0; c < columns_.size(); ++c) {
     auto& dst = columns_[c];
     if (dst.empty()) {
-      dst = std::move(values[c]);  // an empty table adopts the batch
+      dst = std::move(appended[c]);  // an empty table adopts the batch
       continue;
     }
-    dst.insert(dst.end(), std::make_move_iterator(values[c].begin()),
-               std::make_move_iterator(values[c].end()));
+    dst.insert(dst.end(), std::make_move_iterator(appended[c].begin()),
+               std::make_move_iterator(appended[c].end()));
   }
   num_rows_ += added;
-  return Status::OK();
-}
-
-Status Table::ReplaceRow(size_t row, Row values) {
-  if (row >= num_rows_) return Status::Invalid("row index out of range");
-  if (values.size() != columns_.size()) return Status::Invalid("row arity mismatch");
-  if (IndexedKeys()) {
-    IndexErase(KeyOf([&](size_t c) { return At(row, c); }));
-    IndexInsert(KeyOf([&](size_t c) { return values[c]; }));
-  }
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c][row] = std::move(values[c]);
-  }
-  return Status::OK();
-}
-
-Status Table::RemoveRows(const std::vector<size_t>& sorted_rows) {
-  if (sorted_rows.empty()) return Status::OK();
-  for (size_t i = 1; i < sorted_rows.size(); ++i) {
-    if (sorted_rows[i] <= sorted_rows[i - 1]) {
-      return Status::Invalid("RemoveRows requires strictly ascending indexes");
-    }
-  }
-  if (sorted_rows.back() >= num_rows_) return Status::Invalid("row index out of range");
-  if (IndexedKeys()) {
-    for (size_t r : sorted_rows) IndexErase(KeyOf([&](size_t c) { return At(r, c); }));
-  }
-  for (auto& col : columns_) {
-    std::vector<Value> kept;
-    kept.reserve(col.size() - sorted_rows.size());
-    size_t next_removed = 0;
-    for (size_t r = 0; r < col.size(); ++r) {
-      if (next_removed < sorted_rows.size() && sorted_rows[next_removed] == r) {
-        ++next_removed;
-        continue;
-      }
-      kept.push_back(std::move(col[r]));
-    }
-    col = std::move(kept);
-  }
-  num_rows_ -= sorted_rows.size();
   return Status::OK();
 }
 

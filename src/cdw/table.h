@@ -10,10 +10,12 @@
 
 /// \file table.h
 /// Column-organized table of the simulated cloud data warehouse. Values are
-/// stored per column; rows are assembled on demand. Mutations are staged by
-/// the executor and committed atomically (set-oriented statement semantics:
-/// a failing tuple aborts the whole statement with no partial effects, which
-/// is exactly the behaviour that forces Hyper-Q's adaptive error handling).
+/// stored per column; statements read cells in place through At. A table
+/// changes in one place: every writing statement (INSERT, UPDATE, DELETE,
+/// MERGE and COPY) stages one TableWrite and Table::Commit applies it whole,
+/// which is the set-oriented statement semantics: a failing tuple aborts the
+/// whole statement with no partial effects, exactly the behaviour that forces
+/// Hyper-Q's adaptive error handling.
 ///
 /// The table records a declared unique primary key but does NOT enforce it:
 /// like the cloud warehouses the paper targets, constraints are metadata
@@ -25,6 +27,28 @@ namespace hyperq::cdw {
 /// GROUP BY all order rows with it.
 struct RowLess {
   bool operator()(const types::Row& a, const types::Row& b) const;
+};
+
+/// One statement's change to a table, staged column-wise while the statement
+/// runs and applied by Table::Commit. Row indexes name the rows as stored
+/// before the write. (The empty member initializers let designated
+/// initializers name only the parts a write uses.)
+struct TableWrite {
+  /// Rows appended after the stored ones: appended[c] holds column c's
+  /// cells, every column the same length. Left empty, nothing is appended.
+  std::vector<std::vector<types::Value>> appended{};
+  /// The columns the updates assign, each once. assigned_values[i][u] is
+  /// the new cell of column assigned[i] in row updated_rows[u]; the other
+  /// columns of an updated row keep their cells.
+  std::vector<size_t> assigned{};
+  std::vector<std::vector<types::Value>> assigned_values{};
+  /// Stored rows the updates rewrite, in staging order. A row may repeat;
+  /// its last update wins.
+  std::vector<size_t> updated_rows{};
+  /// Stored rows removed, strictly ascending.
+  std::vector<size_t> removed_rows{};
+
+  size_t appended_rows() const { return appended.empty() ? 0 : appended[0].size(); }
 };
 
 class Table {
@@ -45,12 +69,12 @@ class Table {
   /// Cell accessor (no bounds checking beyond asserts).
   const types::Value& At(size_t row, size_t col) const { return columns_[col][row]; }
 
-  /// Materializes one row (a copy: statements read cells in place via At and
-  /// copy a row only to stage its replacement).
+  /// A copy of one row, for callers outside the engine: statements read
+  /// cells in place via At.
   types::Row GetRow(size_t row) const;
 
   /// The primary-key tuple (primary_key_indexes() order) of a row whose
-  /// column c is `cell(c)`: a stored row, a staged Row or a columnar batch.
+  /// column c is `cell(c)`: a stored row or a staged one.
   template <typename Cell>
   types::Row KeyOf(const Cell& cell) const {
     types::Row key;
@@ -59,22 +83,14 @@ class Table {
     return key;
   }
 
-  /// Appends a pre-validated row (values must already match column types).
-  /// Tests build small tables with it; statements commit through
-  /// AppendColumns.
-  common::Status AppendRow(types::Row row);
-
-  /// Appends pre-validated columnar data (values[c] is column c, all columns
-  /// the same length). The commit path of COPY and of every INSERT and
-  /// MERGE insert: one call appends an entire batch with no per-row
-  /// re-validation.
-  common::Status AppendColumns(std::vector<std::vector<types::Value>> values);
-
-  /// Overwrites one row in place (used by committed updates).
-  common::Status ReplaceRow(size_t row, types::Row values);
-
-  /// Removes the rows whose indexes are listed (sorted ascending).
-  common::Status RemoveRows(const std::vector<size_t>& sorted_rows);
+  /// Applies a statement's write: the updates, then the removals, then the
+  /// appends. Cells must already match the column types. The whole write is
+  /// checked (arity, row indexes, removal order) before anything changes,
+  /// so a rejected write leaves cells and key index untouched. The key index
+  /// is maintained here alone, and an update that assigns no key column
+  /// leaves it as it is. An empty column adopts its appended cells without
+  /// copying them.
+  common::Status Commit(TableWrite write);
 
   /// Removes all rows.
   void Truncate();

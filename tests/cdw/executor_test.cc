@@ -816,6 +816,18 @@ TEST_F(ExecutorTest, UpdateSwappingTwoKeysIsNotADuplicate) {
   EXPECT_EQ(Exec("SELECT NAME FROM CUSTOMERS WHERE ID = 1").rows[0][0].string_value(), "Bob");
 }
 
+TEST_F(ExecutorTest, UpdateOfANonKeyColumnOnADuplicatedKeyFailsOnlyUnderEnforcement) {
+  SeedCustomers();
+  Exec("INSERT INTO CUSTOMERS VALUES (1, 'Dup', NULL)");  // key 1 is now stored twice
+  const std::string update = "UPDATE CUSTOMERS SET NAME = 'x' WHERE ID = 1 AND NAME = 'Ada'";
+  auto s = ExecError(update, /*enforce=*/true);
+  EXPECT_EQ(s.code(), common::StatusCode::kConstraintViolation);
+  EXPECT_EQ(s.message(), "duplicate unique primary key in table CUSTOMERS");
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM CUSTOMERS WHERE NAME = 'x'").rows[0][0].int_value(), 0);
+  EXPECT_EQ(Exec(update).rows_updated, 1u);
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM CUSTOMERS WHERE NAME = 'x'").rows[0][0].int_value(), 1);
+}
+
 // --- A column named twice -----------------------------------------------------
 
 TEST_F(ExecutorTest, ColumnNamedTwiceIsRejected) {

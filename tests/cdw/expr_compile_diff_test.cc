@@ -19,6 +19,7 @@
 #include "cdw/compiled_expr.h"
 #include "cdw/table.h"
 #include "sql/parser.h"
+#include "table_rows.h"
 
 namespace hyperq::cdw {
 namespace {
@@ -80,10 +81,8 @@ class Fixture {
         {Value::Int(193), Value::String("   "), Value::Null(), Value::String("2021-02-30")},
         {Value::Int(1), Value::Null(), Value::Date(-15294), Value::String("2021-02-30")},
     };
-    for (size_t r = 0; r < kRows; ++r) {
-      EXPECT_TRUE(a_->AppendRow(a_rows[r]).ok());
-      EXPECT_TRUE(b_->AppendRow(b_rows[r]).ok());
-    }
+    EXPECT_TRUE(AppendRows(a_.get(), {std::begin(a_rows), std::end(a_rows)}).ok());
+    EXPECT_TRUE(AppendRows(b_.get(), {std::begin(b_rows), std::end(b_rows)}).ok());
   }
 
   std::vector<ScanBinding> Bindings() const { return {{"A", a_.get()}, {"B", b_.get()}}; }

@@ -6,6 +6,7 @@
 #include "cdw/expr_eval.h"
 #include "cdw/table.h"
 #include "sql/parser.h"
+#include "table_rows.h"
 #include "types/date.h"
 
 namespace hyperq::cdw {
@@ -30,7 +31,7 @@ class ExprEvalTest : public ::testing::Test {
   ExprEvalTest() {
     row_ = {Value::Int(10), Value::String("hello"),
             Value::Date(types::DaysFromYmd(2020, 6, 15).ValueOrDie()), Value::Null()};
-    EXPECT_TRUE(table_.AppendRow(row_).ok());
+    EXPECT_TRUE(AppendRows(&table_, {row_}).ok());
     ctx_.AddBinding("T", &table_, 0);
   }
 
@@ -73,7 +74,7 @@ TEST_F(ExprEvalTest, ColumnResolution) {
 
 TEST_F(ExprEvalTest, AmbiguousColumnRejected) {
   Table other("S", table_.schema());
-  ASSERT_TRUE(other.AppendRow(row_).ok());
+  ASSERT_TRUE(AppendRows(&other, {row_}).ok());
   ctx_.AddBinding("S", &other, 0);
   EXPECT_TRUE(Eval("A").status().IsInvalid());
   EXPECT_TRUE(Eval("S.A").ok());
@@ -140,7 +141,8 @@ TEST_F(ExprEvalTest, DecimalInt64MinUnscaledOverflowCaught) {
   schema.AddField(Field("X", TypeDesc::Decimal(18, 2)));
   Table dec("S", schema);
   ASSERT_TRUE(
-      dec.AppendRow({Value::Dec(types::Decimal(std::numeric_limits<int64_t>::min(), 2))}).ok());
+      AppendRows(&dec, {{Value::Dec(types::Decimal(std::numeric_limits<int64_t>::min(), 2))}})
+          .ok());
   ctx_.AddBinding("S", &dec, 0);
   EXPECT_TRUE(Eval("ABS(X)").status().IsConversionError());
   EXPECT_TRUE(Eval("-X").status().IsConversionError());

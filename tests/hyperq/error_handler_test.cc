@@ -55,15 +55,16 @@ class AdaptiveErrorTest : public ::testing::Test {
 
   void StageRows(const std::vector<std::vector<std::string>>& rows) {
     auto table = cdw_.catalog()->GetTable("STG").ValueOrDie();
+    cdw::TableWrite write;
+    write.appended.resize(table->num_columns());
     int64_t rownum = 1;
     for (const auto& r : rows) {
-      types::Row row;
-      for (const auto& cell : r) {
-        row.push_back(cell.empty() ? Value::Null() : Value::String(cell));
+      for (size_t c = 0; c < r.size(); ++c) {
+        write.appended[c].push_back(r[c].empty() ? Value::Null() : Value::String(r[c]));
       }
-      row.push_back(Value::Int(rownum++));
-      ASSERT_TRUE(table->AppendRow(std::move(row)).ok());
+      write.appended.back().push_back(Value::Int(rownum++));
     }
+    ASSERT_TRUE(table->Commit(std::move(write)).ok());
     total_rows_ = rows.size();
   }
 
