@@ -1,3 +1,8 @@
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -433,6 +438,204 @@ TEST(ConversionDiffTest, QualityGateOnVartextChunksMatchesReference) {
     }
   }
   EXPECT_GT(quarantined, 0u);
+}
+
+/// Every TypeId plus CHAR past the CDW's 255-byte CHAR limit, which stages
+/// as a varlen cell under HQB1.
+TypeDesc GoldenTypeDesc(common::Random* rng) {
+  if (rng->NextBool(1.0 / 12)) {
+    return TypeDesc::Char(256 + static_cast<int32_t>(rng->NextBounded(40)));
+  }
+  return RandomTypeDesc(rng);
+}
+
+/// A quarter of the layouts hold every TypeId and an oversize CHAR in
+/// shuffled order; the rest are random mixes of up to ten fields.
+Schema GoldenLayout(uint64_t seed, common::Random* rng) {
+  std::vector<TypeDesc> types;
+  if (seed % 4 == 0) {
+    types = {TypeDesc::Boolean(),     TypeDesc::Int8(),    TypeDesc::Int16(),
+             TypeDesc::Int32(),       TypeDesc::Int64(),   TypeDesc::Float64(),
+             TypeDesc::Decimal(18, 3), TypeDesc::Date(),   TypeDesc::Timestamp(),
+             TypeDesc::Char(7),       TypeDesc::Varchar(20), TypeDesc::Char(300)};
+    for (size_t i = types.size(); i > 1; --i) std::swap(types[i - 1], types[rng->NextBounded(i)]);
+  } else {
+    const size_t nfields = 1 + rng->NextBounded(10);
+    for (size_t i = 0; i < nfields; ++i) types.push_back(GoldenTypeDesc(rng));
+  }
+  Schema layout;
+  for (size_t i = 0; i < types.size(); ++i) {
+    std::string name = "F";
+    name += std::to_string(i);
+    layout.AddField(Field(name, types[i]));
+  }
+  return layout;
+}
+
+/// Type-stable drift of `target`: a random subset of its fields in shuffled
+/// order plus unknown fields.
+Schema GoldenDrift(const Schema& target, common::Random* rng) {
+  std::vector<Field> kept;
+  for (const Field& f : target.fields()) {
+    if (rng->NextBool(0.75)) kept.push_back(f);
+  }
+  for (size_t i = kept.size(); i > 1; --i) std::swap(kept[i - 1], kept[rng->NextBounded(i)]);
+  const size_t nextra = rng->NextBounded(3) + (kept.empty() ? 1 : 0);
+  for (size_t i = 0; i < nextra; ++i) {
+    std::string name = "X";
+    name += std::to_string(i);
+    kept.insert(kept.begin() + static_cast<std::ptrdiff_t>(rng->NextBounded(kept.size() + 1)),
+                Field(name, GoldenTypeDesc(rng)));
+  }
+  Schema drifted;
+  for (const Field& f : kept) drifted.AddField(f);
+  return drifted;
+}
+
+/// Replaces every occurrence of `from` in `bytes` with `to` (same length).
+void PatchAll(std::vector<uint8_t>* bytes, const std::string& from, const std::string& to) {
+  if (bytes->size() < from.size()) return;
+  for (size_t i = 0; i + from.size() <= bytes->size(); ++i) {
+    if (std::memcmp(bytes->data() + i, from.data(), from.size()) == 0) {
+      std::memcpy(bytes->data() + i, to.data(), to.size());
+      i += from.size() - 1;
+    }
+  }
+}
+
+std::string Int32Bytes(int32_t v) {
+  std::string out(4, '\0');
+  for (int i = 0; i < 4; ++i) out[static_cast<size_t>(i)] = static_cast<char>(v >> (8 * i));
+  return out;
+}
+
+/// One binary-wire chunk over `layout`: clean, truncated, byte-flipped, or
+/// with marker DATE/TIMESTAMP values rewritten to invalid legacy encodings.
+ConversionInput GoldenChunk(uint64_t seed, const Schema& layout, common::Random* rng) {
+  const uint64_t mode = seed % 5;  // 0,1 clean; 2 truncate; 3 flip; 4 invalid dates
+  const types::DateDays marker_day = types::DaysFromYmd(1901, 1, 1).ValueOrDie();
+  const types::TimestampMicros marker_ts = static_cast<int64_t>(marker_day) * 86400000000LL;
+  legacy::BinaryRowCodec codec(layout);
+  common::ByteBuffer payload;
+  const uint32_t nrows = static_cast<uint32_t>(rng->NextBounded(20));
+  for (uint32_t i = 0; i < nrows; ++i) {
+    types::Row row;
+    for (size_t f = 0; f < layout.num_fields(); ++f) {
+      const TypeDesc& type = layout.field(f).type;
+      if (mode == 4 && type.id == types::TypeId::kDate && rng->NextBool(0.3)) {
+        row.push_back(Value::Date(marker_day));
+      } else if (mode == 4 && type.id == types::TypeId::kTimestamp && rng->NextBool(0.3)) {
+        row.push_back(Value::Timestamp(marker_ts));
+      } else {
+        row.push_back(RandomValue(type, rng));
+      }
+    }
+    EXPECT_TRUE(codec.EncodeRow(row, &payload).ok()) << "seed " << seed;
+  }
+  std::vector<uint8_t> bytes = payload.vector();
+  if (mode == 2) {
+    bytes.resize(rng->NextBounded(bytes.size() + 1));
+  } else if (mode == 3) {
+    for (int flips = 0; flips < 3 && !bytes.empty(); ++flips) {
+      bytes[rng->NextBounded(bytes.size())] = static_cast<uint8_t>(rng->NextU64());
+    }
+  } else if (mode == 4) {
+    PatchAll(&bytes, Int32Bytes(legacy::LegacyDateEncode(marker_day)),
+             Int32Bytes((2020 - 1900) * 10000 + 13 * 100 + 45));
+    PatchAll(&bytes, types::FormatTimestampIso(marker_ts), "9999-99-99 99:99:99.99999X");
+  }
+  ConversionInput input;
+  input.order_index = seed;
+  input.first_row_number = 1 + rng->NextBounded(1000);
+  input.chunk.chunk_seq = seed;
+  input.chunk.row_count = nrows;
+  input.chunk.payload = std::move(bytes);
+  return input;
+}
+
+uint64_t Fnv1a(const common::ByteBuffer& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t b : bytes.vector()) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// One golden line: a chunk's complete observable outcome under one staging
+/// format.
+std::string StagingGoldenLine(uint64_t seed, cdw::StagingFormat staging,
+                              const common::Result<ConvertedChunk>& converted) {
+  std::ostringstream line;
+  line << "seed=" << seed << (staging == cdw::StagingFormat::kBinary ? " HQB1" : " CSV");
+  if (!converted.ok()) {
+    line << " status=" << converted.status().ToString();
+    return line.str();
+  }
+  const ConvertedChunk& c = *converted;
+  line << " rows_out=" << c.rows_out << " reallocs=" << c.csv_reallocs << std::hex
+       << " staging=" << Fnv1a(c.csv) << " qrtn=" << Fnv1a(c.qrtn) << std::dec
+       << " checked=" << c.quality.rows_checked << " quarantined=" << c.quality.rows_quarantined
+       << " kinds=";
+  for (int k = 0; k < kNumQualityKinds; ++k) {
+    line << (k != 0 ? "," : "") << c.quality.violations_by_kind[k];
+  }
+  line << " ids=";
+  for (size_t i = 0; i < c.quality.violations_by_id.size(); ++i) {
+    line << (i != 0 ? "," : "") << c.quality.violations_by_id[i];
+  }
+  line << " nulls=";
+  for (size_t i = 0; i < c.quality.field_nulls.size(); ++i) {
+    line << (i != 0 ? "," : "") << c.quality.field_nulls[i];
+  }
+  line << " errors=" << c.errors.size();
+  for (const RecordError& e : c.errors) {
+    line << " [" << e.row_number << ":" << e.code << ":" << e.field << ":" << e.message << "]";
+  }
+  return line.str();
+}
+
+/// Both staging formats' bytes, frozen in testdata/conversion_golden.txt:
+/// the differentials above compare CSV against ConvertReference, but HQB1
+/// block bytes are otherwise seen only through the tables COPY builds. Per
+/// chunk and format the line holds FNV-1a digests of the staging and
+/// quarantine bytes, the error list, rows_out, csv_reallocs and the quality
+/// counters. HQ_UPDATE_GOLDEN=1 rewrites the file instead of comparing.
+TEST(ConversionDiffTest, MatchesFrozenStagingBytes) {
+  const std::string path = std::string(HQ_HYPERQ_TESTDATA_DIR) + "/conversion_golden.txt";
+  constexpr uint64_t kSeeds = 240;
+  std::vector<std::string> lines;
+  for (uint64_t seed = 0; seed < kSeeds; ++seed) {
+    common::Random rng(5000 + seed);
+    const Schema target = GoldenLayout(seed, &rng);
+    const bool drift = seed % 3 == 1;
+    const Schema source = drift ? GoldenDrift(target, &rng) : target;
+    const TableQualitySpec spec = testing_quality::RandomQualitySpec(source, &rng, RandomValue);
+    const TableQualitySpec* quality = rng.NextBool() ? &spec : nullptr;
+    const ConversionInput input = GoldenChunk(seed, source, &rng);
+    for (cdw::StagingFormat staging : {cdw::StagingFormat::kCsv, cdw::StagingFormat::kBinary}) {
+      auto converter =
+          drift ? DataConverter::CreateRemapped(source, target, DataFormat::kBinary,
+                                                kLegacyDelimiter, {}, staging, quality)
+                : DataConverter::Create(source, DataFormat::kBinary, kLegacyDelimiter, {},
+                                        staging, quality);
+      ASSERT_TRUE(converter.ok()) << "seed " << seed << ": " << converter.status().ToString();
+      lines.push_back(StagingGoldenLine(seed, staging, converter->Convert(input)));
+    }
+  }
+  ASSERT_EQ(lines.size(), 2 * kSeeds);
+  if (std::getenv("HQ_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    for (const std::string& line : lines) out << line << "\n";
+    ASSERT_TRUE(out.good()) << path;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) golden.push_back(line);
+  ASSERT_EQ(golden.size(), lines.size());
+  for (size_t i = 0; i < lines.size(); ++i) EXPECT_EQ(lines[i], golden[i]);
 }
 
 }  // namespace
