@@ -3,184 +3,16 @@
 #include <algorithm>
 
 #include "cdw/staging_binary.h"
-#include "hyperq/quality.h"
-#include "legacy/errors.h"
-#include "legacy/row_format.h"
-#include "types/date.h"
-#include "types/type_mapping.h"
 
 /// \file conversion_columnar.cc
-/// HQB1 columnar kernels and the chunk builder: the encode half of the
-/// binary direct-pipe load path. One kernel per SOURCE TypeId decodes a
-/// field straight off the chunk's ByteReader — exactly the wire bytes the
-/// CSV kernels consume — and appends the typed staging value to the field's
-/// ColumnSink. The chunk loops that drive them, shared with CSV staging,
-/// live in conversion_plan.cc behind the HQB1 staging sink.
+/// The HQB1 chunk builder and the plan's HQB1 staging state: the encode
+/// half of the binary direct-pipe load path. The field kernels and their
+/// HQB1 encoder, which append typed cells to the ColumnSinks, and the chunk
+/// loops that drive them live in conversion_plan.cc.
 
 namespace hyperq::core {
 
 using common::ByteBuffer;
-using common::ByteReader;
-using common::Slice;
-using common::Status;
-using types::TypeId;
-
-namespace {
-
-using FieldPlan = ConversionPlan::FieldPlan;
-
-Status KernelColBoolean(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                        QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(uint8_t b, body->ReadByte());
-  if (f.checks != nullptr) QcPresence(*f.checks, null, q);
-  col->data.AppendByte(null ? 0 : (b != 0 ? 1 : 0));
-  return Status::OK();
-}
-
-Status KernelColInt8(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                     QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(int8_t v, body->ReadI8());
-  if (f.checks != nullptr) QcNumeric(*f.checks, null, static_cast<double>(v), q);
-  // BYTEINT stages as SMALLINT (the CDW has no 1-byte integer).
-  col->data.AppendI16(null ? 0 : v);
-  return Status::OK();
-}
-
-Status KernelColInt16(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                      QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(int16_t v, body->ReadI16());
-  if (f.checks != nullptr) QcNumeric(*f.checks, null, static_cast<double>(v), q);
-  col->data.AppendI16(null ? 0 : v);
-  return Status::OK();
-}
-
-Status KernelColInt32(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                      QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(int32_t v, body->ReadI32());
-  if (f.checks != nullptr) QcNumeric(*f.checks, null, static_cast<double>(v), q);
-  col->data.AppendI32(null ? 0 : v);
-  return Status::OK();
-}
-
-Status KernelColInt64(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                      QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(int64_t v, body->ReadI64());
-  if (f.checks != nullptr) QcNumeric(*f.checks, null, static_cast<double>(v), q);
-  col->data.AppendI64(null ? 0 : v);
-  return Status::OK();
-}
-
-Status KernelColFloat64(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                        QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(double v, body->ReadF64());
-  if (f.checks != nullptr) QcNumeric(*f.checks, null, v, q);
-  col->data.AppendF64(null ? 0.0 : v);
-  return Status::OK();
-}
-
-Status KernelColDecimal(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                        QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(int64_t unscaled, body->ReadI64());
-  // Quality range bounds are pre-scaled to unscaled units at compile.
-  if (f.checks != nullptr) QcNumeric(*f.checks, null, static_cast<double>(unscaled), q);
-  col->data.AppendI64(null ? 0 : unscaled);
-  return Status::OK();
-}
-
-Status KernelColDate(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                     QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(int32_t enc, body->ReadI32());
-  if (null) {
-    if (f.checks != nullptr) QcNullField(*f.checks, q);
-    col->data.AppendI32(0);
-    return Status::OK();
-  }
-  HQ_ASSIGN_OR_RETURN(types::DateDays days, legacy::LegacyDateDecode(enc));
-  if (f.checks != nullptr) QcNumeric(*f.checks, false, static_cast<double>(days), q);
-  col->data.AppendI32(days);
-  return Status::OK();
-}
-
-Status KernelColTimestamp(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                          QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(Slice text, body->ReadSlice(legacy::kLegacyTimestampWidth));
-  if (null) {
-    if (f.checks != nullptr) QcNullField(*f.checks, q);
-    col->data.AppendI64(0);
-    return Status::OK();
-  }
-  HQ_ASSIGN_OR_RETURN(types::TimestampMicros ts, types::ParseTimestampIso(text.ToStringView()));
-  if (f.checks != nullptr) QcNumeric(*f.checks, false, static_cast<double>(ts), q);
-  col->data.AppendI64(ts);
-  return Status::OK();
-}
-
-Status KernelColChar(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                     QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(Slice text, body->ReadSlice(static_cast<size_t>(f.length)));
-  if (f.checks != nullptr) QcString(*f.checks, null, reinterpret_cast<const char*>(text.data()), text.size(), q);
-  if (null) {
-    col->data.resize(col->data.size() + static_cast<size_t>(f.length));  // zero-filled slot
-  } else {
-    col->data.AppendSlice(text);
-  }
-  return Status::OK();
-}
-
-/// CHAR wider than the CDW limit stages as VARCHAR: varlen cell, no padding.
-Status KernelColCharVarlen(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                           QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(Slice text, body->ReadSlice(static_cast<size_t>(f.length)));
-  if (f.checks != nullptr) QcString(*f.checks, null, reinterpret_cast<const char*>(text.data()), text.size(), q);
-  if (!null) col->data.AppendSlice(text);
-  return Status::OK();
-}
-
-Status KernelColVarchar(const FieldPlan& f, ByteReader* body, bool null, ColumnSink* col,
-                        QualityScratch* q) {
-  HQ_ASSIGN_OR_RETURN(Slice text, body->ReadLengthPrefixed16());
-  if (f.checks != nullptr) QcString(*f.checks, null, reinterpret_cast<const char*>(text.data()), text.size(), q);
-  if (!null) col->data.AppendSlice(text);
-  return Status::OK();
-}
-
-/// Columnar kernel for a SOURCE layout field type (the cell it appends
-/// follows the CDW mapping: BYTEINT widens to SMALLINT, CHAR wider than the
-/// CDW limit stages as varlen).
-ConversionPlan::ColumnKernel ColumnKernelFor(const types::TypeDesc& source_type) {
-  switch (source_type.id) {
-    case TypeId::kBoolean:
-      return KernelColBoolean;
-    case TypeId::kInt8:
-      return KernelColInt8;
-    case TypeId::kInt16:
-      return KernelColInt16;
-    case TypeId::kInt32:
-      return KernelColInt32;
-    case TypeId::kInt64:
-      return KernelColInt64;
-    case TypeId::kFloat64:
-      return KernelColFloat64;
-    case TypeId::kDecimal:
-      return KernelColDecimal;
-    case TypeId::kDate:
-      return KernelColDate;
-    case TypeId::kTimestamp:
-      return KernelColTimestamp;
-    case TypeId::kChar: {
-      auto mapped = types::MapLegacyTypeToCdw(source_type);
-      if (mapped.ok() && mapped.ValueOrDie().id == TypeId::kVarchar) {
-        return KernelColCharVarlen;
-      }
-      return KernelColChar;
-    }
-    case TypeId::kVarchar:
-      return KernelColVarchar;
-  }
-  return KernelColVarchar;  // unreachable: TypeId is exhaustive
-}
-
-}  // namespace
 
 ColumnarChunkBuilder::ColumnarChunkBuilder(const std::vector<uint32_t>& target_widths)
     : cols_(target_widths.size()), pending_null_(target_widths.size(), 0) {
@@ -235,8 +67,7 @@ void ColumnarChunkBuilder::Finish(const ByteBuffer& header_template, ByteBuffer*
   }
 }
 
-void ConversionPlan::AttachBinaryStaging(const types::Schema& source_layout,
-                                         const types::Schema& staging_schema) {
+void ConversionPlan::AttachBinaryStaging(const types::Schema& staging_schema) {
   staging_format_ = cdw::StagingFormat::kBinary;
   header_template_.clear();
   cdw::BuildBlockHeader(staging_schema, &header_template_);
@@ -252,9 +83,6 @@ void ConversionPlan::AttachBinaryStaging(const types::Schema& source_layout,
     } else {
       fixed += w;
     }
-  }
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    fields_[i].col_kernel = ColumnKernelFor(source_layout.field(i).type);
   }
   per_row_binary_hint_ = fixed + 4 * nvarlen + (staging_schema.num_fields() + 7) / 8;
 }

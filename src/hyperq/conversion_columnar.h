@@ -8,9 +8,9 @@
 
 /// \file conversion_columnar.h
 /// The HQB1 columnar encode side of the direct-pipe load path: the column
-/// sinks and chunk builder behind ConversionPlan's HQB1 staging sink (the
-/// columnar kernels live in conversion_columnar.cc). Where the CSV kernels
-/// append escaped text, the columnar kernels append typed little-endian
+/// sinks and chunk builder behind ConversionPlan's HQB1 staging sink. The
+/// field kernels (conversion_plan.cc) run with the HQB1 encoder here: where
+/// the CSV encoder appends escaped text, it appends typed little-endian
 /// staging values into per-column sinks; the builder assembles the sinks
 /// into one self-describing HQB1 block per chunk (cdw/staging_binary.h)
 /// that CDW COPY appends without per-cell parsing.

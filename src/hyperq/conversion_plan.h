@@ -16,10 +16,11 @@
 /// stage (paper Section 4). Where the reference path materializes every cell
 /// as a types::Value and then a per-cell std::string inside a cdw::CsvRecord,
 /// a ConversionPlan is built once per layout at DataConverter::Create time as
-/// a vector of per-field kernel functions (one per TypeId x format) that
-/// decode a field straight off the chunk's ByteReader and append its
-/// CSV-escaped text (or, for HQB1 staging, its typed cell) directly into the
-/// output. Numeric, decimal and date/timestamp formatting go through
+/// a vector of per-field kernel functions that decode a field straight off
+/// the chunk's ByteReader and append its CSV-escaped text (or, for HQB1
+/// staging, its typed cell) directly into the output. There is one kernel
+/// per legacy TypeId, a template over its staging encoder (CSV text or HQB1
+/// cell) instantiated for both. Numeric, decimal and date/timestamp formatting go through
 /// fixed-size stack scratch (std::to_chars-style), so steady-state
 /// conversion performs O(1) heap allocations per row (the output buffer
 /// growth, amortized and pooled).
@@ -50,27 +51,27 @@ class ConversionPlan {
   struct FieldPlan;
 
   /// A field kernel consumes the field's wire bytes from `body` (always, even
-  /// for NULL fields: binary slots are positional) and, when not null,
-  /// appends the CSV-escaped text to `out`. When the field carries quality
-  /// checks (`f.checks != nullptr`) the kernel runs them fused over the
-  /// decoded value into `q`; gate-off cost is that one predicted branch.
-  /// Errors must carry exactly the message the reference decode path would
-  /// produce.
+  /// for NULL fields: binary slots are positional), decodes them, and hands
+  /// the cell to its staging encoder: with CSV staging (FieldKernel) the
+  /// CSV-escaped text, nothing when null, is appended to `out`. When the
+  /// field carries quality checks (`f.checks != nullptr`) the kernel runs
+  /// them fused over the decoded value into `q`; gate-off cost is that one
+  /// predicted branch. Errors must carry exactly the message the reference
+  /// decode path would produce.
   using FieldKernel = common::Status (*)(const FieldPlan&, common::ByteReader* body, bool null,
                                          common::ByteBuffer* out, QualityScratch* q);
 
-  /// The HQB1 counterpart of FieldKernel: consumes the same wire bytes but
-  /// appends the typed staging value (little-endian, already widened to the
-  /// CDW-mapped staging type) to the field's ColumnSink. NULL cells append
-  /// the zero-filled fixed slot (nothing for varlen); the caller owns the
-  /// null bitmap. Quality checks fuse here exactly as in FieldKernel.
-  /// Implemented in conversion_columnar.cc.
+  /// The same kernel instantiated with the HQB1 encoder: it appends the
+  /// typed staging value (little-endian, already widened to the CDW-mapped
+  /// staging type) to the field's ColumnSink. NULL cells append the
+  /// zero-filled fixed slot (nothing for varlen); the caller owns the null
+  /// bitmap.
   using ColumnKernel = common::Status (*)(const FieldPlan&, common::ByteReader* body, bool null,
                                           ColumnSink* col, QualityScratch* q);
 
   struct FieldPlan {
+    /// The field type's kernel, once per staging family.
     FieldKernel kernel = nullptr;
-    /// HQB1 columnar kernel (set only when compiled for binary staging).
     ColumnKernel col_kernel = nullptr;
     /// Fused quality check ops for this field (nullptr = none; the clean
     /// path tests exactly this pointer). Owned by DataConverter's
@@ -159,10 +160,9 @@ class ConversionPlan {
   common::Status ConvertVartextChunk(const ConversionInput& input, ConvertedChunk* out,
                                      Sink* sink) const;
 
-  /// Binds the HQB1 encoding state (header template, target widths, column
-  /// kernels for `source_layout`'s fields). Defined in conversion_columnar.cc.
-  void AttachBinaryStaging(const types::Schema& source_layout,
-                           const types::Schema& staging_schema);
+  /// Binds the HQB1 encoding state (header template, target widths).
+  /// Defined in conversion_columnar.cc.
+  void AttachBinaryStaging(const types::Schema& staging_schema);
   /// Frames one binary record body (indicator bytes, then the fields in
   /// source order) and hands each field to `emit(index, null, body)`;
   /// fails on a decode error or trailing bytes.
