@@ -2,46 +2,19 @@
 
 namespace hyperq::core {
 
-using common::ByteBuffer;
 using common::Result;
-using common::Slice;
 using common::Status;
 
 Result<legacy::Message> Coalescer::NextMessage() {
+  if (decode_seconds_ == nullptr) return stream_.Receive();
   std::chrono::steady_clock::duration decode_elapsed{0};
-  for (;;) {
-    legacy::Message msg;
-    const bool timed = decode_seconds_ != nullptr;
-    auto decode_start =
-        timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point();
-    HQ_ASSIGN_OR_RETURN(size_t consumed, legacy::TryDecodeMessage(Slice(pending_), &msg));
-    if (timed) decode_elapsed += std::chrono::steady_clock::now() - decode_start;
-    if (consumed > 0) {
-      pending_.erase(pending_.begin(), pending_.begin() + static_cast<ptrdiff_t>(consumed));
-      ++stats_.messages_formed;
-      if (timed) {
-        last_decode_end_ = std::chrono::steady_clock::now();
-        last_decode_elapsed_ = decode_elapsed;
-        decode_seconds_->Observe(std::chrono::duration<double>(decode_elapsed).count());
-      }
-      return msg;
-    }
-    uint8_t buf[64 * 1024];
-    HQ_ASSIGN_OR_RETURN(size_t n, transport_->Read(buf, sizeof(buf)));
-    if (n == 0) {
-      if (pending_.empty()) return Status::Cancelled("client closed connection");
-      return Status::ProtocolError("client closed connection mid-frame");
-    }
-    ++stats_.reads;
-    stats_.bytes_received += n;
-    pending_.insert(pending_.end(), buf, buf + n);
-  }
+  HQ_ASSIGN_OR_RETURN(legacy::Message msg, stream_.Receive(&decode_elapsed));
+  last_decode_end_ = std::chrono::steady_clock::now();
+  last_decode_elapsed_ = decode_elapsed;
+  decode_seconds_->Observe(std::chrono::duration<double>(decode_elapsed).count());
+  return msg;
 }
 
-Status Coalescer::Send(const legacy::Message& msg) {
-  ByteBuffer buf;
-  legacy::EncodeMessage(msg, &buf);
-  return transport_->Write(buf.AsSlice());
-}
+Status Coalescer::Send(const legacy::Message& msg) { return stream_.Send(msg); }
 
 }  // namespace hyperq::core

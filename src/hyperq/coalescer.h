@@ -3,6 +3,7 @@
 #include <chrono>
 #include <memory>
 
+#include "legacy/message_stream.h"
 #include "legacy/parcel.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
@@ -10,21 +11,16 @@
 /// \file coalescer.h
 /// The Coalescer process (paper Section 3): "interacts with a Coalescer
 /// process to form complete TCP messages from the raw bytes received over
-/// the wire". Reassembles LDWP frames from an arbitrary byte stream and
-/// keeps wire statistics.
+/// the wire". Wraps legacy::MessageStream's frame reassembly and adds the
+/// decode-time instrumentation.
 
 namespace hyperq::core {
 
-struct CoalescerStats {
-  uint64_t bytes_received = 0;
-  uint64_t messages_formed = 0;
-  uint64_t reads = 0;  ///< transport reads (fragments)
-};
+using CoalescerStats = legacy::ReceiveStats;
 
 class Coalescer {
  public:
-  explicit Coalescer(std::shared_ptr<net::Transport> transport)
-      : transport_(std::move(transport)) {}
+  explicit Coalescer(std::shared_ptr<net::Transport> transport) : stream_(std::move(transport)) {}
 
   /// Blocks for the next complete message. Cancelled = clean EOF.
   common::Result<legacy::Message> NextMessage();
@@ -43,13 +39,11 @@ class Coalescer {
   std::chrono::steady_clock::time_point last_decode_end() const { return last_decode_end_; }
   std::chrono::steady_clock::duration last_decode_elapsed() const { return last_decode_elapsed_; }
 
-  const CoalescerStats& stats() const { return stats_; }
-  net::Transport* transport() { return transport_.get(); }
+  const CoalescerStats& stats() const { return stream_.stats(); }
+  net::Transport* transport() { return stream_.transport(); }
 
  private:
-  std::shared_ptr<net::Transport> transport_;
-  std::vector<uint8_t> pending_;
-  CoalescerStats stats_;
+  legacy::MessageStream stream_;
   obs::Histogram* decode_seconds_ = nullptr;
   std::chrono::steady_clock::time_point last_decode_end_;
   std::chrono::steady_clock::duration last_decode_elapsed_{0};

@@ -13,12 +13,16 @@ Status MessageStream::Send(const Message& msg) {
   return transport_->Write(buf.AsSlice());
 }
 
-Result<Message> MessageStream::Receive() {
+Result<Message> MessageStream::Receive(std::chrono::steady_clock::duration* decode_elapsed) {
   for (;;) {
     Message msg;
+    const auto decode_start = decode_elapsed != nullptr ? std::chrono::steady_clock::now()
+                                                        : std::chrono::steady_clock::time_point();
     HQ_ASSIGN_OR_RETURN(size_t consumed, TryDecodeMessage(Slice(pending_), &msg));
+    if (decode_elapsed != nullptr) *decode_elapsed += std::chrono::steady_clock::now() - decode_start;
     if (consumed > 0) {
       pending_.erase(pending_.begin(), pending_.begin() + static_cast<ptrdiff_t>(consumed));
+      ++stats_.messages_formed;
       return msg;
     }
     uint8_t buf[64 * 1024];
@@ -27,6 +31,8 @@ Result<Message> MessageStream::Receive() {
       if (pending_.empty()) return Status::Cancelled("connection closed");
       return Status::ProtocolError("connection closed mid-frame");
     }
+    ++stats_.reads;
+    stats_.bytes_received += n;
     pending_.insert(pending_.end(), buf, buf + n);
   }
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <memory>
 
 #include "common/bytes.h"
@@ -13,6 +14,13 @@
 
 namespace hyperq::legacy {
 
+/// Receive-side wire statistics of one stream.
+struct ReceiveStats {
+  uint64_t bytes_received = 0;
+  uint64_t messages_formed = 0;
+  uint64_t reads = 0;  ///< transport reads (fragments)
+};
+
 class MessageStream {
  public:
   explicit MessageStream(std::shared_ptr<net::Transport> transport)
@@ -21,15 +29,20 @@ class MessageStream {
   /// Serializes and writes one message.
   common::Status Send(const Message& msg);
 
-  /// Blocks for the next complete message. IOError at EOF mid-frame;
-  /// NotFound-free: clean EOF between frames returns Cancelled.
-  common::Result<Message> Receive();
+  /// Blocks for the next complete message. ProtocolError at EOF mid-frame;
+  /// clean EOF between frames returns Cancelled. When `decode_elapsed` is
+  /// non-null it receives the time spent parsing frames, excluding the
+  /// blocking transport reads.
+  common::Result<Message> Receive(
+      std::chrono::steady_clock::duration* decode_elapsed = nullptr);
 
+  const ReceiveStats& stats() const { return stats_; }
   net::Transport* transport() { return transport_.get(); }
 
  private:
   std::shared_ptr<net::Transport> transport_;
   std::vector<uint8_t> pending_;
+  ReceiveStats stats_;
 };
 
 }  // namespace hyperq::legacy
