@@ -321,11 +321,11 @@ SteadyCounts MeasureSteadyCounts(const core::DataConverter& converter,
 
 /// Ceilings of the --smoke configuration (512 rows x 32 columns per chunk),
 /// pinned per wire format x staging format pair at the values the kernels
-/// measured when the gate was added. CSV staging reuses the pooled buffer and
-/// allocates nothing; HQB1 staging's per-column sinks start empty each chunk
-/// and grow by doubling (O(columns x log rows) per chunk). A kernel or sink
-/// that starts to grow its buffers past the estimate, or to allocate per
-/// cell, exceeds them.
+/// measured when the gate was last tightened. CSV staging reuses the pooled
+/// buffer and allocates nothing; HQB1 staging sizes its per-column sinks from
+/// the plan and the chunk's row count, so a chunk costs O(columns)
+/// allocations and no sink grows. A kernel or sink that starts to grow its
+/// buffers past the estimate, or to allocate per cell, exceeds them.
 struct CountBound {
   legacy::DataFormat wire;
   cdw::StagingFormat staging;
@@ -335,9 +335,9 @@ struct CountBound {
 };
 constexpr CountBound kSmokeCountBounds[] = {
     {legacy::DataFormat::kBinary, cdw::StagingFormat::kCsv, "binary -> csv", 0, 0},
-    {legacy::DataFormat::kBinary, cdw::StagingFormat::kBinary, "binary -> hqb1", 0, 643},
+    {legacy::DataFormat::kBinary, cdw::StagingFormat::kBinary, "binary -> hqb1", 0, 70},
     {legacy::DataFormat::kVartext, cdw::StagingFormat::kCsv, "vartext -> csv", 0, 0},
-    {legacy::DataFormat::kVartext, cdw::StagingFormat::kBinary, "vartext -> hqb1", 0, 907},
+    {legacy::DataFormat::kVartext, cdw::StagingFormat::kBinary, "vartext -> hqb1", 0, 100},
 };
 
 /// Prints every pair's steady-state counts; with `gate` (the --smoke

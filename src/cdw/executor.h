@@ -1,5 +1,7 @@
 #pragma once
 
+#include <span>
+
 #include "cdw/catalog.h"
 #include "cdw/expr_eval.h"
 #include "common/result.h"
@@ -49,9 +51,17 @@ struct ExecOptions {
   bool enforce_unique_primary = false;
 };
 
+struct ScanBinding;
+class StatementWorkers;
+
 class Executor {
  public:
-  explicit Executor(Catalog* catalog) : catalog_(catalog) {}
+  /// With `workers`, an INSERT…SELECT from one table of at least
+  /// kMinParallelParts morsels runs its morsels in parallel (DESIGN.md
+  /// "Embedded CDW: parallel statements"); without, every statement runs on
+  /// the calling thread.
+  explicit Executor(Catalog* catalog, StatementWorkers* workers = nullptr)
+      : catalog_(catalog), workers_(workers) {}
 
   common::Result<ExecResult> Execute(const sql::Statement& stmt, const ExecOptions& options = {});
 
@@ -62,8 +72,18 @@ class Executor {
   uint64_t rows_scanned() const { return rows_scanned_; }
 
  private:
+  /// Stages the rows of an INSERT (executor.cc).
+  class InsertStager;
+
   common::Result<ExecResult> Dispatch(const sql::Statement& stmt, const ExecOptions& options);
-  common::Result<ExecResult> ExecuteSelect(const sql::SelectStmt& stmt);
+  /// With `sink`, the SELECT of an INSERT…SELECT: its rows are staged into
+  /// `sink` instead of returned, and the error is the statement's (a SELECT
+  /// error in any row wins over a staging error in an earlier row).
+  common::Result<ExecResult> ExecuteSelect(const sql::SelectStmt& stmt,
+                                           InsertStager* sink = nullptr);
+  /// The morsel-parallel form of a streamed single-source INSERT…SELECT.
+  common::Status StageMorsels(const sql::SelectStmt& stmt, std::span<const ScanBinding> sources,
+                              InsertStager* sink);
   common::Result<ExecResult> ExecuteInsert(const sql::InsertStmt& stmt,
                                            const ExecOptions& options);
   common::Result<ExecResult> ExecuteUpdate(const sql::UpdateStmt& stmt,
@@ -78,6 +98,7 @@ class Executor {
                                                         const ExecOptions& options);
 
   Catalog* catalog_;
+  StatementWorkers* workers_;
   /// Lets the join planner choose the hash path (see join_dml.h).
   bool hash_join_ = true;
   /// Scan rows visited by the running (or last) statement.

@@ -1,6 +1,7 @@
 #include "cdw/table.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace hyperq::cdw {
 
@@ -46,6 +47,32 @@ Row Table::GetRow(size_t row) const {
   Row out;
   out.reserve(columns_.size());
   for (const auto& col : columns_) out.push_back(col[row]);
+  return out;
+}
+
+std::vector<std::vector<Value>> ConcatColumns(std::vector<std::vector<std::vector<Value>>> segments,
+                                              size_t num_columns) {
+  std::vector<std::vector<Value>> out(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) {
+    size_t total = 0;
+    size_t filled = 0;  // segments with cells in this column
+    for (const auto& segment : segments) {
+      if (c < segment.size() && !segment[c].empty()) {
+        total += segment[c].size();
+        ++filled;
+      }
+    }
+    if (filled > 1) out[c].reserve(total);
+    for (auto& segment : segments) {
+      if (c >= segment.size() || segment[c].empty()) continue;
+      if (filled == 1) {
+        out[c] = std::move(segment[c]);
+        break;
+      }
+      std::move(segment[c].begin(), segment[c].end(), std::back_inserter(out[c]));
+      std::vector<Value>().swap(segment[c]);
+    }
+  }
   return out;
 }
 

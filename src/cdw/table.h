@@ -51,6 +51,14 @@ struct TableWrite {
   size_t appended_rows() const { return appended.empty() ? 0 : appended[0].size(); }
 };
 
+/// Concatenates column segments (each one vector per column, the columns
+/// of a segment the same length) in segment order into `num_columns`
+/// columns: how a statement that staged its rows in parts merges them. A
+/// segment's column is released as soon as it has been moved, and a lone
+/// non-empty segment is adopted without moving its cells.
+std::vector<std::vector<types::Value>> ConcatColumns(
+    std::vector<std::vector<std::vector<types::Value>>> segments, size_t num_columns);
+
 class Table {
  public:
   Table(std::string name, types::Schema schema, std::vector<std::string> primary_key = {},

@@ -19,6 +19,24 @@ ColumnarChunkBuilder::ColumnarChunkBuilder(const std::vector<uint32_t>& target_w
   for (size_t i = 0; i < target_widths.size(); ++i) cols_[i].fixed_width = target_widths[i];
 }
 
+void ColumnarChunkBuilder::Reserve(uint32_t rows, size_t varlen_bytes,
+                                   const std::vector<uint32_t>& varlen_lengths) {
+  uint64_t total_length = 0;
+  for (uint32_t length : varlen_lengths) total_length += length;
+  for (size_t i = 0; i < cols_.size(); ++i) {
+    ColumnSink& s = cols_[i];
+    s.nulls.reserve((static_cast<size_t>(rows) + 7) / 8);
+    if (s.fixed_width != 0) {
+      s.data.reserve(static_cast<size_t>(rows) * s.fixed_width);
+      continue;
+    }
+    s.offsets.reserve(rows);
+    const uint64_t share = varlen_bytes * varlen_lengths[i] / std::max<uint64_t>(1, total_length);
+    s.data.reserve(static_cast<size_t>(
+        std::min<uint64_t>(share, static_cast<uint64_t>(rows) * varlen_lengths[i])));
+  }
+}
+
 void ColumnarChunkBuilder::AppendNullCell(size_t i) {
   ColumnSink& s = cols_[i];
   if (s.fixed_width != 0) s.data.resize(s.data.size() + s.fixed_width);  // zero-filled slot
@@ -73,11 +91,13 @@ void ConversionPlan::AttachBinaryStaging(const types::Schema& staging_schema) {
   cdw::BuildBlockHeader(staging_schema, &header_template_);
   target_widths_.clear();
   target_widths_.reserve(staging_schema.num_fields());
+  varlen_lengths_.clear();
   size_t fixed = 0;
   size_t nvarlen = 0;
   for (const auto& field : staging_schema.fields()) {
     auto w = static_cast<uint32_t>(cdw::BinaryFixedWidth(field.type.id, field.type.length));
     target_widths_.push_back(w);
+    varlen_lengths_.push_back(w == 0 ? static_cast<uint32_t>(std::max(1, field.type.length)) : 0);
     if (w == 0) {
       ++nvarlen;
     } else {

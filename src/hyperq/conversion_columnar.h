@@ -46,6 +46,13 @@ class ColumnarChunkBuilder {
   /// HQ_ROWNUM BIGINT (width 8), matching the block header's column order.
   explicit ColumnarChunkBuilder(const std::vector<uint32_t>& target_widths);
 
+  /// Sizes the sinks for a chunk of `rows` rows, so a chunk inside the
+  /// estimate grows no buffer: fixed cells, varlen offsets and null bitmaps
+  /// exactly, and varlen cell bytes as each column's share of `varlen_bytes`
+  /// by its declared length (`varlen_lengths`, 0 for fixed columns), capped
+  /// at `rows` full-length cells.
+  void Reserve(uint32_t rows, size_t varlen_bytes, const std::vector<uint32_t>& varlen_lengths);
+
   /// Sink of staging column `i` (HQ_ROWNUM's sink is never written by
   /// kernels; CommitRow fills it).
   ColumnSink* col(size_t i) { return &cols_[i]; }

@@ -586,7 +586,12 @@ class ConversionPlan::CsvSink {
 /// kernels, since the quarantine stream is always CSV.
 class ConversionPlan::Hqb1Sink {
  public:
-  explicit Hqb1Sink(const ConversionPlan& plan) : plan_(plan), builder_(plan.target_widths_) {}
+  /// Sized for `input` up front: a chunk's varlen cell bytes cannot exceed
+  /// its payload bytes.
+  Hqb1Sink(const ConversionPlan& plan, const ConversionInput& input)
+      : plan_(plan), builder_(plan.target_widths_) {
+    builder_.Reserve(input.chunk.row_count, input.chunk.payload.size(), plan.varlen_lengths_);
+  }
 
   Status StageBinary(Slice record, uint64_t /*row_number*/, QualityScratch* q) {
     discard_.data.clear();
@@ -791,7 +796,7 @@ Status ConversionPlan::Execute(const ConversionInput& input, ConvertedChunk* out
   out->rows_in = input.chunk.row_count;
   const bool vartext = format_ == legacy::DataFormat::kVartext;
   if (staging_format_ == cdw::StagingFormat::kBinary) {
-    Hqb1Sink sink(*this);
+    Hqb1Sink sink(*this, input);
     return vartext ? ConvertVartextChunk(input, out, &sink) : ConvertBinaryChunk(input, out, &sink);
   }
   CsvSink sink(*this, out);

@@ -194,6 +194,9 @@ class ConversionPlan {
   common::ByteBuffer header_template_;
   /// Fixed staging cell width per staging column incl. HQ_ROWNUM (0=varlen).
   std::vector<uint32_t> target_widths_;
+  /// Declared length of each varlen staging column (at least 1; 0 for fixed
+  /// columns): its share of a chunk's varlen bytes when the sinks are sized.
+  std::vector<uint32_t> varlen_lengths_;
   /// Typed-section bytes per row (fixed widths + varlen offsets + bitmap).
   size_t per_row_binary_hint_ = 0;
   /// Target slot -> source field index; nulled targets map to num_fields(),
